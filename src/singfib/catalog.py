@@ -42,7 +42,11 @@ DEFORMATION_KINDS = ("b_s", "m_s", "f_s", "w_s")
 ALL_KINDS = DIM6_KINDS + PARAMETRIC_KINDS
 
 
-class UnknownKind(ValueError):
+class ModelError(ValueError):
+    """A kind, half-dimension or parameter that :func:`get_model` cannot build."""
+
+
+class UnknownKind(ModelError):
     pass
 
 
@@ -108,18 +112,18 @@ def get_model(kind: str, n: int = 3, param: Rational | None = None) -> Fibration
     if kind not in ALL_KINDS:
         raise UnknownKind(f"unknown model kind {kind!r}")
     if n < 3:
-        raise ValueError("half-dimension n must be at least 3")
+        raise ModelError("half-dimension n must be at least 3")
     # the indefinite fold/cusp/swallowtail/butterfly are the type-2n family;
     # the definite variants are catalogued in dimension 6 only
     if "-def" in kind and n != 3:
-        raise ValueError(f"kind {kind!r} is a dim-6 model; use n=3")
+        raise ModelError(f"kind {kind!r} is a dim-6 model; use n=3")
     if kind in DEFORMATION_KINDS:
         params = () if param is not None else (PARAM_NAME,)
         chart = chart_2n(n, params)
         pf = Fraction(param) if param is not None else None
     else:
         if param is not None:
-            raise ValueError(f"kind {kind!r} takes no deformation parameter")
+            raise ModelError(f"kind {kind!r} takes no deformation parameter")
         chart = chart_2n(n)
         pf = None
 

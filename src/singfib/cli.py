@@ -15,18 +15,24 @@ import time
 from fractions import Fraction
 
 from . import nearsymp, poisson
-from .catalog import ALL_KINDS, DIM6_KINDS, get_model, manifest_text
+from .catalog import ALL_KINDS, DIM6_KINDS, ModelError, get_model, manifest_text
 from .interval import BoxParseError, parse_box
 from .poly import ChartMismatch, PolyParseError, parse_poly
 from .report import exit_code, render_records, render_table
-from .suite import CHECK_NAMES, run_suite
+from .suite import CHECK_NAMES, SCOPES, run_suite
 
 
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,10 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the verification suite")
     scope = p_ver.add_mutually_exclusive_group()
     scope.add_argument("--all", action="store_true", help="every model (default)")
-    scope.add_argument("--model", help="restrict to one model kind")
+    scope.add_argument("--model", choices=SCOPES, help="restrict to one model kind, or to darboux or calculus")
     p_ver.add_argument("--check", action="append", choices=CHECK_NAMES, help="restrict to named checks")
     p_ver.add_argument("--seed", type=int, default=7)
-    p_ver.add_argument("--samples", type=int, default=100)
+    p_ver.add_argument("--samples", type=_positive_int, default=100)
     p_ver.add_argument("--format", choices=("text", "records"), default="text")
     p_ver.add_argument("--out", help="also write the records to this file")
 
@@ -71,7 +77,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         return 0
     kinds = [args.kind] if args.kind else list(ALL_KINDS)
     for kind in kinds:
-        n = args.n if kind not in DIM6_KINDS else 3
+        # a named kind takes --n as given; the full listing shows dim-6 kinds at n = 3
+        n = args.n if args.kind or kind not in DIM6_KINDS else 3
         model = get_model(kind, n, args.param)
         comps = ", ".join(str(c) for c in model.components)
         print(f"{model.name}: R^{2 * model.n} -> R^{2 * model.n - 2}")
@@ -149,7 +156,11 @@ def main(argv: list[str] | None = None) -> int:
         "verify": cmd_verify,
         "epsilon": cmd_epsilon,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ModelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

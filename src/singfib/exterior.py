@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .poly import Chart, ChartMismatch, Poly, Rational
+from .poly import Chart, ChartMismatch, Poly, Rational, add_term
 
 Index = tuple[int, ...]
 
@@ -47,7 +47,11 @@ def _merge_indices(a: Index, b: Index) -> tuple[int, Index] | None:
 
 
 class _Graded:
-    """Shared implementation for forms and multivectors."""
+    """Shared implementation for forms and multivectors.
+
+    The constructor is the boundary for terms from outside the library and
+    checks them; operations build results through :meth:`_make`.
+    """
 
     __slots__ = ("chart", "degree", "terms")
     basis_prefix = "?"
@@ -71,6 +75,15 @@ class _Graded:
         self.degree = degree
         self.terms = clean
 
+    @classmethod
+    def _make(cls, chart: Chart, degree: int, terms: dict[Index, Poly]):
+        """Wrap terms the library built itself: sorted in-block indices, nonzero coefficients."""
+        obj = object.__new__(cls)
+        obj.chart = chart
+        obj.degree = degree
+        obj.terms = terms
+        return obj
+
     # -- linear structure --------------------------------------------------
 
     def _same_kind(self, other: "_Graded") -> None:
@@ -85,17 +98,12 @@ class _Graded:
         self._same_kind(other)
         out = dict(self.terms)
         for idx, c in other.terms.items():
-            s = out.get(idx)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
+            add_term(out, idx, c)
         degree = self.degree if self.terms or not other.terms else other.degree
-        return type(self)(self.chart, degree, out)
+        return self._make(self.chart, degree, out)
 
     def __neg__(self) -> "_Graded":
-        return type(self)(self.chart, self.degree, {i: -c for i, c in self.terms.items()})
+        return self._make(self.chart, self.degree, {i: -c for i, c in self.terms.items()})
 
     def __sub__(self, other: "_Graded") -> "_Graded":
         return self + (-other)
@@ -103,7 +111,9 @@ class _Graded:
     def scale(self, f: Poly | Rational) -> "_Graded":
         if not isinstance(f, Poly):
             f = self.chart.const(f)
-        return type(self)(self.chart, self.degree, {i: f * c for i, c in self.terms.items()})
+        # a product of nonzero polynomials is nonzero
+        terms = {i: f * c for i, c in self.terms.items()} if f else {}
+        return self._make(self.chart, self.degree, terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _Graded) or type(self) is not type(other):
@@ -220,10 +230,6 @@ def _term(cls, chart: Chart, coeff: Poly | Rational, names: Sequence[str]):
     return cls(chart, len(order), {tuple(sorted(order)): coeff if sign == 1 else -coeff})
 
 
-def zero_form(chart: Chart, degree: int) -> KForm:
-    return KForm(chart, degree, {})
-
-
 def scalar_form(p: Poly) -> KForm:
     return KForm(p.chart, 0, {(): p})
 
@@ -243,7 +249,7 @@ def wedge(a: _Graded, b: _Graded) -> _Graded:
         raise ChartMismatch("chart mismatch in wedge")
     degree = a.degree + b.degree
     if degree > a.chart.n_geom:
-        return type(a)(a.chart, a.chart.n_geom, {})
+        return a._make(a.chart, a.chart.n_geom, {})
     out: dict[Index, Poly] = {}
     for ia, ca in a.terms.items():
         for ib, cb in b.terms.items():
@@ -251,14 +257,8 @@ def wedge(a: _Graded, b: _Graded) -> _Graded:
             if merged is None:
                 continue
             sign, idx = merged
-            add = ca * cb if sign == 1 else -(ca * cb)
-            s = out.get(idx)
-            s = add if s is None else s + add
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-    return type(a)(a.chart, degree, out)
+            add_term(out, idx, ca * cb if sign == 1 else -(ca * cb))
+    return a._make(a.chart, degree, out)
 
 
 def wedge_power(a: _Graded, m: int) -> _Graded:
@@ -273,7 +273,7 @@ def wedge_power(a: _Graded, m: int) -> _Graded:
 def ext_d(a: KForm) -> KForm:
     """Exterior derivative in the geometric coordinates."""
     chart = a.chart
-    out = KForm(chart, min(a.degree + 1, chart.n_geom), {})
+    out: dict[Index, Poly] = {}
     for idx, coeff in a.terms.items():
         for v in range(chart.n_geom):
             dc = coeff.differentiate(chart.names[v])
@@ -283,8 +283,8 @@ def ext_d(a: KForm) -> KForm:
             if merged is None:
                 continue
             sign, new_idx = merged
-            out = out + KForm(chart, a.degree + 1, {new_idx: dc if sign == 1 else -dc})
-    return out
+            add_term(out, new_idx, dc if sign == 1 else -dc)
+    return KForm._make(chart, min(a.degree + 1, chart.n_geom), out)
 
 
 @dataclass(frozen=True)
@@ -306,53 +306,32 @@ class PolyMap:
         return [comp.evaluate(point) for comp in self.components]
 
 
-def compose_poly(p: Poly, f: PolyMap) -> Poly:
-    """p o f for a polynomial on the target chart of f."""
-    if p.chart != f.target:
-        raise ChartMismatch("polynomial does not live on the map's target chart")
-    result = f.source.zero()
-    for exp, c in p.terms.items():
-        term = f.source.const(c)
-        for i, e in enumerate(exp):
-            if e:
-                term = term * f.components[i] ** e
-        result = result + term
-    return result
-
-
 def pullback(a: KForm, f: PolyMap) -> KForm:
     """Pullback f*(a); sends each target covector dy_j to d(f_j)."""
     if a.chart != f.target:
         raise ChartMismatch("form does not live on the map's target chart")
     src = f.source
-    diffs: list[KForm] = []
-    for comp in f.components:
-        df = KForm(src, 1, {})
-        for v in range(src.n_geom):
-            dc = comp.differentiate(src.names[v])
-            if not dc.is_zero():
-                df = df + KForm(src, 1, {(v,): dc})
-        diffs.append(df)
-    total = KForm(src, a.degree, {})
+    diffs = [ext_d(scalar_form(comp)) for comp in f.components]
+    out: dict[Index, Poly] = {}
     for idx, coeff in a.terms.items():
-        piece = scalar_form(compose_poly(coeff, f))
+        piece = scalar_form(coeff.compose(f.components, src))
         for j in idx:
             piece = wedge(piece, diffs[j])
-        total = total + piece
-    return total
+        for key, value in piece.terms.items():
+            add_term(out, key, value)
+    return KForm._make(src, min(a.degree, src.n_geom), out)
 
 
 def hodge_star(a: KForm) -> KForm:
     """Euclidean Hodge star for the chart's coordinate orthonormal frame."""
-    chart = a.chart
-    n = chart.n_geom
-    out = KForm(chart, n - a.degree, {})
+    n = a.chart.n_geom
     everything = tuple(range(n))
+    out: dict[Index, Poly] = {}
     for idx, coeff in a.terms.items():
+        # complements of distinct index tuples are distinct: nothing to add up
         comp = tuple(i for i in everything if i not in idx)
-        sign = _permutation_sign_of(idx + comp)
-        out = out + KForm(chart, n - a.degree, {comp: coeff if sign == 1 else -coeff})
-    return out
+        out[comp] = coeff if _permutation_sign_of(idx + comp) == 1 else -coeff
+    return KForm._make(a.chart, n - a.degree, out)
 
 
 def interior(v: KVector, a: KForm) -> KForm:
@@ -361,19 +340,17 @@ def interior(v: KVector, a: KForm) -> KForm:
         raise ValueError("interior product needs a degree-1 vector field")
     if v.chart != a.chart:
         raise ChartMismatch("chart mismatch in interior product")
-    chart = a.chart
     if a.degree == 0:
-        return KForm(chart, 0, {})
-    out = KForm(chart, a.degree - 1, {})
+        return KForm._make(a.chart, 0, {})
+    out: dict[Index, Poly] = {}
     for idx, coeff in a.terms.items():
         for pos, i in enumerate(idx):
             vi = v.terms.get((i,))
             if vi is None:
                 continue
-            rest = idx[:pos] + idx[pos + 1 :]
             c = vi * coeff
-            out = out + KForm(chart, a.degree - 1, {rest: c if pos % 2 == 0 else -c})
-    return out
+            add_term(out, idx[:pos] + idx[pos + 1 :], c if pos % 2 == 0 else -c)
+    return KForm._make(a.chart, a.degree - 1, out)
 
 
 def evaluate_form(a: KForm, vectors: Sequence[KVector]) -> Poly:
@@ -434,7 +411,7 @@ def poincare_homotopy(a: KForm, directions: Sequence[int] | None = None) -> KFor
     ng = chart.n_geom
     radial = tuple(range(ng)) if directions is None else tuple(sorted(directions))
     radial_set = set(radial)
-    out = KForm(chart, k - 1, {})
+    out: dict[Index, Poly] = {}
     for idx, coeff in a.terms.items():
         r = sum(1 for i in idx if i in radial_set)
         for exp, c in coeff.terms.items():
@@ -444,14 +421,13 @@ def poincare_homotopy(a: KForm, directions: Sequence[int] | None = None) -> KFor
                     "form has a term of degree zero in the radial block; "
                     "the homotopy identity does not apply to it"
                 )
-            mono = Poly(chart, {exp: c / (m + r)})
+            mono = Poly._make(chart, {exp: c / (m + r)})
             for pos, i in enumerate(idx):
                 if i not in radial_set:
                     continue
-                rest = idx[:pos] + idx[pos + 1 :]
                 piece = chart.var(chart.names[i]) * mono
-                out = out + KForm(chart, k - 1, {rest: piece if pos % 2 == 0 else -piece})
-    return out
+                add_term(out, idx[:pos] + idx[pos + 1 :], piece if pos % 2 == 0 else -piece)
+    return KForm._make(chart, k - 1, out)
 
 
 def block_degree(a: KForm, directions: Sequence[int]) -> int:

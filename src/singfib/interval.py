@@ -198,6 +198,8 @@ def parse_box(spec: str) -> Box:
             lo = _parse_fraction(parts[0])
             name = parts[1].strip()
             hi = _parse_fraction(parts[2])
+            if lo > hi:
+                raise BoxParseError(f"empty interval in {piece!r}")
             box[name] = Interval(lo, hi)
     if not box:
         raise BoxParseError("empty box specification")
@@ -207,7 +209,7 @@ def parse_box(spec: str) -> Box:
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise BoxParseError(f"bad rational {text!r}") from None
 
 

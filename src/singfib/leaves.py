@@ -11,6 +11,7 @@ unnormalized and carry their squared norms.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,8 +96,6 @@ class LeafCoefficient:
 
     @property
     def value_float(self) -> float:
-        import math
-
         return self.sign * math.sqrt(float(self.value_sq))
 
     @property
@@ -174,18 +173,6 @@ class LeafAuditRow:
     def match(self) -> bool:
         return self.derived_sq == self.claimed_sq
 
-    @property
-    def derived_float(self) -> float:
-        import math
-
-        return math.sqrt(float(self.derived_sq))
-
-    @property
-    def claimed_float(self) -> float:
-        import math
-
-        return math.sqrt(float(self.claimed_sq))
-
 
 def audit_leaf_formulas(
     model: FibrationModel, samples: int, rng: random.Random
@@ -222,7 +209,11 @@ def audit_leaf_formulas(
         )
     matches = sum(1 for r in rows if r.match)
     label = claim.describe() if claim is not None else "w_s mu-expression"
-    if matches == len(rows) and rows:
+    if not rows:
+        rep = CheckReport(
+            model.name, "leaf-audit", FAIL, f"no usable point in {attempts} attempts for {samples} samples"
+        )
+    elif matches == len(rows):
         rep = CheckReport(
             model.name,
             "leaf-audit",
@@ -237,8 +228,8 @@ def audit_leaf_formulas(
             MISMATCH,
             f"{len(rows) - matches} of {len(rows)} points disagree with {label}",
             witness=(
-                f"point {bad.point}: derived |lambda| = {bad.derived_float:.9g} "
-                f"(lambda^2 = {bad.derived_sq}), catalogued |lambda| = {bad.claimed_float:.9g} "
+                f"point {bad.point}: derived |lambda| = {math.sqrt(bad.derived_sq):.9g} "
+                f"(lambda^2 = {bad.derived_sq}), catalogued |lambda| = {math.sqrt(bad.claimed_sq):.9g} "
                 f"(lambda^2 = {bad.claimed_sq})"
             ),
         )

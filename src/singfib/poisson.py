@@ -68,21 +68,15 @@ def flaschka_ratiu(model: FibrationModel, k: Poly | Rational = 1) -> PoissonBive
 
 def casimir_annihilation(b: PoissonBivector) -> CheckReport:
     """pi^# dC_i = 0, exactly, for every Casimir of the model."""
-    chart = b.model.chart
-    names = chart.geometric_names()
-    mat = b.pi.coefficient_matrix()
+    names = b.model.chart.geometric_names()
     for c_idx, cas in enumerate(b.model.casimirs):
-        grad = [cas.differentiate(v) for v in names]
-        for i in range(len(names)):
-            residual = chart.zero()
-            for j in range(len(names)):
-                residual = residual + mat[i][j] * grad[j]
+        for name, residual in zip(names, foreign_casimir_residual(b, cas)):
             if not residual.is_zero():
                 return CheckReport(
                     b.model.name,
                     "casimir",
                     FAIL,
-                    f"pi^# dC_{c_idx + 1} has nonzero component {names[i]}",
+                    f"pi^# dC_{c_idx + 1} has nonzero component {name}",
                     witness=str(residual),
                 )
     return CheckReport(b.model.name, "casimir", PASS, f"{len(b.model.casimirs)} Casimirs annihilated exactly")
@@ -91,16 +85,8 @@ def casimir_annihilation(b: PoissonBivector) -> CheckReport:
 def foreign_casimir_residual(b: PoissonBivector, h: Poly) -> list[Poly]:
     """pi^# dh as a vector of polynomials (nonzero when h is not a Casimir)."""
     chart = b.model.chart
-    names = chart.geometric_names()
-    mat = b.pi.coefficient_matrix()
-    grad = [h.differentiate(v) for v in names]
-    out = []
-    for i in range(len(names)):
-        acc = chart.zero()
-        for j in range(len(names)):
-            acc = acc + mat[i][j] * grad[j]
-        out.append(acc)
-    return out
+    grad = [h.differentiate(v) for v in chart.geometric_names()]
+    return [sum((m * g for m, g in zip(row, grad)), chart.zero()) for row in b.pi.coefficient_matrix()]
 
 
 def rank_at(b: PoissonBivector, point: Sequence[Rational]) -> int:

@@ -24,6 +24,19 @@ Exponent = tuple[int, ...]
 Rational = Union[int, Fraction]
 
 
+def add_term(out: dict, key, value) -> None:
+    """Add ``value`` into ``out[key]``, dropping the key when the sum is zero.
+
+    Values are Fractions or Polys; both are false exactly when zero.
+    """
+    s = out.get(key)
+    s = value if s is None else s + value
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
 @dataclass(frozen=True)
 class Chart:
     """An ordered list of variable names, optionally with trailing parameters."""
@@ -53,16 +66,14 @@ class Chart:
         """The coordinate function for ``name`` as a Poly."""
         i = self.index(name)
         exp = tuple(1 if j == i else 0 for j in range(self.dim))
-        return Poly(self, {exp: Fraction(1)})
+        return Poly._make(self, {exp: Fraction(1)})
 
     def const(self, c: Rational) -> "Poly":
         c = Fraction(c)
-        if c == 0:
-            return Poly(self, {})
-        return Poly(self, {(0,) * self.dim: c})
+        return Poly._make(self, {(0,) * self.dim: c} if c else {})
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return Poly._make(self, {})
 
     def one(self) -> "Poly":
         return self.const(1)
@@ -81,7 +92,11 @@ def _require_same_chart(a: "Poly", b: "Poly") -> None:
 
 
 class Poly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with Fraction coefficients.
+
+    The constructor is the boundary for terms from outside the library and
+    checks them; operations build results through :meth:`_make`.
+    """
 
     __slots__ = ("chart", "terms")
 
@@ -97,6 +112,17 @@ class Poly:
         self.chart = chart
         self.terms = clean
 
+    @classmethod
+    def _make(cls, chart: Chart, terms: dict[Exponent, Fraction]) -> "Poly":
+        """Wrap terms the library built itself: full-length exponents, nonzero Fractions."""
+        p = object.__new__(cls)
+        p.chart = chart
+        p.terms = terms
+        return p
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other: "Poly | Rational") -> "Poly":
@@ -104,17 +130,13 @@ class Poly:
         _require_same_chart(self, other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return Poly(self.chart, out)
+            add_term(out, exp, c)
+        return Poly._make(self.chart, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.chart, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.chart, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly | Rational") -> "Poly":
         return self + (-self._coerce(other))
@@ -128,13 +150,8 @@ class Poly:
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Poly(self.chart, out)
+                add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return Poly._make(self.chart, out)
 
     __rmul__ = __mul__
 
@@ -154,7 +171,7 @@ class Poly:
         c = Fraction(c)
         if c == 0:
             return self.chart.zero()
-        return Poly(self.chart, {e: c * v for e, v in self.terms.items()})
+        return Poly._make(self.chart, {e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
@@ -209,9 +226,9 @@ class Poly:
             e = exp[i]
             if e == 0:
                 continue
-            new = exp[:i] + (e - 1,) + exp[i + 1 :]
-            out[new] = out.get(new, Fraction(0)) + c * e
-        return Poly(self.chart, out)
+            # distinct exponents stay distinct after lowering entry i
+            out[exp[:i] + (e - 1,) + exp[i + 1 :]] = c * e
+        return Poly._make(self.chart, out)
 
     def evaluate(self, point: Sequence[Rational]) -> Fraction:
         """Exact value at a full-length rational point."""
@@ -238,24 +255,26 @@ class Poly:
         if not assignment:
             return self
         chart = self.chart
-        repl: dict[int, Poly] = {}
+        images = [chart.var(name) for name in chart.names]
         for name, value in assignment.items():
             i = chart.index(name)
-            repl[i] = value if isinstance(value, Poly) else chart.const(value)
-            _require_same_chart(self, repl[i])
-        result = chart.zero()
+            images[i] = value if isinstance(value, Poly) else chart.const(value)
+            _require_same_chart(self, images[i])
+        return self.compose(images, chart)
+
+    def compose(self, images: Sequence["Poly"], chart: Chart) -> "Poly":
+        """p(images[0], ..., images[dim-1]): one image on ``chart`` per variable of p."""
+        if len(images) != self.chart.dim:
+            raise ValueError(f"{len(images)} images for a chart of dim {self.chart.dim}")
+        out: dict[Exponent, Fraction] = {}
         for exp, c in self.terms.items():
             term = chart.const(c)
-            for i, e in enumerate(exp):
-                if not e:
-                    continue
-                if i in repl:
-                    term = term * repl[i] ** e
-                else:
-                    name_poly = chart.var(chart.names[i])
-                    term = term * name_poly**e
-            result = result + term
-        return result
+            for image, e in zip(images, exp):
+                if e:
+                    term = term * image**e
+            for key, value in term.terms.items():
+                add_term(out, key, value)
+        return Poly._make(chart, out)
 
     # -- rendering ----------------------------------------------------------
 
@@ -420,10 +439,6 @@ def parse_poly(text: str, chart: Chart) -> Poly:
 
 #: Canonical 6-dimensional chart used by the local singularity models.
 CHART6 = Chart(("t1", "t2", "t3", "x1", "x2", "x3"))
-
-#: Alias chart for the near-symplectic constructions; positionally
-#: u<->t1, s<->t2, t<->t3, x<->x1, y<->x2, z<->x3.
-NS_CHART = Chart(("u", "s", "t", "x", "y", "z"))
 
 
 def chart_2n(n: int, params: Sequence[str] = ()) -> Chart:

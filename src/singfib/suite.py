@@ -42,6 +42,10 @@ CHECK_NAMES = (
     "calculus",
 )
 
+#: values of ``scope`` besides None (everything): a model kind, or one of the
+#: two checks that belong to no model
+SCOPES = ALL_KINDS + ("darboux", "calculus")
+
 #: parametric kinds are matched against the catalogue at these half-dimensions
 MATCH_DIMS = (4, 5)
 
@@ -374,6 +378,10 @@ def run_suite(
     samples: int = 100,
 ) -> list[CheckReport]:
     """Run the requested checks (all by default) in the fixed order."""
+    if samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples}")
+    if scope is not None and scope not in SCOPES:
+        raise ValueError(f"unknown scope {scope!r}; available: {list(SCOPES)}")
     selected = list(checks) if checks else list(CHECK_NAMES)
     unknown = [c for c in selected if c not in CHECKS]
     if unknown:

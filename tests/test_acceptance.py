@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,9 @@ from singfib.poly import parse_poly
 from singfib.reference import NS_CHART_EPS, claimed_assembled_form, leaf_claim
 from singfib.report import render_records
 from singfib.suite import run_suite
+
+
+GOLDEN_AUDIT = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "audit_seed7.jsonl"
 
 
 def announce(number: int, ok: bool, detail: str) -> None:
@@ -284,4 +288,6 @@ def test_criterion_9_byte_identical_reports():
     second = render_records(run_suite(seed=7, samples=100))
     assert first == second
     assert first.encode() == second.encode()
-    announce(9, True, "two runs of the full suite with seed 7 render byte-identical report records")
+    # the checked-in records of `verify --all --seed 7 --samples 100` catch drift between commits
+    assert first.encode() == GOLDEN_AUDIT.read_bytes()
+    announce(9, True, "two runs of the full suite with seed 7 render the golden records byte for byte")

@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
 
+import pytest
+
+from singfib.catalog import get_model
 from singfib.cli import main
+from singfib.interval import BoxParseError, parse_box
+from singfib.leaves import audit_leaf_formulas
+from singfib.suite import run_suite
 
 
 def run(capsys, *argv):
@@ -109,3 +116,79 @@ def test_epsilon_butterfly_default_box(capsys):
     code, out, _ = run(capsys, "epsilon", "--kind", "butterfly")
     assert code == 0
     assert "eps* = 5/104" in out
+
+
+# -- input checked at the boundary -------------------------------------------------
+
+
+@pytest.mark.parametrize("samples", ["0", "-3", "two"])
+def test_verify_rejects_non_positive_samples(capsys, samples):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--model", "fold", "--check", "rank", "--samples", samples])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+def test_verify_rejects_unknown_model(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--model", "nosuch"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_verify_accepts_pseudo_scopes(capsys):
+    code, out, _ = run(capsys, "verify", "--model", "darboux", "--samples", "1", "--format", "records")
+    assert code == 0
+    assert [json.loads(line)["check"] for line in out.splitlines()][1:] == ["darboux"]
+
+
+def test_run_suite_rejects_bad_samples_and_scope():
+    with pytest.raises(ValueError, match="samples"):
+        run_suite(scope="fold", checks=["rank"], samples=0)
+    with pytest.raises(ValueError, match="samples"):
+        run_suite(scope="fold", checks=["rank"], samples=-3)
+    with pytest.raises(ValueError, match="scope"):
+        run_suite(scope="nosuch", checks=["rank"])
+
+
+def test_leaf_audit_without_points_fails():
+    rep, rows = audit_leaf_formulas(get_model("fold"), 0, random.Random(1))
+    assert rows == []
+    assert rep.status == "fail"
+
+
+# -- domain errors: exit 2 and one line on stderr ------------------------------------
+
+
+def one_line_error(capsys, *argv) -> str:
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_derive_rejects_parameter_on_fixed_kind(capsys):
+    assert "no deformation parameter" in one_line_error(capsys, "derive", "--kind", "fold", "--param", "1")
+
+
+def test_derive_rejects_definite_kind_above_dim6(capsys):
+    assert "dim-6 model" in one_line_error(capsys, "derive", "--kind", "fold-def1", "--n", "4")
+
+
+def test_catalog_rejects_small_n(capsys):
+    assert "at least 3" in one_line_error(capsys, "catalog", "--kind", "cusp", "--n", "2")
+
+
+@pytest.mark.parametrize("box, message", [("1<=x<=0", "empty interval"), ("0<=x<=1/0", "bad rational")])
+def test_epsilon_rejects_bad_box(capsys, box, message):
+    with pytest.raises(BoxParseError):
+        parse_box(box)
+    assert message in one_line_error(capsys, "epsilon", "--kind", "cusp", "--box", box)
+
+
+def test_derive_rejects_zero_denominator_parameter(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["derive", "--kind", "b_s", "--param", "1/0"])
+    assert exc.value.code == 2
+    assert "not a rational number" in capsys.readouterr().err

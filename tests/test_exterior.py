@@ -24,11 +24,13 @@ from singfib.exterior import (
     volume_form,
     wedge,
 )
-from singfib.poly import CHART6, NS_CHART, Chart
+from singfib.poly import CHART6, Chart
 
 from test_poly import rand_poly
 
 TARGET4 = Chart(("w1", "w2", "w3", "w4"))
+#: the six coordinate names the near-symplectic models use
+NS_CHART = Chart(("u", "s", "t", "x", "y", "z"))
 
 
 def rand_form(chart, rng, degree):
@@ -162,9 +164,7 @@ def test_pullback_composition():
 
 
 def _compose(p, f):
-    from singfib.exterior import compose_poly
-
-    return compose_poly(p, f)
+    return p.compose(f.components, f.source)
 
 
 # -- hodge -----------------------------------------------------------------------------

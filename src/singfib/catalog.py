@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -67,6 +68,12 @@ class FibrationModel:
     @property
     def dim(self) -> int:
         return 2 * self.n
+
+    @cached_property
+    def casimir_gradients(self) -> tuple[tuple[Poly, ...], ...]:
+        """Partials of each Casimir in the geometric variables, differentiated once per model."""
+        names = self.chart.geometric_names()
+        return tuple(tuple(c.differentiate(v) for v in names) for c in self.casimirs)
 
     def jacobian(self) -> list[list[Poly]]:
         """(2n-2) x (2n) matrix of partials of the map components."""

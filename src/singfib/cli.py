@@ -76,10 +76,14 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         sys.stdout.write(manifest_text())
         return 0
     kinds = [args.kind] if args.kind else list(ALL_KINDS)
-    for kind in kinds:
-        # a named kind takes --n as given; the full listing shows dim-6 kinds at n = 3
-        n = args.n if args.kind or kind not in DIM6_KINDS else 3
-        model = get_model(kind, n, args.param)
+    # every model is built before the first line is printed, so a bad --n or
+    # --param leaves stdout empty; a named kind takes --n as given, and the
+    # full listing shows dim-6 kinds at n = 3
+    models = [
+        get_model(kind, args.n if args.kind or kind not in DIM6_KINDS else 3, args.param)
+        for kind in kinds
+    ]
+    for model in models:
         comps = ", ".join(str(c) for c in model.components)
         print(f"{model.name}: R^{2 * model.n} -> R^{2 * model.n - 2}")
         print(f"  chart: ({', '.join(model.chart.names)})")

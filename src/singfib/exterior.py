@@ -152,11 +152,8 @@ class _Graded:
         if self.degree != 2:
             raise ValueError("coefficient_matrix needs a degree-2 element")
         n = self.chart.n_geom
-        if point is None:
-            zero = self.chart.zero()
-            mat = [[zero for _ in range(n)] for _ in range(n)]
-        else:
-            mat = [[Fraction(0) for _ in range(n)] for _ in range(n)]
+        zero = self.chart.zero() if point is None else Fraction(0)
+        mat = [[zero] * n for _ in range(n)]
         for (i, j), c in self.terms.items():
             val = c if point is None else c.evaluate(point)
             mat[i][j] = val

@@ -22,7 +22,7 @@ from .catalog import FibrationModel, random_noncritical_point
 from .poisson import PoissonBivector, flaschka_ratiu
 from .poly import Poly, Rational
 from .report import FAIL, MISMATCH, PASS, CheckReport
-from .reference import leaf_claim, ws_leaf_claim_sq
+from .reference import leaf_claim, ws_leaf_claim, ws_leaf_claim_sq
 
 
 class SingularPoint(ValueError):
@@ -43,12 +43,7 @@ class LeafFrame:
 def leaf_frame(model: FibrationModel, q: Sequence[Rational]) -> LeafFrame:
     """Two orthogonal spanning vectors of the leaf tangent plane at q."""
     q = tuple(Fraction(v) for v in q)
-    chart = model.chart
-    names = chart.geometric_names()
-    rows = [
-        [c.differentiate(v).evaluate(q) for v in names]
-        for c in model.casimirs
-    ]
+    rows = [[g.evaluate(q) for g in grad] for grad in model.casimir_gradients]
     kernel = linalg.nullspace(rows)
     if len(kernel) != 2:
         raise SingularPoint(
@@ -111,9 +106,9 @@ def leaf_coefficient(
 ) -> LeafCoefficient:
     b = bivector if bivector is not None else flaschka_ratiu(model, k)
     frame = leaf_frame(model, q)
-    alpha = solve_structure_covector(b, frame.point, frame.u)
-    beta = solve_structure_covector(b, frame.point, frame.v)
     mat = b.matrix_at(frame.point)
+    alpha = linalg.solve(mat, frame.u)
+    beta = linalg.solve(mat, frame.v)
     if linalg.mat_vec(mat, alpha) != list(frame.u):
         raise AssertionError("alpha does not solve pi.alpha = u")
     if linalg.mat_vec(mat, beta) != list(frame.v):
@@ -129,8 +124,6 @@ def defining_relations_check(
     model: FibrationModel, samples: int, rng: random.Random, k: Poly | Rational = 1
 ) -> CheckReport:
     """pi.alpha = u, pi.beta = v and <alpha,v> + <beta,u> = 0, exactly, at random points."""
-    chart = model.chart
-    names = chart.geometric_names()
     bivector = flaschka_ratiu(model, k)
     for _ in range(samples):
         q = random_noncritical_point(model, rng)
@@ -147,8 +140,8 @@ def defining_relations_check(
                 witness=str(q),
             )
         frame = coeff.frame
-        for cas in model.casimirs:
-            grad = [cas.differentiate(v).evaluate(q) for v in names]
+        for grad_polys in model.casimir_gradients:
+            grad = [g.evaluate(q) for g in grad_polys]
             if linalg.dot(grad, frame.u) != 0 or linalg.dot(grad, frame.v) != 0:
                 return CheckReport(
                     model.name, "leaf-relations", FAIL, "frame not Casimir-tangent", witness=str(q)
@@ -186,7 +179,7 @@ def audit_leaf_formulas(
     """
     rows: list[LeafAuditRow] = []
     use_ws = model.kind == "w_s"
-    claim = None if use_ws else leaf_claim(model)
+    claim = ws_leaf_claim(model) if use_ws else leaf_claim(model)
     # the claimed formulas belong to the catalogued bivector, which is the
     # raw construction divided by the recorded scale; lambda scales inversely
     scale_sq = model.claimed_scale**2
@@ -197,7 +190,7 @@ def audit_leaf_formulas(
         q = random_noncritical_point(model, rng)
         try:
             if use_ws:
-                claimed_sq, claimed_sign = ws_leaf_claim_sq(model, q)
+                claimed_sq, claimed_sign = ws_leaf_claim_sq(claim, q)
             else:
                 claimed_sq = claim.value_sq(q)
                 claimed_sign = claim.sign(q)
@@ -208,7 +201,7 @@ def audit_leaf_formulas(
             LeafAuditRow(tuple(q), derived.value_sq * scale_sq, claimed_sq, derived.sign, claimed_sign)
         )
     matches = sum(1 for r in rows if r.match)
-    label = claim.describe() if claim is not None else "w_s mu-expression"
+    label = "w_s mu-expression" if use_ws else claim.describe()
     if not rows:
         rep = CheckReport(
             model.name, "leaf-audit", FAIL, f"no usable point in {attempts} attempts for {samples} samples"

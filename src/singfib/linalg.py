@@ -1,56 +1,70 @@
 """Exact linear algebra over the rationals and over polynomial entries.
 
-Everything here is fraction-exact: ranks, kernels and solutions are
-computed by Gaussian elimination on Fraction matrices, and determinants
-of polynomial matrices by cofactor expansion along the sparsest column
+Everything here is fraction-exact.  Ranks, kernels and solutions come
+from fraction-free Gauss-Jordan elimination on integer rows (each row's
+denominators are cleared first, and every combined row is divided by the
+gcd of its entries, after Bareiss, Math. Comp. 1968); Fractions are built
+only for the entries a result reads off.  Determinants of polynomial
+matrices are computed by cofactor expansion along the sparsest column
 (the fibration Jacobians are mostly unit columns, so the expansion
 collapses to a small minor almost immediately).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from .poly import Poly
 
-Matrix = list[list[Fraction]]
+
+def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
+    """The row times the lcm of its denominators, divided by the gcd of the result."""
+    den = math.lcm(*(v.denominator for v in row))
+    out = [v.numerator * (den // v.denominator) for v in row]
+    g = math.gcd(*out)
+    return [v // g for v in out] if g > 1 else out
 
 
-def _as_matrix(rows: Sequence[Sequence[Fraction | int]]) -> Matrix:
-    return [[Fraction(v) for v in row] for row in rows]
+def _rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduced row echelon form and the list of pivot columns.
 
-
-def _rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = [row[:] for row in m]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    Row r of the result, for r below the rank, holds a nonzero integer in
+    column ``pivots[r]`` and zeros in every other pivot column; the rows
+    past the rank are zero.  Row r divided by its pivot entry is row r of
+    the (unique) reduced row echelon form.
+    """
+    m = [_integer_row(row) for row in rows]
+    n_rows = len(m)
+    cols = len(m[0]) if n_rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, n_rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        top = m[r]
+        p = top[c]
+        for i in range(n_rows):
+            f = m[i][c]
+            if i == r or not f:
+                continue
+            g = math.gcd(p, f)
+            a, b = p // g, f // g
+            new = [a * x - b * y for x, y in zip(m[i], top)]
+            h = math.gcd(*new)
+            m[i] = [x // h for x in new] if h > 1 else new
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == n_rows:
             break
     return m, pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    if not rows:
-        return 0
-    _, pivots = _rref(_as_matrix(rows))
-    return len(pivots)
+    return len(_rref(rows)[1])
 
 
 def nullspace(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
@@ -60,18 +74,17 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
     back-substituted, so the result is integer-free of surprises and
     deterministic for a given matrix.
     """
-    m = _as_matrix(rows)
-    if not m:
+    if not rows:
         return []
-    cols = len(m[0])
-    red, pivots = _rref(m)
+    cols = len(rows[0])
+    red, pivots = _rref(rows)
     free = [c for c in range(cols) if c not in pivots]
     basis: list[list[Fraction]] = []
     for fc in free:
         vec = [Fraction(0)] * cols
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+            vec[pc] = Fraction(-red[r][fc], red[r][pc])
         basis.append(vec)
     return basis
 
@@ -82,26 +95,28 @@ class InconsistentSystem(ValueError):
 
 def solve(rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]) -> list[Fraction]:
     """One exact solution of ``rows @ x = rhs`` (free variables set to 0)."""
-    m = _as_matrix(rows)
-    b = [Fraction(v) for v in rhs]
-    if len(m) != len(b):
+    if len(rows) != len(rhs):
         raise ValueError("rhs length does not match row count")
-    cols = len(m[0]) if m else 0
-    aug = [row + [bv] for row, bv in zip(m, b)]
-    red, pivots = _rref(aug)
-    for r in range(len(red)):
-        if all(red[r][c] == 0 for c in range(cols)) and red[r][cols] != 0:
-            raise InconsistentSystem("right-hand side not in the column space")
+    cols = len(rows[0]) if rows else 0
+    red, pivots = _rref([[*row, bv] for row, bv in zip(rows, rhs)])
+    # a pivot in the augmented column is a row 0 = nonzero
+    if pivots and pivots[-1] == cols:
+        raise InconsistentSystem("right-hand side not in the column space")
     x = [Fraction(0)] * cols
     for r, pc in enumerate(pivots):
-        if pc == cols:
-            raise InconsistentSystem("right-hand side not in the column space")
-        x[pc] = red[r][cols]
+        x[pc] = Fraction(red[r][cols], red[r][pc])
     return x
 
 
 def dot(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    """Sum of the products over one integer numerator and denominator; one Fraction at the end."""
+    num, den = 0, 1
+    for x, y in zip(a, b):
+        if x and y:
+            d = x.denominator * y.denominator
+            num = num * d + x.numerator * y.numerator * den
+            den *= d
+    return Fraction(num, den)
 
 
 def mat_vec(rows: Sequence[Sequence[Fraction | int]], v: Sequence[Fraction | int]) -> list[Fraction]:

@@ -47,8 +47,7 @@ def flaschka_ratiu(model: FibrationModel, k: Poly | Rational = 1) -> PoissonBive
     if len(model.casimirs) != 2 * model.n - 2:
         raise ValueError("Casimir count must be 2n-2")
     ng = chart.n_geom
-    names = chart.geometric_names()
-    grads = [[c.differentiate(v) for v in names] for c in model.casimirs]
+    grads = model.casimir_gradients
     zero, one = chart.zero(), chart.one()
 
     terms: dict[tuple[int, int], Poly] = {}

@@ -16,6 +16,7 @@ coefficients only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -231,20 +232,30 @@ class Poly:
         return Poly._make(self.chart, out)
 
     def evaluate(self, point: Sequence[Rational]) -> Fraction:
-        """Exact value at a full-length rational point."""
+        """Exact value at a full-length point of ints and Fractions.
+
+        Each term is a product of integer numerators over a product of
+        denominators, and the sum is kept over the lcm of the term
+        denominators, so only the result is built as a Fraction.
+        """
         if len(point) != self.chart.dim:
             raise ValueError(
                 f"point of length {len(point)} for chart of dim {self.chart.dim}"
             )
-        pt = [Fraction(v) for v in point]
-        total = Fraction(0)
+        num, den = 0, 1
         for exp, c in self.terms.items():
-            v = c
-            for base, e in zip(pt, exp):
+            tn, td = c.numerator, c.denominator
+            for v, e in zip(point, exp):
                 if e:
-                    v *= base**e
-            total += v
-        return total
+                    tn *= v.numerator**e
+                    td *= v.denominator**e
+            if td == den:
+                num += tn
+            else:
+                g = math.gcd(td, den)
+                num = num * (td // g) + tn * (den // g)
+                den = den // g * td
+        return Fraction(num, den)
 
     def substitute(self, assignment: Mapping[str, "Poly | Rational"]) -> "Poly":
         """Substitute polynomials (or rationals) for a subset of the variables.

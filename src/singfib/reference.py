@@ -176,16 +176,26 @@ def leaf_claim(model: FibrationModel) -> LeafClaim:
         a = t - 2 * s * x1 + 4 * x1**3
         return LeafClaim(kind, a, a * a * (a * a + 4 * (x2 * x2 + x3 * x3)))
     if kind == "w_s":
-        raise ValueError("w_s uses the dedicated ws_leaf_claim_sq")
+        raise ValueError("w_s uses the dedicated ws_leaf_claim")
     raise ValueError(f"no catalogued leaf formula for kind {kind!r}")
 
 
-def ws_leaf_claim_sq(model: FibrationModel, point: Sequence[Rational]) -> tuple[Fraction, int]:
-    """Claimed squared leaf coefficient for the w_s map, and the numerator sign.
+@dataclass(frozen=True)
+class WsLeafClaim:
+    """Claimed w_s leaf coefficient (B * S) / (2 mu sqrt(S_den)) with S = s_num / s_den.
 
-    The claim has the shape (B * S) / (2 mu sqrt(S_den)) with an explicit
-    polynomial expression for mu^2, so its square is rational.
+    The claim gives mu^2 as an explicit polynomial, so the square of the
+    coefficient is rational.
     """
+
+    b: Poly
+    s_num: Poly
+    s_den: Poly
+    mu_sq: Poly
+
+
+def ws_leaf_claim(model: FibrationModel) -> WsLeafClaim:
+    """The four polynomials of the w_s claim, built once per model."""
     chart = model.chart
     n = model.n
     t = chart.var(f"t{2 * n - 3}")
@@ -205,10 +215,15 @@ def ws_leaf_claim_sq(model: FibrationModel, point: Sequence[Rational]) -> tuple[
             + 4 * s * (t**3 - x1 * x2 * x3 + t * (x1 * x1 + x3 * x3))
         )
     )
-    bv = b.evaluate(point)
-    s_num_v = s_num.evaluate(point)
-    s_den_v = s_den.evaluate(point)
-    mu_sq_v = mu_sq.evaluate(point)
+    return WsLeafClaim(b, s_num, s_den, mu_sq)
+
+
+def ws_leaf_claim_sq(claim: WsLeafClaim, point: Sequence[Rational]) -> tuple[Fraction, int]:
+    """Claimed squared leaf coefficient for the w_s map at a point, and the numerator sign."""
+    bv = claim.b.evaluate(point)
+    s_num_v = claim.s_num.evaluate(point)
+    s_den_v = claim.s_den.evaluate(point)
+    mu_sq_v = claim.mu_sq.evaluate(point)
     if mu_sq_v == 0 or s_den_v == 0:
         raise ZeroDivisionError("claimed w_s formula degenerates at this point")
     value_sq = (bv * s_num_v) ** 2 / (4 * mu_sq_v * s_den_v)

@@ -62,6 +62,14 @@ def test_jacobian_swallowtail_entry():
     assert str(m.jacobian()[-1][3]) == "4*x1^3 + 2*t1*x1 + t2"
 
 
+@pytest.mark.parametrize("kind, n", [("lefschetz", 3), ("w_s", 4), ("cusp", 3)])
+def test_casimir_gradients_are_built_once(kind, n):
+    m = get_model(kind, n)
+    names = m.chart.geometric_names()
+    assert m.casimir_gradients == tuple(tuple(c.differentiate(v) for v in names) for c in m.casimirs)
+    assert m.casimir_gradients is m.casimir_gradients
+
+
 def test_jacobian_identity_block():
     m = get_model("butterfly", 3)
     jac = m.jacobian()

@@ -180,6 +180,10 @@ def test_catalog_rejects_small_n(capsys):
     assert "at least 3" in one_line_error(capsys, "catalog", "--kind", "cusp", "--n", "2")
 
 
+def test_catalog_listing_rejects_small_n_before_printing(capsys):
+    assert "at least 3" in one_line_error(capsys, "catalog", "--n", "2")
+
+
 @pytest.mark.parametrize("box, message", [("1<=x<=0", "empty interval"), ("0<=x<=1/0", "bad rational")])
 def test_epsilon_rejects_bad_box(capsys, box, message):
     with pytest.raises(BoxParseError):

@@ -1,4 +1,4 @@
-"""Property tests for the invariant the internal constructors rely on.
+"""Property tests for the exact kernels.
 
 Operations build their results through ``Poly._make`` and
 ``_Graded._make``, which trust their terms instead of checking them.
@@ -6,16 +6,25 @@ Every result must therefore already be what the public constructors
 accept: no zero coefficient, full-length exponents, strictly increasing
 index tuples inside the geometric block, coefficients on the same chart.
 The public constructors are the boundary and keep rejecting anything else.
+
+The fraction-free elimination in ``linalg`` is checked against a plain
+Gauss-Jordan elimination over Fractions kept here as the oracle;
+``Poly.evaluate`` against a term-by-term sum and the ring axioms; and
+``interval.enclose`` against exact values at points of the box.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singfib import linalg
+from singfib.interval import Interval, enclose
 from singfib.exterior import (
     KForm,
     KVector,
@@ -131,3 +140,216 @@ def test_poly_rejects_wrong_exponent_length():
 def test_graded_constructors_reject_bad_terms(cls, chart, degree, terms, error):
     with pytest.raises(error):
         cls(chart, degree, terms)
+
+
+# -- fraction-free elimination against a Fraction Gauss-Jordan oracle -----------------
+
+
+def oracle_rref(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan elimination over Fractions."""
+    m = [[Fraction(v) for v in row] for row in m]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def oracle_nullspace(m) -> list[list[Fraction]]:
+    cols = len(m[0])
+    red, pivots = oracle_rref(m)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def oracle_solve(m, rhs) -> list[Fraction]:
+    cols = len(m[0])
+    red, pivots = oracle_rref([list(row) + [b] for row, b in zip(m, rhs)])
+    for row in red:
+        if all(row[c] == 0 for c in range(cols)) and row[cols] != 0:
+            raise linalg.InconsistentSystem("right-hand side not in the column space")
+    x = [Fraction(0)] * cols
+    for r, pc in enumerate(pivots):
+        if pc == cols:
+            raise linalg.InconsistentSystem("right-hand side not in the column space")
+        x[pc] = red[r][cols]
+    return x
+
+
+entries = st.one_of(st.just(0), st.integers(-6, 6), rationals)
+
+
+@st.composite
+def matrices(draw, max_rows: int = 5, max_cols: int = 6) -> list[list[Fraction | int]]:
+    """Small rational matrices of every shape, often with zero rows or columns or dependent rows."""
+    n_rows = draw(st.integers(1, max_rows))
+    n_cols = draw(st.integers(1, max_cols))
+    m = [[draw(entries) for _ in range(n_cols)] for _ in range(n_rows)]
+    if draw(st.booleans()):
+        m[draw(st.integers(0, n_rows - 1))] = [0] * n_cols
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n_cols - 1))
+        for row in m:
+            row[j] = Fraction(0)
+    if n_rows >= 3 and draw(st.booleans()):
+        # one row a combination of two others: rank-deficient
+        i, j, k = draw(st.permutations(range(n_rows)))[:3]
+        a, b = draw(rationals), draw(rationals)
+        m[k] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def read_off(red: list[list[int]], pivots: list[int]) -> list[list[Fraction]]:
+    """Each reduced row divided by its pivot entry; the rows past the rank are zero."""
+    out = []
+    for r, row in enumerate(red):
+        if r < len(pivots):
+            out.append([Fraction(x, row[pivots[r]]) for x in row])
+        else:
+            assert not any(row)
+            out.append([Fraction(0)] * len(row))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_fraction_free_rref_matches_oracle(m):
+    red, pivots = linalg._rref(m)
+    assert all(type(x) is int for row in red for x in row)
+    want, want_pivots = oracle_rref(m)
+    assert pivots == want_pivots
+    assert read_off(red, pivots) == want
+    assert linalg.rank(m) == len(want_pivots)
+    assert linalg.nullspace(m) == oracle_nullspace(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.data())
+def test_solve_matches_oracle(m, data):
+    n_rows, n_cols = len(m), len(m[0])
+    if data.draw(st.booleans(), label="consistent"):
+        x = data.draw(st.lists(entries, min_size=n_cols, max_size=n_cols), label="x")
+        rhs = linalg.mat_vec(m, x)
+    else:
+        rhs = data.draw(st.lists(entries, min_size=n_rows, max_size=n_rows), label="rhs")
+    try:
+        want = oracle_solve(m, rhs)
+    except linalg.InconsistentSystem:
+        with pytest.raises(linalg.InconsistentSystem):
+            linalg.solve(m, rhs)
+        return
+    got = linalg.solve(m, rhs)
+    assert got == want
+    assert linalg.mat_vec(m, got) == [Fraction(v) for v in rhs]
+
+
+@pytest.mark.parametrize(
+    "m, rhs",
+    [
+        ([[1, 0], [1, 0]], [1, 2]),
+        ([[0, 0, 0]], [1]),
+        ([[1, 2], [2, 4], [3, 6]], [1, 2, 4]),
+        ([[Fraction(1, 2), 1], [1, 2]], [0, 1]),
+    ],
+    ids=["repeated-row", "zero-row", "tall-rank-1", "fractional-rank-1"],
+)
+def test_inconsistent_systems_raise_in_both(m, rhs):
+    with pytest.raises(linalg.InconsistentSystem):
+        oracle_solve(m, rhs)
+    with pytest.raises(linalg.InconsistentSystem):
+        linalg.solve(m, rhs)
+
+
+# -- evaluation and the ring axioms -------------------------------------------------
+
+points = st.tuples(*[st.one_of(st.integers(-4, 4), rationals)] * CHART6.dim)
+
+
+def naive_evaluate(p: Poly, point) -> Fraction:
+    return sum(
+        (Fraction(c) * prod(Fraction(v) ** e for v, e in zip(point, exp)) for exp, c in p.terms.items()),
+        Fraction(0),
+    )
+
+
+@SETTINGS
+@given(polys(4, 3), points)
+def test_evaluate_equals_term_by_term_sum(p, point):
+    value = p.evaluate(point)
+    assert type(value) is Fraction
+    assert value == naive_evaluate(p, point)
+
+
+@SETTINGS
+@given(polys(), polys(), points)
+def test_evaluate_is_a_ring_homomorphism(p, q, point):
+    assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
+    assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
+    assert (p - q).evaluate(point) == p.evaluate(point) - q.evaluate(point)
+
+
+@SETTINGS
+@given(polys(), polys(), polys())
+def test_ring_axioms(p, q, r):
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert (p + q) * r == p * r + q * r
+    assert p + q == q + p and p * q == q * p
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=7))
+def test_dot_of_integers_is_a_fraction(pairs):
+    a = [x for x, _ in pairs]
+    b = [y for _, y in pairs]
+    value = linalg.dot(a, b)
+    assert type(value) is Fraction
+    assert value == sum(Fraction(x) * Fraction(y) for x, y in pairs)
+
+
+# -- interval enclosures contain the exact values -------------------------------------
+
+unit = st.builds(Fraction, st.integers(0, 8)).map(lambda k: k / 8)
+
+
+@st.composite
+def boxes(draw) -> dict[str, Interval]:
+    box = {}
+    for name in CHART6.names:
+        lo = draw(rationals)
+        box[name] = Interval(lo, lo + draw(st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))))
+    return box
+
+
+@SETTINGS
+@given(polys(4, 3), boxes(), st.lists(st.tuples(*[unit] * CHART6.dim), max_size=5))
+def test_enclosure_contains_values_in_the_box(p, box, fractions_of_width):
+    iv = enclose(p, box)
+    corners = product(*[(box[n].lo, box[n].hi) for n in CHART6.names])
+    inner = [
+        [box[n].lo + f * box[n].width for n, f in zip(CHART6.names, fs)] for fs in fractions_of_width
+    ]
+    for point in [*corners, *inner]:
+        assert iv.lo <= p.evaluate(point) <= iv.hi

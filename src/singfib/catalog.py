@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -75,6 +75,22 @@ class FibrationModel:
         names = self.chart.geometric_names()
         return tuple(tuple(c.differentiate(v) for v in names) for c in self.casimirs)
 
+    @cached_property
+    def casimir_determinants(self) -> dict[tuple[int, int], Poly]:
+        """The nonzero det(e_i | e_j | grad C_1 | ... | grad C_{2n-2}), i < j, expanded once per model."""
+        ng = self.chart.n_geom
+        zero, one = self.chart.zero(), self.chart.one()
+        dets: dict[tuple[int, int], Poly] = {}
+        for i in range(ng):
+            for j in range(i + 1, ng):
+                unit_i = [one if r == i else zero for r in range(ng)]
+                unit_j = [one if r == j else zero for r in range(ng)]
+                cols = [unit_i, unit_j, *self.casimir_gradients]
+                det = linalg.poly_det([[col[r] for col in cols] for r in range(ng)])
+                if not det.is_zero():
+                    dets[(i, j)] = det
+        return dets
+
     def jacobian(self) -> list[list[Poly]]:
         """(2n-2) x (2n) matrix of partials of the map components."""
         names = self.chart.geometric_names()
@@ -114,8 +130,13 @@ def _last_component_model(
     )
 
 
+@cache
 def get_model(kind: str, n: int = 3, param: Rational | None = None) -> FibrationModel:
-    """Build a fully populated model; dim-6 kinds require n = 3."""
+    """Build a fully populated model; dim-6 kinds require n = 3.
+
+    Cached per call signature, so every check that asks for a model shares
+    its gradients and determinants.
+    """
     if kind not in ALL_KINDS:
         raise UnknownKind(f"unknown model kind {kind!r}")
     if n < 3:

@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import nearsymp, poisson
-from .catalog import ALL_KINDS, DIM6_KINDS, ModelError, get_model, manifest_text
+from .catalog import ALL_KINDS, DEFORMATION_KINDS, DIM6_KINDS, ModelError, get_model, manifest_text
 from .interval import BoxParseError, parse_box
 from .poly import ChartMismatch, PolyParseError, parse_poly
 from .report import exit_code, render_records, render_table
@@ -77,10 +77,15 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         return 0
     kinds = [args.kind] if args.kind else list(ALL_KINDS)
     # every model is built before the first line is printed, so a bad --n or
-    # --param leaves stdout empty; a named kind takes --n as given, and the
-    # full listing shows dim-6 kinds at n = 3
+    # --param leaves stdout empty; a named kind takes --n and --param as
+    # given, and the full listing shows dim-6 kinds at n = 3 and pins the
+    # parameter on the deformation kinds only
     models = [
-        get_model(kind, args.n if args.kind or kind not in DIM6_KINDS else 3, args.param)
+        get_model(
+            kind,
+            args.n if args.kind or kind not in DIM6_KINDS else 3,
+            args.param if args.kind or kind in DEFORMATION_KINDS else None,
+        )
         for kind in kinds
     ]
     for model in models:

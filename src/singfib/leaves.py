@@ -1,12 +1,21 @@
 """Leaf frames and the induced symplectic coefficient on leaves.
 
 At a non-critical point q the leaf tangent plane is the common kernel of
-the Casimir differentials.  The engine builds its own orthogonal frame
-there (never reusing catalogued frame vectors), solves pi . alpha = u and
-pi . beta = v exactly, and reports the coefficient lambda with
-omega_leaf = lambda * omega_area as an exact certificate: a sign together
-with the rational lambda^2.  Square roots never appear: frames stay
-unnormalized and carry their squared norms.
+the Casimir differentials.  Two independent derivations of the
+coefficient lambda with omega_leaf = lambda * omega_area live here.
+
+The frame solve (``leaf_coefficient``, run by ``leaf-relations``) builds
+the engine's own orthogonal frame (never reusing catalogued frame
+vectors), solves pi . alpha = u and pi . beta = v exactly, and reports
+lambda as an exact certificate: a sign together with the rational
+lambda^2.  Square roots never appear: frames stay unnormalized and carry
+their squared norms.
+
+The closed form (``audit_leaf_formulas``, run by ``leaf-audit``) uses
+that a rank-2 bivector is pi = |pi| u^v in an orthonormal leaf frame, so
+lambda^2 = 1 / sum_{i<j} (pi^{ij})^2 at every non-critical point.  The
+frame solve checks exactly that identity at each of its points, which
+ties the two derivations together.
 """
 
 from __future__ import annotations
@@ -113,11 +122,11 @@ def leaf_coefficient(
         raise AssertionError("alpha does not solve pi.alpha = u")
     if linalg.mat_vec(mat, beta) != list(frame.v):
         raise AssertionError("beta does not solve pi.beta = v")
-    return LeafCoefficient(
-        frame,
-        linalg.dot(alpha, frame.v),
-        linalg.dot(beta, frame.u),
-    )
+    pairing_uv = linalg.dot(alpha, frame.v)
+    pi_sq = sum((linalg.dot(row[i + 1 :], row[i + 1 :]) for i, row in enumerate(mat)), Fraction(0))
+    if pairing_uv**2 * pi_sq != frame.u_norm_sq * frame.v_norm_sq:
+        raise AssertionError("lambda^2 differs from 1 / sum_{i<j} (pi^{ij})^2")
+    return LeafCoefficient(frame, pairing_uv, linalg.dot(beta, frame.u))
 
 
 def defining_relations_check(
@@ -159,8 +168,6 @@ class LeafAuditRow:
     point: tuple[Fraction, ...]
     derived_sq: Fraction
     claimed_sq: Fraction
-    derived_sign: int
-    claimed_sign: int
 
     @property
     def match(self) -> bool:
@@ -170,12 +177,14 @@ class LeafAuditRow:
 def audit_leaf_formulas(
     model: FibrationModel, samples: int, rng: random.Random
 ) -> tuple[CheckReport, list[LeafAuditRow]]:
-    """Compare the derived leaf coefficient against the catalogued closed form.
+    """Compare the closed-form leaf coefficient against the catalogued one.
 
-    The comparison is exact on squares (both sides are rational numbers),
-    which is strictly finer than any floating-point tolerance; the float
-    columns are only renderings.  The claimed sign is recorded relative to
-    the engine frame orientation, and never decides the match.
+    Each row takes lambda^2 = 1 / sum_{i<j} (pi^{ij}(q))^2 from the
+    bivector's entries at the point (no frame solve; ``leaf_coefficient``
+    checks this identity wherever it runs).  The comparison is exact on
+    squares (both sides are rational numbers), which is strictly finer
+    than any floating-point tolerance; the floats in the witness are only
+    renderings.  Points where either side divides by zero are skipped.
     """
     rows: list[LeafAuditRow] = []
     use_ws = model.kind == "w_s"
@@ -183,23 +192,18 @@ def audit_leaf_formulas(
     # the claimed formulas belong to the catalogued bivector, which is the
     # raw construction divided by the recorded scale; lambda scales inversely
     scale_sq = model.claimed_scale**2
-    bivector = flaschka_ratiu(model, 1)
+    entries = flaschka_ratiu(model, 1).pi.terms.values()
     attempts = 0
     while len(rows) < samples and attempts < samples * 50:
         attempts += 1
         q = random_noncritical_point(model, rng)
         try:
-            if use_ws:
-                claimed_sq, claimed_sign = ws_leaf_claim_sq(claim, q)
-            else:
-                claimed_sq = claim.value_sq(q)
-                claimed_sign = claim.sign(q)
-            derived = leaf_coefficient(model, q, 1, bivector=bivector)
-        except (ZeroDivisionError, SingularPoint, linalg.InconsistentSystem):
+            claimed_sq = ws_leaf_claim_sq(claim, q) if use_ws else claim.value_sq(q)
+            vals = [e.evaluate(q) for e in entries]
+            derived_sq = scale_sq / linalg.dot(vals, vals)
+        except ZeroDivisionError:
             continue
-        rows.append(
-            LeafAuditRow(tuple(q), derived.value_sq * scale_sq, claimed_sq, derived.sign, claimed_sign)
-        )
+        rows.append(LeafAuditRow(tuple(q), derived_sq, claimed_sq))
     matches = sum(1 for r in rows if r.match)
     label = "w_s mu-expression" if use_ws else claim.describe()
     if not rows:

@@ -38,7 +38,12 @@ class PoissonBivector:
 
 
 def flaschka_ratiu(model: FibrationModel, k: Poly | Rational = 1) -> PoissonBivector:
-    """Build the bivector with pi^{ij} given by the Casimir determinant, scaled by k."""
+    """The bivector with pi^{ij} given by the Casimir determinant, scaled by k.
+
+    The determinants are expanded once per model
+    (``FibrationModel.casimir_determinants``); each call only multiplies
+    them by k.
+    """
     chart = model.chart
     if not isinstance(k, Poly):
         k = chart.const(k)
@@ -46,22 +51,7 @@ def flaschka_ratiu(model: FibrationModel, k: Poly | Rational = 1) -> PoissonBive
         raise ValueError("scaling function k must be a nonzero polynomial")
     if len(model.casimirs) != 2 * model.n - 2:
         raise ValueError("Casimir count must be 2n-2")
-    ng = chart.n_geom
-    grads = model.casimir_gradients
-    zero, one = chart.zero(), chart.one()
-
-    terms: dict[tuple[int, int], Poly] = {}
-    for i in range(ng):
-        for j in range(i + 1, ng):
-            cols: list[list[Poly]] = []
-            cols.append([one if r == i else zero for r in range(ng)])
-            cols.append([one if r == j else zero for r in range(ng)])
-            for g in grads:
-                cols.append(list(g))
-            rows = [[cols[c][r] for c in range(ng)] for r in range(ng)]
-            val = linalg.poly_det(rows)
-            if not val.is_zero():
-                terms[(i, j)] = k * val
+    terms = {ij: k * det for ij, det in model.casimir_determinants.items()}
     return PoissonBivector(model, k, KVector(chart, 2, terms))
 
 

@@ -127,10 +127,6 @@ class LeafClaim:
             raise ZeroDivisionError("claimed formula degenerates at this point")
         return self.num.evaluate(point) ** 2 / den
 
-    def sign(self, point: Sequence[Rational]) -> int:
-        v = self.num.evaluate(point)
-        return (v > 0) - (v < 0)
-
     def describe(self) -> str:
         return f"({self.num}) / sqrt({self.den})"
 
@@ -218,17 +214,15 @@ def ws_leaf_claim(model: FibrationModel) -> WsLeafClaim:
     return WsLeafClaim(b, s_num, s_den, mu_sq)
 
 
-def ws_leaf_claim_sq(claim: WsLeafClaim, point: Sequence[Rational]) -> tuple[Fraction, int]:
-    """Claimed squared leaf coefficient for the w_s map at a point, and the numerator sign."""
+def ws_leaf_claim_sq(claim: WsLeafClaim, point: Sequence[Rational]) -> Fraction:
+    """Claimed squared leaf coefficient for the w_s map at a point."""
     bv = claim.b.evaluate(point)
     s_num_v = claim.s_num.evaluate(point)
     s_den_v = claim.s_den.evaluate(point)
     mu_sq_v = claim.mu_sq.evaluate(point)
     if mu_sq_v == 0 or s_den_v == 0:
         raise ZeroDivisionError("claimed w_s formula degenerates at this point")
-    value_sq = (bv * s_num_v) ** 2 / (4 * mu_sq_v * s_den_v)
-    num_sign_v = bv * s_num_v
-    return value_sq, (num_sign_v > 0) - (num_sign_v < 0)
+    return (bv * s_num_v) ** 2 / (4 * mu_sq_v * s_den_v)
 
 
 # -- claimed near-symplectic data ---------------------------------------------------

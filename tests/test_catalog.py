@@ -7,15 +7,18 @@ from fractions import Fraction
 
 import pytest
 
+from singfib import linalg
 from singfib.catalog import (
     ALL_KINDS,
     DEFORMATION_KINDS,
+    ModelError,
     UnknownKind,
     critical_points_sample,
     get_model,
     manifest_text,
     random_noncritical_point,
 )
+from singfib.poisson import flaschka_ratiu, match_claimed_bivector
 from singfib.poly import parse_poly
 
 
@@ -68,6 +71,45 @@ def test_casimir_gradients_are_built_once(kind, n):
     names = m.chart.geometric_names()
     assert m.casimir_gradients == tuple(tuple(c.differentiate(v) for v in names) for c in m.casimirs)
     assert m.casimir_gradients is m.casimir_gradients
+
+
+@pytest.mark.parametrize("kind, n, param", [("cusp", 3, None), ("w_s", 4, Fraction(1, 2)), ("b_s", 3, None)])
+def test_get_model_builds_each_model_once(kind, n, param):
+    assert get_model(kind, n, param) is get_model(kind, n, param)
+
+
+@pytest.mark.parametrize("args", [("saddle", 3), ("cusp-def1", 4), ("b_s", 2), ("cusp", 3, 1)])
+def test_bad_models_raise_on_every_call(args):
+    for _ in range(3):
+        with pytest.raises(ModelError):
+            get_model(*args)
+
+
+@pytest.mark.parametrize("kind, n", [("cusp", 3), ("w_s", 4)])
+def test_flaschka_ratiu_scales_the_shared_determinants(kind, n):
+    m = get_model(kind, n)
+    k = parse_poly("1 + x1^2 - 3*x2", m.chart)
+    assert flaschka_ratiu(m, k).pi == flaschka_ratiu(m, 1).pi.scale(k)
+    assert flaschka_ratiu(m, 7).pi == flaschka_ratiu(m, 1).pi.scale(7)
+
+
+@pytest.mark.parametrize("kind, n", [("lefschetz", 3), ("w_s", 4), ("cusp", 3)])
+def test_casimir_determinants_are_expanded_once(monkeypatch, kind, n):
+    calls = []
+    poly_det = linalg.poly_det
+
+    def counting_det(rows):
+        calls.append(1)
+        return poly_det(rows)
+
+    monkeypatch.setattr(linalg, "poly_det", counting_det)
+    m = get_model.__wrapped__(kind, n)  # a fresh model, outside the cache
+    flaschka_ratiu(m, 1)
+    flaschka_ratiu(m, parse_poly("1 + x1^2", m.chart))
+    match_claimed_bivector(m)
+    ng = m.chart.n_geom
+    assert len(calls) == ng * (ng - 1) // 2
+    assert m.casimir_determinants is m.casimir_determinants
 
 
 def test_jacobian_identity_block():

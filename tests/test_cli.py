@@ -184,6 +184,18 @@ def test_catalog_listing_rejects_small_n_before_printing(capsys):
     assert "at least 3" in one_line_error(capsys, "catalog", "--n", "2")
 
 
+def test_catalog_listing_pins_param_on_deformation_kinds_only(capsys):
+    code, out, err = run(capsys, "catalog", "--param", "1/2")
+    assert code == 0 and err == ""
+    assert "18 kinds" in out
+    assert "t3^2 - x1^2 + x2^2 - x3^2 + 1/2*t3" in out  # w_s at s = 1/2
+
+
+def test_catalog_rejects_param_on_named_fixed_kind(capsys):
+    err = one_line_error(capsys, "catalog", "--kind", "fold", "--param", "1/2")
+    assert "no deformation parameter" in err
+
+
 @pytest.mark.parametrize("box, message", [("1<=x<=0", "empty interval"), ("0<=x<=1/0", "bad rational")])
 def test_epsilon_rejects_bad_box(capsys, box, message):
     with pytest.raises(BoxParseError):

@@ -20,6 +20,7 @@ from singfib.leaves import (
 )
 from singfib.poisson import PoissonBivector, flaschka_ratiu
 from singfib.poly import CHART6
+from singfib.suite import _leaf_models
 
 ANCHOR = (0, 0, 0, 1, 0, 1)
 
@@ -184,3 +185,22 @@ def test_interior_product_matches_leaf_pairing():
         pi_ab = linalg.dot(alpha, linalg.mat_vec(mat, beta))
         assert pi_ab == linalg.dot(alpha, frame.v)
         assert pi_ab == -linalg.dot(beta, frame.u)
+
+
+# the leaf-audit and leaf-relations models (the dim-6 kinds are shared)
+TIE_MODELS = {
+    f"{m.kind}-{m.n}": m
+    for m in (*_leaf_models(None, for_audit=True), *_leaf_models(None, for_audit=False))
+}
+
+
+@pytest.mark.parametrize("label", sorted(TIE_MODELS))
+def test_frame_solve_agrees_with_the_closed_form_audit(label):
+    # the audit's closed form 1 / sum (pi^{ij})^2 and the frame solve are
+    # independent derivations; they must give the same lambda^2 at every row
+    model = TIE_MODELS[label]
+    _, rows = audit_leaf_formulas(model, 10, random.Random(f"tie:{label}"))
+    assert len(rows) == 10
+    scale_sq = model.claimed_scale**2
+    for row in rows:
+        assert leaf_coefficient(model, row.point).value_sq * scale_sq == row.derived_sq, row.point

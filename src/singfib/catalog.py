@@ -130,13 +130,19 @@ def _last_component_model(
     )
 
 
-@cache
 def get_model(kind: str, n: int = 3, param: Rational | None = None) -> FibrationModel:
-    """Build a fully populated model; dim-6 kinds require n = 3.
+    """The shared model for (kind, n, param), built once per process.
 
-    Cached per call signature, so every check that asks for a model shares
-    its gradients and determinants.
+    The cache key is the full triple, whatever form the call takes, so
+    ``get_model(k)``, ``get_model(k, 3)`` and ``get_model(k, 3, None)`` are
+    one object and every check shares its gradients and determinants.
+    Invalid arguments raise on every call (exceptions are not cached).
     """
+    return _shared_model(kind, n, param)
+
+
+def build_model(kind: str, n: int = 3, param: Rational | None = None) -> FibrationModel:
+    """Build a fresh, fully populated model; dim-6 kinds require n = 3."""
     if kind not in ALL_KINDS:
         raise UnknownKind(f"unknown model kind {kind!r}")
     if n < 3:
@@ -238,6 +244,9 @@ def get_model(kind: str, n: int = 3, param: Rational | None = None) -> Fibration
             is_complex=True,
         )
     raise UnknownKind(kind)
+
+
+_shared_model = cache(build_model)
 
 
 # -- critical point sampling -------------------------------------------------

@@ -10,6 +10,7 @@ formulas are mismatch records and do not fail the run).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from fractions import Fraction
@@ -19,7 +20,7 @@ from .catalog import ALL_KINDS, DEFORMATION_KINDS, DIM6_KINDS, ModelError, get_m
 from .interval import BoxParseError, parse_box
 from .poly import ChartMismatch, PolyParseError, parse_poly
 from .report import exit_code, render_records, render_table
-from .suite import CHECK_NAMES, SCOPES, run_suite
+from .suite import CHECK_NAMES, SCOPES, SelectionError, run_suite
 
 
 def _fraction(text: str) -> Fraction:
@@ -126,10 +127,18 @@ def cmd_derive(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     scope = None if (args.all or not args.model) else args.model
     started = time.monotonic()
-    reports = run_suite(scope=scope, checks=args.check, seed=args.seed, samples=args.samples)
-    records = render_records(reports)
-    if args.out:
-        with open(args.out, "w") as fh:
+    # opened before the run, so a bad path costs no run, and emptied only
+    # after it, so a run that raises leaves an earlier report in place
+    try:
+        out = open(args.out, "a") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with out as fh:
+        reports = run_suite(scope=scope, checks=args.check, seed=args.seed, samples=args.samples)
+        records = render_records(reports)
+        if fh is not None:
+            fh.truncate(0)
             fh.write(records)
     if args.format == "records":
         sys.stdout.write(records)
@@ -167,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ModelError as exc:
+    except (ModelError, SelectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,9 @@ the engine's own orthogonal frame (never reusing catalogued frame
 vectors), solves pi . alpha = u and pi . beta = v exactly, and reports
 lambda as an exact certificate: a sign together with the rational
 lambda^2.  Square roots never appear: frames stay unnormalized and carry
-their squared norms.
+their squared norms.  Each point costs two eliminations: the kernel of
+the Casimir gradient rows, which the frame keeps for the tangency check,
+and one solve with the two right-hand sides u and v.
 
 The closed form (``audit_leaf_formulas``, run by ``leaf-audit``) uses
 that a rank-2 bivector is pi = |pi| u^v in an orthonormal leaf frame, so
@@ -47,12 +49,14 @@ class LeafFrame:
     v: tuple[Fraction, ...]
     u_norm_sq: Fraction
     v_norm_sq: Fraction
+    #: the Casimir gradients evaluated at the point, one row per Casimir
+    gradients: tuple[tuple[Fraction, ...], ...]
 
 
 def leaf_frame(model: FibrationModel, q: Sequence[Rational]) -> LeafFrame:
     """Two orthogonal spanning vectors of the leaf tangent plane at q."""
     q = tuple(Fraction(v) for v in q)
-    rows = [[g.evaluate(q) for g in grad] for grad in model.casimir_gradients]
+    rows = tuple(tuple(g.evaluate(q) for g in grad) for grad in model.casimir_gradients)
     kernel = linalg.nullspace(rows)
     if len(kernel) != 2:
         raise SingularPoint(
@@ -66,7 +70,7 @@ def leaf_frame(model: FibrationModel, q: Sequence[Rational]) -> LeafFrame:
     vv = linalg.dot(v, v)
     if linalg.dot(u, v) != 0 or uu == 0 or vv == 0:
         raise AssertionError("frame orthogonalization failed")
-    return LeafFrame(q, tuple(u), tuple(v), uu, vv)
+    return LeafFrame(q, tuple(u), tuple(v), uu, vv, rows)
 
 
 def solve_structure_covector(
@@ -116,15 +120,14 @@ def leaf_coefficient(
     b = bivector if bivector is not None else flaschka_ratiu(model, k)
     frame = leaf_frame(model, q)
     mat = b.matrix_at(frame.point)
-    alpha = linalg.solve(mat, frame.u)
-    beta = linalg.solve(mat, frame.v)
+    alpha, beta = linalg.solve(mat, frame.u, frame.v)
     if linalg.mat_vec(mat, alpha) != list(frame.u):
         raise AssertionError("alpha does not solve pi.alpha = u")
     if linalg.mat_vec(mat, beta) != list(frame.v):
         raise AssertionError("beta does not solve pi.beta = v")
     pairing_uv = linalg.dot(alpha, frame.v)
-    pi_sq = sum((linalg.dot(row[i + 1 :], row[i + 1 :]) for i, row in enumerate(mat)), Fraction(0))
-    if pairing_uv**2 * pi_sq != frame.u_norm_sq * frame.v_norm_sq:
+    upper = [x for i, row in enumerate(mat) for x in row[i + 1 :]]
+    if pairing_uv**2 * linalg.dot(upper, upper) != frame.u_norm_sq * frame.v_norm_sq:
         raise AssertionError("lambda^2 differs from 1 / sum_{i<j} (pi^{ij})^2")
     return LeafCoefficient(frame, pairing_uv, linalg.dot(beta, frame.u))
 
@@ -149,8 +152,7 @@ def defining_relations_check(
                 witness=str(q),
             )
         frame = coeff.frame
-        for grad_polys in model.casimir_gradients:
-            grad = [g.evaluate(q) for g in grad_polys]
+        for grad in frame.gradients:
             if linalg.dot(grad, frame.u) != 0 or linalg.dot(grad, frame.v) != 0:
                 return CheckReport(
                     model.name, "leaf-relations", FAIL, "frame not Casimir-tangent", witness=str(q)

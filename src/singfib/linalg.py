@@ -93,19 +93,34 @@ class InconsistentSystem(ValueError):
     """Raised when a linear system has no solution."""
 
 
-def solve(rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]) -> list[Fraction]:
-    """One exact solution of ``rows @ x = rhs`` (free variables set to 0)."""
-    if len(rows) != len(rhs):
+def solve(
+    rows: Sequence[Sequence[Fraction | int]],
+    rhs: Sequence[Fraction | int],
+    *more: Sequence[Fraction | int],
+) -> list[Fraction] | tuple[list[Fraction], ...]:
+    """One exact solution of ``rows @ x = rhs`` (free variables set to 0).
+
+    Further right-hand sides are solved in the same elimination of the
+    matrix augmented by every column; their solutions come back as a tuple,
+    in order, beginning with the one for ``rhs``.  ``InconsistentSystem`` is
+    raised when any column is not in the column space.
+    """
+    columns = (rhs, *more)
+    if any(len(c) != len(rows) for c in columns):
         raise ValueError("rhs length does not match row count")
     cols = len(rows[0]) if rows else 0
-    red, pivots = _rref([[*row, bv] for row, bv in zip(rows, rhs)])
-    # a pivot in the augmented column is a row 0 = nonzero
-    if pivots and pivots[-1] == cols:
+    red, pivots = _rref([[*row, *vals] for row, *vals in zip(rows, *columns)])
+    # every column is consistent exactly when appending them adds no pivot;
+    # a pivot in an augmented column is a row 0 = nonzero
+    if pivots and pivots[-1] >= cols:
         raise InconsistentSystem("right-hand side not in the column space")
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = Fraction(red[r][cols], red[r][pc])
-    return x
+    solutions = []
+    for k in range(cols, cols + len(columns)):
+        x = [Fraction(0)] * cols
+        for r, pc in enumerate(pivots):
+            x[pc] = Fraction(red[r][k], red[r][pc])
+        solutions.append(x)
+    return tuple(solutions) if more else solutions[0]
 
 
 def dot(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> Fraction:

@@ -45,7 +45,7 @@ def render_records(reports: Iterable[CheckReport]) -> str:
 
 
 def render_table(reports: list[CheckReport]) -> str:
-    """Human summary: one line per report plus a status tally."""
+    """Human summary: one line per report plus a tally of the check reports (the manifest left out)."""
     lines = []
     width_model = max([len(r.model) for r in reports] + [5])
     width_check = max([len(r.check) for r in reports] + [5])
@@ -53,7 +53,8 @@ def render_table(reports: list[CheckReport]) -> str:
         lines.append(f"{r.status.upper():8} {r.model:{width_model}} {r.check:{width_check}} {r.detail}")
     tally = {PASS: 0, FAIL: 0, MISMATCH: 0}
     for r in reports:
-        tally[r.status] = tally.get(r.status, 0) + 1
+        if r.check != "manifest":
+            tally[r.status] = tally.get(r.status, 0) + 1
     lines.append(
         f"summary: {tally[PASS]} pass, {tally[FAIL]} fail, {tally[MISMATCH]} mismatch"
     )

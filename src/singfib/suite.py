@@ -371,21 +371,31 @@ CHECKS = {
 }
 
 
+class SelectionError(ValueError):
+    """A ``run_suite`` selection that is invalid or checks nothing."""
+
+
 def run_suite(
     scope: str | None = None,
     checks: Sequence[str] | None = None,
     seed: int = 7,
     samples: int = 100,
 ) -> list[CheckReport]:
-    """Run the requested checks (all by default) in the fixed order."""
+    """Run the requested checks (all by default) in the fixed order.
+
+    The first report is the run's manifest.  Raises ``SelectionError`` for
+    a non-positive sample count, an unknown scope or check, and a selection
+    whose checks emit no report for the scope, so no run passes having
+    checked nothing.
+    """
     if samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples}")
+        raise SelectionError(f"samples must be a positive integer, got {samples}")
     if scope is not None and scope not in SCOPES:
-        raise ValueError(f"unknown scope {scope!r}; available: {list(SCOPES)}")
+        raise SelectionError(f"unknown scope {scope!r}; available: {list(SCOPES)}")
     selected = list(checks) if checks else list(CHECK_NAMES)
     unknown = [c for c in selected if c not in CHECKS]
     if unknown:
-        raise ValueError(f"unknown checks: {unknown}; available: {list(CHECK_NAMES)}")
+        raise SelectionError(f"unknown checks: {unknown}; available: {list(CHECK_NAMES)}")
     reports: list[CheckReport] = [
         CheckReport(
             "-",
@@ -397,4 +407,6 @@ def run_suite(
     for name in CHECK_NAMES:
         if name in selected:
             reports.extend(CHECKS[name](scope, seed, samples))
+    if len(reports) == 1:
+        raise SelectionError(f"nothing to check: {','.join(selected)} has no report for scope {scope}")
     return reports

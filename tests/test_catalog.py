@@ -13,6 +13,8 @@ from singfib.catalog import (
     DEFORMATION_KINDS,
     ModelError,
     UnknownKind,
+    _shared_model,
+    build_model,
     critical_points_sample,
     get_model,
     manifest_text,
@@ -78,6 +80,23 @@ def test_get_model_builds_each_model_once(kind, n, param):
     assert get_model(kind, n, param) is get_model(kind, n, param)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_get_model_call_forms_share_one_model(kind):
+    assert get_model(kind, 3) is get_model(kind, 3, None)
+    assert get_model(kind) is get_model(kind, n=3, param=None)
+
+
+def test_model_checks_build_each_model_once():
+    from singfib.suite import run_suite
+
+    _shared_model.cache_clear()
+    model_checks = ["bivector", "casimir", "jacobi", "decomposable", "rank", "leaf-relations", "leaf-audit"]
+    run_suite(checks=model_checks, samples=1)
+    # 12 dim-6 kinds at n = 3, the 6 parametric kinds symbolic at n = 3, 4 and 5,
+    # and the 4 deformation kinds pinned at s = 0 (n = 3) and s = 1/2 (n = 3 and 4)
+    assert _shared_model.cache_info().currsize == 12 + 6 * 3 + 4 * 3
+
+
 @pytest.mark.parametrize("args", [("saddle", 3), ("cusp-def1", 4), ("b_s", 2), ("cusp", 3, 1)])
 def test_bad_models_raise_on_every_call(args):
     for _ in range(3):
@@ -103,7 +122,7 @@ def test_casimir_determinants_are_expanded_once(monkeypatch, kind, n):
         return poly_det(rows)
 
     monkeypatch.setattr(linalg, "poly_det", counting_det)
-    m = get_model.__wrapped__(kind, n)  # a fresh model, outside the cache
+    m = build_model(kind, n)  # a fresh model, outside the cache
     flaschka_ratiu(m, 1)
     flaschka_ratiu(m, parse_poly("1 + x1^2", m.chart))
     match_claimed_bivector(m)

@@ -208,3 +208,49 @@ def test_derive_rejects_zero_denominator_parameter(capsys):
         main(["derive", "--kind", "b_s", "--param", "1/0"])
     assert exc.value.code == 2
     assert "not a rational number" in capsys.readouterr().err
+
+
+# -- no run passes having checked nothing ---------------------------------------------
+
+
+@pytest.mark.parametrize("scope, check", [("darboux", "rank"), ("fold", "fibre-positivity")])
+def test_verify_rejects_a_selection_that_checks_nothing(capsys, scope, check):
+    with pytest.raises(ValueError, match="nothing to check"):
+        run_suite(scope=scope, checks=[check], samples=1)
+    err = one_line_error(capsys, "verify", "--model", scope, "--check", check, "--samples", "1")
+    assert "nothing to check" in err
+
+
+def test_verify_runs_a_selection_where_some_check_applies(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--model", "fold", "--check", "fibre-positivity", "--check", "rank", "--samples", "2"
+    )
+    assert code == 0
+    assert "rank 2 at 2 non-critical" in out
+
+
+def test_summary_tallies_check_reports_not_the_manifest(capsys):
+    code, out, _ = run(capsys, "verify", "--model", "fold", "--check", "rank", "--samples", "2")
+    assert code == 0
+    assert out.splitlines()[-1] == "summary: 1 pass, 0 fail, 0 mismatch"
+
+
+def test_verify_out_to_a_bad_path_fails_before_the_run(capsys, tmp_path, monkeypatch):
+    def no_run(**kwargs):
+        raise AssertionError("the suite ran before the output file was opened")
+
+    monkeypatch.setattr("singfib.cli.run_suite", no_run)
+    err = one_line_error(capsys, "verify", "--check", "rank", "--out", str(tmp_path / "missing" / "x.jsonl"))
+    assert "cannot write" in err and "x.jsonl" in err
+
+
+def test_verify_out_keeps_an_earlier_report_when_the_run_fails(capsys, tmp_path):
+    out = tmp_path / "report.jsonl"
+    run(capsys, "verify", "--model", "fold", "--check", "rank", "--samples", "2", "--out", str(out))
+    earlier = out.read_bytes()
+    assert earlier.count(b"\n") == 2
+    one_line_error(capsys, "verify", "--model", "darboux", "--check", "rank", "--out", str(out))
+    assert out.read_bytes() == earlier
+    # a shorter report replaces a longer one completely
+    run(capsys, "verify", "--model", "darboux", "--samples", "1", "--out", str(out))
+    assert [json.loads(line)["check"] for line in out.read_text().splitlines()] == ["manifest", "darboux"]

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from singfib import linalg
-from singfib.catalog import ALL_KINDS, DEFORMATION_KINDS, DIM6_KINDS, get_model
+from singfib import leaves, linalg
+from singfib.catalog import ALL_KINDS, DEFORMATION_KINDS, DIM6_KINDS, get_model, random_noncritical_point
 from singfib.exterior import KVector
 from singfib.leaves import (
     SingularPoint,
@@ -113,6 +114,39 @@ def test_solution_ambiguity_invariant():
         for kernel_vec in linalg.nullspace(mat):
             shifted = [a + 3 * kv for a, kv in zip(alpha, kernel_vec)]
             assert linalg.dot(shifted, frame.v) == base
+
+
+@pytest.mark.parametrize("kind, n", [("fold", 3), ("w_s", 3), ("lefschetz", 4)])
+def test_leaf_coefficient_runs_two_eliminations(monkeypatch, kind, n):
+    model = get_model(kind, n, Fraction(1, 2) if kind in DEFORMATION_KINDS else None)
+    b = flaschka_ratiu(model, 1)
+    rng = random.Random(f"elims:{kind}")
+    points = [random_noncritical_point(model, rng) for _ in range(5)]
+    calls = []
+    rref = linalg._rref
+
+    def counting_rref(rows):
+        calls.append(len(rows[0]))
+        return rref(rows)
+
+    monkeypatch.setattr(linalg, "_rref", counting_rref)
+    for q in points:
+        calls.clear()
+        leaf_coefficient(model, q, bivector=b)
+        # the kernel of the gradient rows, then pi(q) augmented by u and v
+        assert calls == [model.dim, model.dim + 2]
+
+
+def test_frame_not_tangent_to_its_gradient_rows_fails(monkeypatch):
+    def skewed_frame(model, q):
+        frame = leaf_frame(model, q)
+        # a row that pairs with u to |u|^2 != 0
+        return dataclasses.replace(frame, gradients=(*frame.gradients[:-1], frame.u))
+
+    monkeypatch.setattr(leaves, "leaf_frame", skewed_frame)
+    rep = defining_relations_check(get_model("cusp", 3), 3, random.Random(5))
+    assert rep.status == "fail"
+    assert rep.detail == "frame not Casimir-tangent"
 
 
 def test_defining_relations_all_kinds():

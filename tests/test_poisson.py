@@ -7,10 +7,20 @@ from fractions import Fraction
 
 import pytest
 
-from singfib.catalog import ALL_KINDS, DEFORMATION_KINDS, DIM6_KINDS, FibrationModel, get_model
-from singfib.exterior import KVector, vector_term
+from singfib import poisson
+from singfib.catalog import (
+    ALL_KINDS,
+    DEFORMATION_KINDS,
+    DIM6_KINDS,
+    FibrationModel,
+    critical_points_sample,
+    get_model,
+    random_noncritical_point,
+)
+from singfib.exterior import KVector, vector_term, wedge
 from singfib.poisson import (
     PoissonBivector,
+    _decomposable_rank_at,
     casimir_annihilation,
     decomposability,
     flaschka_ratiu,
@@ -204,3 +214,30 @@ def test_rank_stratification_insensitive_to_k():
 
             for p in critical_points_sample(model, 5, rng):
                 assert rank_at(b, p) == 0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_rank_read_from_entries_equals_the_elimination(kind):
+    param = Fraction(0) if kind in DEFORMATION_KINDS else None
+    model = get_model(kind, 3, param)
+    b = flaschka_ratiu(model, 1)
+    rng = random.Random(f"rank-entries:{kind}")
+    points = [random_noncritical_point(model, rng) for _ in range(20)]
+    points += critical_points_sample(model, 20, rng)
+    for p in points:
+        assert _decomposable_rank_at(b, p) == rank_at(b, p)
+
+
+def test_rank_check_fails_when_pi_wedge_pi_is_not_zero(monkeypatch):
+    # e_t1^e_t2 + e_x1^e_x2 has rank 4 wherever it is evaluated
+    def rank_four(model, k=1):
+        pi = KVector(model.chart, 2, {(0, 1): model.chart.one(), (3, 4): model.chart.one()})
+        return PoissonBivector(model, model.chart.one(), pi)
+
+    model = get_model("fold", 3)
+    pi = rank_four(model).pi
+    monkeypatch.setattr(poisson, "flaschka_ratiu", rank_four)
+    rep = rank_stratification(model, 5, random.Random(1))
+    assert rep.status == "fail"
+    assert rep.detail == "pi^pi != 0, so rank <= 2 fails"
+    assert rep.witness == str(wedge(pi, pi))

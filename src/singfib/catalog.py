@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .poly import Chart, Poly, Rational, chart_2n
+from .poly import Chart, IntegerKernel, Poly, Rational, chart_2n
 
 PARAM_NAME = "s_par"
 
@@ -74,6 +74,11 @@ class FibrationModel:
         """Partials of each Casimir in the geometric variables, differentiated once per model."""
         names = self.chart.geometric_names()
         return tuple(tuple(c.differentiate(v) for v in names) for c in self.casimirs)
+
+    @cached_property
+    def gradient_kernel(self) -> IntegerKernel:
+        """``casimir_gradients`` row after row, compiled once per model for integer points."""
+        return IntegerKernel(self.chart, [g for row in self.casimir_gradients for g in row])
 
     @cached_property
     def casimir_determinants(self) -> dict[tuple[int, int], Poly]:
@@ -252,8 +257,16 @@ _shared_model = cache(build_model)
 # -- critical point sampling -------------------------------------------------
 
 
+@cache
+def _rationals(bound: int, den: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Fraction(a, b) at [a + bound][b - 1], for |a| <= bound and 1 <= b <= den."""
+    return tuple(tuple(Fraction(a, b) for b in range(1, den + 1)) for a in range(-bound, bound + 1))
+
+
 def random_rational(rng: random.Random, bound: int = 6, den: int = 4) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+    """Fraction(rng.randint(-bound, bound), rng.randint(1, den)), drawn in that order."""
+    a = rng.randint(-bound, bound)
+    return _rationals(bound, den)[a + bound][rng.randint(1, den) - 1]
 
 
 def random_point(model: FibrationModel, rng: random.Random) -> list[Fraction]:

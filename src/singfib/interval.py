@@ -175,7 +175,7 @@ class BoxParseError(ValueError):
 
 
 def parse_box(spec: str) -> Box:
-    """Parse specs like ``|x|<=1,|u|<=1/10`` or ``0<=x<=1/2``."""
+    """Parse specs like ``|x|<=1,|u|<=1/10`` or ``0<=x<=1/2``; each variable is bounded once."""
     box: Box = {}
     for piece in spec.split(","):
         piece = piece.strip()
@@ -190,7 +190,7 @@ def parse_box(spec: str) -> Box:
             bound = _parse_fraction(bound_part)
             if bound < 0:
                 raise BoxParseError(f"negative bound in {piece!r}")
-            box[name] = Interval(-bound, bound)
+            lo, hi = -bound, bound
         else:
             parts = piece.split("<=")
             if len(parts) != 3:
@@ -200,7 +200,9 @@ def parse_box(spec: str) -> Box:
             hi = _parse_fraction(parts[2])
             if lo > hi:
                 raise BoxParseError(f"empty interval in {piece!r}")
-            box[name] = Interval(lo, hi)
+        if name in box:
+            raise BoxParseError(f"variable {name!r} is bounded more than once in {spec!r}")
+        box[name] = Interval(lo, hi)
     if not box:
         raise BoxParseError("empty box specification")
     return box

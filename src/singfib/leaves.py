@@ -4,25 +4,37 @@ At a non-critical point q the leaf tangent plane is the common kernel of
 the Casimir differentials.  Two independent derivations of the
 coefficient lambda with omega_leaf = lambda * omega_area live here.
 
-The frame solve (``leaf_coefficient``, run by ``leaf-relations``) builds
-the engine's own orthogonal frame (never reusing catalogued frame
-vectors), solves pi . alpha = u and pi . beta = v exactly, and reports
-lambda as an exact certificate: a sign together with the rational
-lambda^2.  Square roots never appear: frames stay unnormalized and carry
-their squared norms.  Each point costs two eliminations: the kernel of
-the Casimir gradient rows, which the frame keeps for the tangency check,
-and one solve with the two right-hand sides u and v.
+The frame derivation (``leaf_coefficient``, run by ``leaf-relations``)
+builds the engine's own orthogonal frame (never reusing catalogued frame
+vectors), finds alpha and beta with pi . alpha = u and pi . beta = v
+exactly, and reports lambda as an exact certificate: a sign together with
+the rational lambda^2.  Square roots never appear: frames stay
+unnormalized and carry their squared norms.
+
+Each point stays in integers from start to end.  The frame scales the
+point once to q = Q / D, and the Casimir gradient rows and the entries of pi
+are read from integer kernels compiled once per model and per bivector
+(``poly.IntegerKernel``), as positive integer multiples of their values.
+One fraction-free elimination gives the kernel of the gradient rows as
+primitive integer vectors u and w, and one integer Gram-Schmidt step gives
+v.  No second elimination is needed: a skew pi(q) of rank 2 whose image
+is span(u, v), with u orthogonal to v, sends v to rho * u and u to
+sigma * v (Damianou-Petalidou, Canad. J. Math. 2012).  With P = d * pi(q)
+the integer matrix the kernel gives, alpha = (d / rho) v and
+beta = (d / sigma) u; both proportionalities are checked in every
+component by cross-multiplication.
 
 The closed form (``audit_leaf_formulas``, run by ``leaf-audit``) uses
 that a rank-2 bivector is pi = |pi| u^v in an orthonormal leaf frame, so
 lambda^2 = 1 / sum_{i<j} (pi^{ij})^2 at every non-critical point.  The
-frame solve checks exactly that identity at each of its points, which
-ties the two derivations together.
+frame derivation checks exactly that identity at each of its points,
+which ties the two derivations together.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +43,7 @@ from typing import Sequence
 from . import linalg
 from .catalog import FibrationModel, random_noncritical_point
 from .poisson import PoissonBivector, flaschka_ratiu
-from .poly import Poly, Rational
+from .poly import Poly, Rational, integer_point
 from .report import FAIL, MISMATCH, PASS, CheckReport
 from .reference import leaf_claim, ws_leaf_claim, ws_leaf_claim_sq
 
@@ -45,32 +57,45 @@ class LeafFrame:
     """Orthogonal leaf-tangent pair with exact squared-norm certificates."""
 
     point: tuple[Fraction, ...]
-    u: tuple[Fraction, ...]
-    v: tuple[Fraction, ...]
-    u_norm_sq: Fraction
-    v_norm_sq: Fraction
-    #: the Casimir gradients evaluated at the point, one row per Casimir
-    gradients: tuple[tuple[Fraction, ...], ...]
+    #: primitive integer vectors; u is the first kernel vector, v the second made orthogonal to u
+    u: tuple[int, ...]
+    v: tuple[int, ...]
+    u_norm_sq: int
+    v_norm_sq: int
+    #: the Casimir gradients at the point, one row per Casimir, all times one positive integer
+    gradients: tuple[tuple[int, ...], ...]
+    #: the point as integer numerators over one positive denominator (``poly.integer_point``)
+    scaled_point: tuple[tuple[int, ...], int]
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(operator.mul, a, b))
 
 
 def leaf_frame(model: FibrationModel, q: Sequence[Rational]) -> LeafFrame:
     """Two orthogonal spanning vectors of the leaf tangent plane at q."""
-    q = tuple(Fraction(v) for v in q)
-    rows = tuple(tuple(g.evaluate(q) for g in grad) for grad in model.casimir_gradients)
-    kernel = linalg.nullspace(rows)
+    q = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in q)
+    num, den = integer_point(q)
+    values, _ = model.gradient_kernel(num, den)
+    cols = model.chart.n_geom
+    rows = tuple(tuple(values[r : r + cols]) for r in range(0, len(values), cols))
+    kernel = linalg.integer_nullspace(rows)
     if len(kernel) != 2:
         raise SingularPoint(
             f"Casimir differentials drop rank at {q}: kernel dimension {len(kernel)}"
         )
     u, w = kernel
-    # one Gram-Schmidt step keeps everything rational
-    uu = linalg.dot(u, u)
-    coeff = linalg.dot(w, u) / uu
-    v = [wi - coeff * ui for wi, ui in zip(w, u)]
-    vv = linalg.dot(v, v)
-    if linalg.dot(u, v) != 0 or uu == 0 or vv == 0:
+    # one integer Gram-Schmidt step: v is |u|^2 times w's component orthogonal to u
+    uu = _dot(u, u)
+    wu = _dot(w, u)
+    v = [uu * wi - wu * ui for wi, ui in zip(w, u)]
+    g = math.gcd(*v)
+    if g > 1:
+        v = [x // g for x in v]
+    vv = _dot(v, v)
+    if _dot(u, v) != 0 or uu == 0 or vv == 0:
         raise AssertionError("frame orthogonalization failed")
-    return LeafFrame(q, tuple(u), tuple(v), uu, vv, rows)
+    return LeafFrame(q, tuple(u), tuple(v), uu, vv, rows, (tuple(num), den))
 
 
 def solve_structure_covector(
@@ -111,25 +136,49 @@ class LeafCoefficient:
         return self.pairing_uv == -self.pairing_vu
 
 
+def _skew_apply(b: PoissonBivector, entries: Sequence[int], x: Sequence[int]) -> list[int]:
+    """P . x for the skew matrix with P[i][j] = -P[j][i] = entry, one entry per key of pi.terms."""
+    out = [0] * len(x)
+    for (i, j), e in zip(b.pi.terms, entries):
+        out[i] += e * x[j]
+        out[j] -= e * x[i]
+    return out
+
+
+def _multiplier(y: Sequence[int], x: Sequence[int], what: str) -> tuple[int, int]:
+    """(a, c) with y = (a / c) * x and a != 0, checked in every component by cross-multiplication."""
+    i = next(i for i, xi in enumerate(x) if xi)
+    a, c = y[i], x[i]
+    if not a or any(yj * c != a * xj for yj, xj in zip(y, x)):
+        raise linalg.InconsistentSystem(f"pi(q) does not map the leaf plane onto itself: {what}")
+    return a, c
+
+
 def leaf_coefficient(
     model: FibrationModel,
     q: Sequence[Rational],
     k: Poly | Rational = 1,
     bivector: PoissonBivector | None = None,
 ) -> LeafCoefficient:
+    """lambda at q from the closed-form solutions of pi . alpha = u and pi . beta = v.
+
+    A rank-2 pi(q) whose image is the leaf plane sends v to a nonzero
+    multiple rho u and u to a nonzero multiple sigma v; InconsistentSystem
+    is raised where it does not.
+    """
     b = bivector if bivector is not None else flaschka_ratiu(model, k)
     frame = leaf_frame(model, q)
-    mat = b.matrix_at(frame.point)
-    alpha, beta = linalg.solve(mat, frame.u, frame.v)
-    if linalg.mat_vec(mat, alpha) != list(frame.u):
-        raise AssertionError("alpha does not solve pi.alpha = u")
-    if linalg.mat_vec(mat, beta) != list(frame.v):
-        raise AssertionError("beta does not solve pi.beta = v")
-    pairing_uv = linalg.dot(alpha, frame.v)
-    upper = [x for i, row in enumerate(mat) for x in row[i + 1 :]]
-    if pairing_uv**2 * linalg.dot(upper, upper) != frame.u_norm_sq * frame.v_norm_sq:
+    u, v, uu, vv = frame.u, frame.v, frame.u_norm_sq, frame.v_norm_sq
+    entries, d = b.entry_kernel(*frame.scaled_point)
+    # P = d * pi(q): P.v = rho * u and P.u = sigma * v, rho = a / c and sigma = e / f
+    a, c = _multiplier(_skew_apply(b, entries, v), u, "pi.v is not a nonzero multiple of u")
+    e, f = _multiplier(_skew_apply(b, entries, u), v, "pi.u is not a nonzero multiple of v")
+    # alpha = (d / rho) v and beta = (d / sigma) u, so <alpha, v> = d |v|^2 / rho
+    pairing_uv = Fraction(d * vv * c, a)
+    # lambda^2 = <alpha, v>^2 / (|u|^2 |v|^2) = 1 / sum_{i<j} (pi^{ij})^2, with P = d * pi
+    if vv * c * c * _dot(entries, entries) != uu * a * a:
         raise AssertionError("lambda^2 differs from 1 / sum_{i<j} (pi^{ij})^2")
-    return LeafCoefficient(frame, pairing_uv, linalg.dot(beta, frame.u))
+    return LeafCoefficient(frame, pairing_uv, Fraction(d * uu * f, e))
 
 
 def defining_relations_check(
@@ -153,7 +202,7 @@ def defining_relations_check(
             )
         frame = coeff.frame
         for grad in frame.gradients:
-            if linalg.dot(grad, frame.u) != 0 or linalg.dot(grad, frame.v) != 0:
+            if _dot(grad, frame.u) or _dot(grad, frame.v):
                 return CheckReport(
                     model.name, "leaf-relations", FAIL, "frame not Casimir-tangent", witness=str(q)
                 )
@@ -182,7 +231,7 @@ def audit_leaf_formulas(
     """Compare the closed-form leaf coefficient against the catalogued one.
 
     Each row takes lambda^2 = 1 / sum_{i<j} (pi^{ij}(q))^2 from the
-    bivector's entries at the point (no frame solve; ``leaf_coefficient``
+    bivector's entry kernel at the point (no frame; ``leaf_coefficient``
     checks this identity wherever it runs).  The comparison is exact on
     squares (both sides are rational numbers), which is strictly finer
     than any floating-point tolerance; the floats in the witness are only
@@ -194,15 +243,16 @@ def audit_leaf_formulas(
     # the claimed formulas belong to the catalogued bivector, which is the
     # raw construction divided by the recorded scale; lambda scales inversely
     scale_sq = model.claimed_scale**2
-    entries = flaschka_ratiu(model, 1).pi.terms.values()
+    entry_kernel = flaschka_ratiu(model, 1).entry_kernel
     attempts = 0
     while len(rows) < samples and attempts < samples * 50:
         attempts += 1
         q = random_noncritical_point(model, rng)
         try:
             claimed_sq = ws_leaf_claim_sq(claim, q) if use_ws else claim.value_sq(q)
-            vals = [e.evaluate(q) for e in entries]
-            derived_sq = scale_sq / linalg.dot(vals, vals)
+            # the kernel gives d * pi^{ij}(q), so sum (pi^{ij})^2 = sum (entries)^2 / d^2
+            entries, d = entry_kernel(*integer_point(q))
+            derived_sq = Fraction(scale_sq.numerator * d * d, scale_sq.denominator * _dot(entries, entries))
         except ZeroDivisionError:
             continue
         rows.append(LeafAuditRow(tuple(q), derived_sq, claimed_sq))

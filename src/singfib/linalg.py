@@ -4,10 +4,11 @@ Everything here is fraction-exact.  Ranks, kernels and solutions come
 from fraction-free Gauss-Jordan elimination on integer rows (each row's
 denominators are cleared first, and every combined row is divided by the
 gcd of its entries, after Bareiss, Math. Comp. 1968); Fractions are built
-only for the entries a result reads off.  Determinants of polynomial
-matrices are computed by cofactor expansion along the sparsest column
-(the fibration Jacobians are mostly unit columns, so the expansion
-collapses to a small minor almost immediately).
+only for the entries a result reads off, and ``integer_nullspace`` builds
+none.  Determinants of polynomial matrices are computed by cofactor
+expansion along the sparsest column (the fibration Jacobians are mostly
+unit columns, so the expansion collapses to a small minor almost
+immediately).
 """
 
 from __future__ import annotations
@@ -67,6 +68,26 @@ def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     return len(_rref(rows)[1])
 
 
+def _kernel_vectors(rows: Sequence[Sequence[Fraction | int]]) -> list[tuple[int, list[int]]]:
+    """One integer kernel vector per free column fc, positive at fc, zero at the other free columns."""
+    if not rows:
+        return []
+    cols = len(rows[0])
+    red, pivots = _rref(rows)
+    # a common multiple of the pivot entries clears every back-substitution
+    lead = math.lcm(*(red[r][pc] for r, pc in enumerate(pivots)))
+    out = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        vec = [0] * cols
+        vec[fc] = lead
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc] * (lead // red[r][pc])
+        out.append((fc, vec))
+    return out
+
+
 def nullspace(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
     """A basis of the right kernel, one vector per free column.
 
@@ -74,18 +95,20 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
     back-substituted, so the result is integer-free of surprises and
     deterministic for a given matrix.
     """
-    if not rows:
-        return []
-    cols = len(rows[0])
-    red, pivots = _rref(rows)
-    free = [c for c in range(cols) if c not in pivots]
-    basis: list[list[Fraction]] = []
-    for fc in free:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = Fraction(-red[r][fc], red[r][pc])
-        basis.append(vec)
+    zero = Fraction(0)
+    return [[Fraction(x, vec[fc]) if x else zero for x in vec] for fc, vec in _kernel_vectors(rows)]
+
+
+def integer_nullspace(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
+    """The basis of ``nullspace(rows)`` with each vector scaled to coprime integers.
+
+    Each vector is a positive multiple of its ``nullspace`` counterpart, so
+    signs and orientations carry over; no Fraction is built.
+    """
+    basis = []
+    for _, vec in _kernel_vectors(rows):
+        g = math.gcd(*vec)
+        basis.append([x // g for x in vec])
     return basis
 
 

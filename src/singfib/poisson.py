@@ -17,12 +17,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import linalg
 from .catalog import FibrationModel, critical_points_sample, random_noncritical_point
 from .exterior import KVector, schouten, wedge
-from .poly import Poly, Rational
+from .poly import IntegerKernel, Poly, Rational
 from .report import FAIL, MISMATCH, PASS, CheckReport
 from .reference import claimed_bivector
 
@@ -35,6 +36,11 @@ class PoissonBivector:
 
     def matrix_at(self, point: Sequence[Rational]) -> list[list[Fraction]]:
         return self.pi.coefficient_matrix(point)
+
+    @cached_property
+    def entry_kernel(self) -> IntegerKernel:
+        """The entries pi^{ij}, i < j, in the order of ``pi.terms``, compiled for integer points."""
+        return IntegerKernel(self.model.chart, list(self.pi.terms.values()))
 
 
 def flaschka_ratiu(model: FibrationModel, k: Poly | Rational = 1) -> PoissonBivector:

@@ -12,6 +12,10 @@ geometric coordinates (they carry basis covectors/vectors and are the
 directions of exterior differentiation); any trailing names are formal
 parameters (a deformation parameter or a scale symbol) that live inside
 coefficients only.
+
+A fixed list of polynomials that is evaluated at many points compiles
+once into an ``IntegerKernel``, which returns the values at q = Q / D times
+one positive integer scale, with integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -323,6 +327,66 @@ def format_poly(p: Poly) -> str:
         else:
             pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(pieces)
+
+
+# -- integer evaluation kernels ---------------------------------------------------
+
+
+def integer_point(point: Sequence[Rational]) -> tuple[list[int], int]:
+    """The point as integer numerators over one positive denominator: q = num / den."""
+    den = math.lcm(*(v.denominator for v in point))
+    return [v.numerator * (den // v.denominator) for v in point], den
+
+
+class IntegerKernel:
+    """A fixed list of polynomials on one chart, compiled for integer points.
+
+    Every coefficient is lifted over the lcm L of the coefficient
+    denominators, and every term is padded to the kernel's total degree
+    ``deg`` (in all chart variables, parameters included) by powers of the
+    point's denominator.  At q = num / den the kernel returns the values
+    times the positive scale L * den^deg, using integer multiply-adds only.
+    """
+
+    __slots__ = ("dim", "degree", "lcm", "polys")
+
+    def __init__(self, chart: Chart, polys: Sequence[Poly]):
+        if any(p.chart != chart for p in polys):
+            raise ChartMismatch(f"kernel polynomials must live on chart {chart.names}")
+        coeffs = [c for p in polys for c in p.terms.values()]
+        self.dim = chart.dim
+        self.lcm = math.lcm(*(c.denominator for c in coeffs))
+        self.degree = max((sum(exp) for p in polys for exp in p.terms), default=0)
+        # per term: lifted integer coefficient, one variable index per unit of
+        # degree, and the power of den that pads the term to the kernel degree
+        self.polys = tuple(
+            tuple(
+                (
+                    c.numerator * (self.lcm // c.denominator),
+                    tuple(i for i, e in enumerate(exp) for _ in range(e)),
+                    self.degree - sum(exp),
+                )
+                for exp, c in p.terms.items()
+            )
+            for p in polys
+        )
+
+    def __call__(self, num: Sequence[int], den: int) -> tuple[list[int], int]:
+        """The values at num / den, each times the returned positive scale."""
+        if len(num) != self.dim:
+            raise ValueError(f"point of length {len(num)} for chart of dim {self.dim}")
+        powers = [1]
+        for _ in range(self.degree):
+            powers.append(powers[-1] * den)
+        values = []
+        for terms in self.polys:
+            total = 0
+            for c, factors, pad in terms:
+                for i in factors:
+                    c *= num[i]
+                total += c * powers[pad]
+            values.append(total)
+        return values, self.lcm * powers[self.degree]
 
 
 # -- parsing ------------------------------------------------------------------

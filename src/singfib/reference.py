@@ -180,18 +180,19 @@ def leaf_claim(model: FibrationModel) -> LeafClaim:
 class WsLeafClaim:
     """Claimed w_s leaf coefficient (B * S) / (2 mu sqrt(S_den)) with S = s_num / s_den.
 
-    The claim gives mu^2 as an explicit polynomial, so the square of the
-    coefficient is rational.
+    The claim gives mu^2 as the explicit product b^2 * mu_a * mu_b, so the
+    square of the coefficient is rational.
     """
 
     b: Poly
     s_num: Poly
     s_den: Poly
-    mu_sq: Poly
+    mu_a: Poly
+    mu_b: Poly
 
 
 def ws_leaf_claim(model: FibrationModel) -> WsLeafClaim:
-    """The four polynomials of the w_s claim, built once per model."""
+    """The five polynomials of the w_s claim, built once per model."""
     chart = model.chart
     n = model.n
     t = chart.var(f"t{2 * n - 3}")
@@ -202,24 +203,24 @@ def ws_leaf_claim(model: FibrationModel) -> WsLeafClaim:
     s_num = (s * t + 2 * (t * t + x1 * x1)) ** 2 + (x3 * (s + 2 * t) - 2 * x1 * x2) ** 2 + 4 * b
     s_den = (s * t + 2 * (t * t + x1 * x1)) ** 2 + (x3 * (s + 2 * t) - 2 * x1 * x2) ** 2 + 4 * b * b
     r2 = t * t + x1 * x1 + x2 * x2 + x3 * x3
-    mu_sq = (
-        b * b
-        * (s * s * (t * t + x2 * x2 + x3 * x3) + 4 * s * t * r2 + 4 * r2 * r2)
-        * (
-            s * s * (t * t + x3 * x3)
-            + 4 * (t * t + x1 * x1) * r2
-            + 4 * s * (t**3 - x1 * x2 * x3 + t * (x1 * x1 + x3 * x3))
-        )
+    mu_a = s * s * (t * t + x2 * x2 + x3 * x3) + 4 * s * t * r2 + 4 * r2 * r2
+    mu_b = (
+        s * s * (t * t + x3 * x3)
+        + 4 * (t * t + x1 * x1) * r2
+        + 4 * s * (t**3 - x1 * x2 * x3 + t * (x1 * x1 + x3 * x3))
     )
-    return WsLeafClaim(b, s_num, s_den, mu_sq)
+    return WsLeafClaim(b, s_num, s_den, mu_a, mu_b)
 
 
 def ws_leaf_claim_sq(claim: WsLeafClaim, point: Sequence[Rational]) -> Fraction:
-    """Claimed squared leaf coefficient for the w_s map at a point."""
+    """Claimed squared leaf coefficient for the w_s map at a point.
+
+    mu^2 is evaluated as the product of its factors b^2, mu_a and mu_b.
+    """
     bv = claim.b.evaluate(point)
     s_num_v = claim.s_num.evaluate(point)
     s_den_v = claim.s_den.evaluate(point)
-    mu_sq_v = claim.mu_sq.evaluate(point)
+    mu_sq_v = bv * bv * claim.mu_a.evaluate(point) * claim.mu_b.evaluate(point)
     if mu_sq_v == 0 or s_den_v == 0:
         raise ZeroDivisionError("claimed w_s formula degenerates at this point")
     return (bv * s_num_v) ** 2 / (4 * mu_sq_v * s_den_v)

@@ -19,9 +19,10 @@ from singfib.catalog import (
     get_model,
     manifest_text,
     random_noncritical_point,
+    random_rational,
 )
 from singfib.poisson import flaschka_ratiu, match_claimed_bivector
-from singfib.poly import parse_poly
+from singfib.poly import integer_point, parse_poly
 
 
 def test_cusp_fourth_component():
@@ -73,6 +74,29 @@ def test_casimir_gradients_are_built_once(kind, n):
     names = m.chart.geometric_names()
     assert m.casimir_gradients == tuple(tuple(c.differentiate(v) for v in names) for c in m.casimirs)
     assert m.casimir_gradients is m.casimir_gradients
+
+
+@pytest.mark.parametrize("kind, n", [("lefschetz", 3), ("w_s", 4), ("cusp", 3)])
+def test_gradient_kernel_gives_the_gradient_rows_times_one_scale(kind, n):
+    m = get_model(kind, n)
+    assert m.gradient_kernel is m.gradient_kernel
+    rng = random.Random(f"kernel:{kind}")
+    for _ in range(5):
+        q = random_noncritical_point(m, rng)
+        values, scale = m.gradient_kernel(*integer_point(q))
+        assert scale > 0
+        assert values == [scale * g.evaluate(q) for row in m.casimir_gradients for g in row]
+
+
+@pytest.mark.parametrize("args", [(), (1, 1), (3, 7), (20, 2)])
+def test_random_rational_draws_the_same_stream(args):
+    bound, den = args or (6, 4)
+    for seed in range(5):
+        table, direct = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            got = random_rational(table, *args)
+            assert got == Fraction(direct.randint(-bound, bound), direct.randint(1, den))
+        assert table.getstate() == direct.getstate()
 
 
 @pytest.mark.parametrize("kind, n, param", [("cusp", 3, None), ("w_s", 4, Fraction(1, 2)), ("b_s", 3, None)])

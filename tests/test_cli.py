@@ -203,6 +203,14 @@ def test_epsilon_rejects_bad_box(capsys, box, message):
     assert message in one_line_error(capsys, "epsilon", "--kind", "cusp", "--box", box)
 
 
+@pytest.mark.parametrize("box", ["|x|<=1,|x|<=2", "|x|<=1, 0<=x<=1/2", "0<=u<=1,|x|<=1,-1<=u<=0"])
+def test_epsilon_rejects_a_variable_bounded_twice(capsys, box):
+    # the clauses are not silently overwritten or intersected
+    with pytest.raises(BoxParseError, match="bounded more than once"):
+        parse_box(box)
+    assert "bounded more than once" in one_line_error(capsys, "epsilon", "--kind", "cusp", "--box", box)
+
+
 def test_derive_rejects_zero_denominator_parameter(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["derive", "--kind", "b_s", "--param", "1/0"])

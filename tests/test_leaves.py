@@ -117,7 +117,7 @@ def test_solution_ambiguity_invariant():
 
 
 @pytest.mark.parametrize("kind, n", [("fold", 3), ("w_s", 3), ("lefschetz", 4)])
-def test_leaf_coefficient_runs_two_eliminations(monkeypatch, kind, n):
+def test_leaf_coefficient_runs_one_elimination(monkeypatch, kind, n):
     model = get_model(kind, n, Fraction(1, 2) if kind in DEFORMATION_KINDS else None)
     b = flaschka_ratiu(model, 1)
     rng = random.Random(f"elims:{kind}")
@@ -133,8 +133,68 @@ def test_leaf_coefficient_runs_two_eliminations(monkeypatch, kind, n):
     for q in points:
         calls.clear()
         leaf_coefficient(model, q, bivector=b)
-        # the kernel of the gradient rows, then pi(q) augmented by u and v
-        assert calls == [model.dim, model.dim + 2]
+        # the kernel of the gradient rows, on 2n columns; alpha and beta are closed forms
+        assert calls == [model.dim]
+
+
+# bivectors that are not of rank 2 with the leaf plane as image, at a cusp
+# point where u = (0, 0, 0, -2, 3, 0) and v = (0, 0, 0, 6, 4, 13)
+CUSP_POINT = (0, 0, 0, 1, 1, 1)
+WRONG_IMAGES = {
+    # image span(e_t1, e_t2), which meets the leaf plane only in 0
+    "t1^t2": (False, [(0, 1)]),
+    # full rank: the image holds the leaf plane, but pi(q) does not keep it
+    "t^x": (False, [(0, 3), (1, 4), (2, 5)]),
+    # pi + e_t1^e_x1: pi(q) v agrees with rho u in the x-block but gains a t1 component
+    "pi + t1^x1": (True, [(0, 3)]),
+}
+
+
+def cusp_bivector(with_pi: bool, pairs) -> PoissonBivector:
+    model = get_model("cusp", 3)
+    pi = KVector(CHART6, 2, {ij: CHART6.one() for ij in pairs})
+    if with_pi:
+        pi = flaschka_ratiu(model, 1).pi + pi
+    return PoissonBivector(model, CHART6.one(), pi)
+
+
+@pytest.mark.parametrize("which", sorted(WRONG_IMAGES))
+def test_bivector_whose_image_is_not_the_leaf_plane_fails(monkeypatch, which):
+    model = get_model("cusp", 3)
+    bad = cusp_bivector(*WRONG_IMAGES[which])
+    with pytest.raises(linalg.InconsistentSystem, match="leaf plane"):
+        leaf_coefficient(model, CUSP_POINT, bivector=bad)
+    monkeypatch.setattr(leaves, "flaschka_ratiu", lambda m, k=1: bad)
+    rep = defining_relations_check(model, 3, random.Random(5))
+    assert rep.status == "fail"
+    assert "leaf plane" in rep.detail
+
+
+def test_lambda_identity_checks_the_whole_bivector():
+    # e_t1^e_t2 kills the leaf plane, so rho and sigma stay; sum (pi^{ij})^2 grows
+    bad = cusp_bivector(True, [(0, 1)])
+    with pytest.raises(AssertionError, match="lambda\\^2 differs"):
+        leaf_coefficient(bad.model, CUSP_POINT, bivector=bad)
+
+
+@pytest.mark.parametrize("kind", ["cusp", "lefschetz", "w_s"])
+def test_integer_frame_is_a_positive_multiple_of_the_fraction_frame(kind):
+    # the frame built over Fractions: nullspace of the evaluated gradients,
+    # then v = w - (<w,u> / <u,u>) u; the integer frame keeps its orientation
+    model = get_model(kind, 3)
+    rng = random.Random(f"frame:{kind}")
+    for _ in range(10):
+        q = random_noncritical_point(model, rng)
+        rows = [[g.evaluate(q) for g in row] for row in model.casimir_gradients]
+        u, w = linalg.nullspace(rows)
+        coeff = linalg.dot(w, u) / linalg.dot(u, u)
+        v = [wi - coeff * ui for wi, ui in zip(w, u)]
+        frame = leaf_frame(model, q)
+        for got, want in ((frame.u, u), (frame.v, v)):
+            i = next(i for i, x in enumerate(want) if x)
+            ratio = got[i] / want[i]
+            assert ratio > 0
+            assert list(got) == [ratio * x for x in want]
 
 
 def test_frame_not_tangent_to_its_gradient_rows_fails(monkeypatch):
@@ -226,6 +286,22 @@ TIE_MODELS = {
     f"{m.kind}-{m.n}": m
     for m in (*_leaf_models(None, for_audit=True), *_leaf_models(None, for_audit=False))
 }
+
+
+@pytest.mark.parametrize("label", sorted(TIE_MODELS))
+def test_closed_form_pairings_equal_the_elimination(label):
+    # <alpha, v> from alpha = (d / rho) v equals the pairing of any solution
+    # of pi . alpha = u found by elimination (they differ by ker pi, which is
+    # orthogonal to the leaf plane); likewise <beta, u>
+    model = TIE_MODELS[label]
+    b = flaschka_ratiu(model, 1)
+    rng = random.Random(f"pairing:{label}")
+    for _ in range(10):
+        q = random_noncritical_point(model, rng)
+        coeff = leaf_coefficient(model, q, bivector=b)
+        u, v = coeff.frame.u, coeff.frame.v
+        assert coeff.pairing_uv == linalg.dot(solve_structure_covector(b, q, u), v), q
+        assert coeff.pairing_vu == linalg.dot(solve_structure_covector(b, q, v), u), q
 
 
 @pytest.mark.parametrize("label", sorted(TIE_MODELS))

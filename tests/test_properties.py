@@ -11,6 +11,7 @@ The fraction-free elimination in ``linalg`` (rref, nullspace, and solve
 with one or several right-hand sides) is checked against a plain
 Gauss-Jordan elimination over Fractions kept here as the oracle;
 ``Poly.evaluate`` against a term-by-term sum and the ring axioms;
+``poly.IntegerKernel`` against ``Poly.evaluate`` times its scale;
 ``interval.enclose`` against exact values at points of the box; and
 ``interval.certified_minimum`` against its witness and exact values.
 """
@@ -22,7 +23,7 @@ from itertools import product
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from singfib import linalg
@@ -39,7 +40,17 @@ from singfib.exterior import (
     pullback,
     wedge,
 )
-from singfib.poly import CHART6, Chart, ChartMismatch, Poly, format_poly, parse_poly
+from singfib.poly import (
+    CHART6,
+    Chart,
+    ChartMismatch,
+    IntegerKernel,
+    Poly,
+    chart_2n,
+    format_poly,
+    integer_point,
+    parse_poly,
+)
 
 SETTINGS = settings(max_examples=25, deadline=None)
 NG = CHART6.n_geom
@@ -327,6 +338,35 @@ def test_evaluate_equals_term_by_term_sum(p, point):
     value = p.evaluate(point)
     assert type(value) is Fraction
     assert value == naive_evaluate(p, point)
+
+
+def chart_polys(chart: Chart) -> st.SearchStrategy[Poly]:
+    exponents = st.tuples(*[st.integers(0, 3)] * chart.dim)
+    general = st.dictionaries(exponents, rationals, max_size=4).map(lambda t: Poly(chart, t))
+    # rationals include 0, so the constants include the zero polynomial
+    return st.one_of(general, rationals.map(chart.const))
+
+
+def kernel_cases(chart: Chart):
+    chart_points = st.tuples(*[st.one_of(st.integers(-4, 4), rationals)] * chart.dim)
+    return st.tuples(st.just(chart), st.lists(chart_polys(chart), max_size=5), chart_points)
+
+
+@SETTINGS
+@given(st.sampled_from([CHART6, chart_2n(3, ("s_par",))]).flatmap(kernel_cases))
+@example((CHART6, [CHART6.zero(), CHART6.const(Fraction(-3, 2))], (1, Fraction(1, 2), 0, -2, Fraction(3, 4), 4)))
+@example((CHART6, [], (0,) * 6))
+def test_integer_kernel_is_the_scaled_value(case):
+    # one positive integer scale for the whole list, including the parameter
+    # coordinate s_par, zero and constant polynomials, and int/Fraction points
+    chart, ps, point = case
+    num, den = integer_point(point)
+    assert den > 0 and all(type(x) is int for x in num)
+    assert [Fraction(x, den) for x in num] == [Fraction(v) for v in point]
+    values, scale = IntegerKernel(chart, ps)(num, den)
+    assert type(scale) is int and scale > 0
+    assert all(type(v) is int for v in values)
+    assert values == [scale * p.evaluate(point) for p in ps]
 
 
 @SETTINGS

@@ -1,9 +1,9 @@
 """Local models of singular fibrations ``R^{2n} -> R^{2n-2}``.
 
-Each model packages the polynomial map, its Casimir list (the component
-functions, or the real/imaginary parts for the complex Lefschetz-type
-chart), the equations cutting out the critical locus, and a sampler that
-produces exact rational points on that locus.
+A model is its Casimir list, which is the polynomial map's component
+functions (real and imaginary parts for the complex Lefschetz-type charts),
+plus the equations cutting out its critical locus; a sampler produces exact
+rational points on that locus.
 
 Every indefinite kind accepts any half-dimension n >= 3 (they are the
 type-2n families); the definite variants are catalogued in dimension 6
@@ -57,13 +57,12 @@ class FibrationModel:
     kind: str
     n: int
     chart: Chart
-    components: tuple[Poly, ...]
+    #: the map's component functions, which are the Casimirs of its bivectors
     casimirs: tuple[Poly, ...]
     critical_locus: tuple[Poly, ...]
     #: raw-construction bivector = claimed_scale * (claimed sign) * catalogued formula
     claimed_scale: Fraction = Fraction(1)
     param: Fraction | None = None
-    is_complex: bool = False
 
     @property
     def dim(self) -> int:
@@ -71,7 +70,7 @@ class FibrationModel:
 
     @cached_property
     def casimir_gradients(self) -> tuple[tuple[Poly, ...], ...]:
-        """Partials of each Casimir in the geometric variables, differentiated once per model."""
+        """The Jacobian: partials of each Casimir in the geometric variables, differentiated once per model."""
         names = self.chart.geometric_names()
         return tuple(tuple(c.differentiate(v) for v in names) for c in self.casimirs)
 
@@ -96,43 +95,13 @@ class FibrationModel:
                     dets[(i, j)] = det
         return dets
 
-    def jacobian(self) -> list[list[Poly]]:
-        """(2n-2) x (2n) matrix of partials of the map components."""
-        names = self.chart.geometric_names()
-        return [[comp.differentiate(v) for v in names] for comp in self.components]
-
     def is_critical(self, point: Sequence[Rational]) -> bool:
         return all(eq.evaluate(point) == 0 for eq in self.critical_locus)
 
-    def jacobian_rank_at(self, point: Sequence[Rational]) -> int:
-        rows = [[entry.evaluate(point) for entry in row] for row in self.jacobian()]
-        return linalg.rank(rows)
 
-
-def _last_component_model(
-    kind: str,
-    n: int,
-    chart: Chart,
-    f4: Poly,
-    critical_extra: Sequence[Poly],
-    claimed_scale: Fraction = Fraction(1),
-    param: Fraction | None = None,
-) -> FibrationModel:
-    coords = tuple(chart.var(f"t{i}") for i in range(1, 2 * n - 2))
-    components = coords + (f4,)
-    x2, x3 = chart.var("x2"), chart.var("x3")
-    critical = tuple(critical_extra) + (x2, x3)
-    return FibrationModel(
-        name=f"{kind}(n={n})",
-        kind=kind,
-        n=n,
-        chart=chart,
-        components=components,
-        casimirs=components,
-        critical_locus=critical,
-        claimed_scale=claimed_scale,
-        param=param,
-    )
+def deformation_symbol(chart: Chart, param: Fraction | None) -> Poly:
+    """The deformation parameter s: the pinned rational, or the chart parameter ``s_par``."""
+    return chart.const(param) if param is not None else chart.var(PARAM_NAME)
 
 
 def get_model(kind: str, n: int = 3, param: Rational | None = None) -> FibrationModel:
@@ -147,7 +116,11 @@ def get_model(kind: str, n: int = 3, param: Rational | None = None) -> Fibration
 
 
 def build_model(kind: str, n: int = 3, param: Rational | None = None) -> FibrationModel:
-    """Build a fresh, fully populated model; dim-6 kinds require n = 3."""
+    """Build a fresh, fully populated model; dim-6 kinds require n = 3.
+
+    The Casimirs are the coordinates t_1, t_2, ... followed by the one or
+    two components that carry the singularity.
+    """
     if kind not in ALL_KINDS:
         raise UnknownKind(f"unknown model kind {kind!r}")
     if n < 3:
@@ -160,95 +133,77 @@ def build_model(kind: str, n: int = 3, param: Rational | None = None) -> Fibrati
         params = () if param is not None else (PARAM_NAME,)
         chart = chart_2n(n, params)
         pf = Fraction(param) if param is not None else None
+        s = deformation_symbol(chart, pf)
     else:
         if param is not None:
             raise ModelError(f"kind {kind!r} takes no deformation parameter")
         chart = chart_2n(n)
         pf = None
 
+    t1, t2, t3 = chart.var("t1"), chart.var("t2"), chart.var("t3")
     t_last = chart.var(f"t{2 * n - 3}")
     x1, x2, x3 = chart.var("x1"), chart.var("x2"), chart.var("x3")
     sq = x2 * x2 - x3 * x3
+    family, _, variant = kind.partition("-")
+    scale = Fraction(1)
 
-    if kind in ("fold", "fold-def1", "fold-def2", "fold-2n"):
+    if family in ("cusp", "swallowtail", "butterfly"):
+        if family == "cusp":
+            core = x1**3 - 3 * t1 * x1
+        elif family == "swallowtail":
+            core = x1**4 + t1 * x1**2 + t2 * x1
+        else:
+            core = x1**5 + t1 * x1**3 + t2 * x1**2 + t3 * x1
+        tail = {"": sq, "def1": x2 * x2 + x3 * x3, "def2": -(x2 * x2 + x3 * x3)}[variant]
+        last = (core + tail,)
+        critical = (core.differentiate("x1"), x2, x3)
+    elif family == "fold":
         signs = {
-            "fold": (-1, 1, 1),
-            "fold-2n": (-1, 1, 1),
-            "fold-def1": (1, 1, 1),
+            "": (-1, 1, 1),
+            "2n": (-1, 1, 1),
+            "def1": (1, 1, 1),
             # second definite variant: opposite definite sign (the matrix
             # catalogued for it differentiates -x1^2-x2^2-x3^2)
-            "fold-def2": (-1, -1, -1),
-        }[kind]
-        f4 = x1 * x1 * signs[0] + x2 * x2 * signs[1] + x3 * x3 * signs[2]
-        scale = Fraction(2) if kind == "fold-2n" else Fraction(1)
-        return _last_component_model(kind, n, chart, f4, (x1,), claimed_scale=scale)
-
-    t1, t2, t3 = chart.var("t1"), chart.var("t2"), chart.var("t3")
-
-    if kind.startswith("cusp"):
-        core = x1**3 - 3 * t1 * x1
-        f4 = core + (sq if kind == "cusp" else (x2 * x2 + x3 * x3) if kind == "cusp-def1" else -(x2 * x2 + x3 * x3))
-        return _last_component_model(kind, n, chart, f4, (core.differentiate("x1"),))
-    if kind.startswith("swallowtail"):
-        core = x1**4 + t1 * x1**2 + t2 * x1
-        f4 = core + (sq if kind == "swallowtail" else (x2 * x2 + x3 * x3) if kind == "swallowtail-def1" else -(x2 * x2 + x3 * x3))
-        return _last_component_model(kind, n, chart, f4, (core.differentiate("x1"),))
-    if kind.startswith("butterfly"):
-        core = x1**5 + t1 * x1**3 + t2 * x1**2 + t3 * x1
-        f4 = core + (sq if kind == "butterfly" else (x2 * x2 + x3 * x3) if kind == "butterfly-def1" else -(x2 * x2 + x3 * x3))
-        return _last_component_model(kind, n, chart, f4, (core.differentiate("x1"),))
-
-    if kind == "b_s":
-        s = chart.const(pf) if pf is not None else chart.var(PARAM_NAME)
-        f4 = x1**3 - 3 * x1 * (t_last * t_last - s) + sq
-        return _last_component_model(kind, n, chart, f4, (f4.differentiate("x1"),), param=pf)
-    if kind == "m_s":
-        s = chart.const(pf) if pf is not None else chart.var(PARAM_NAME)
-        f4 = x1**3 - 3 * x1 * (s - t_last * t_last) + sq
-        return _last_component_model(kind, n, chart, f4, (f4.differentiate("x1"),), param=pf)
-    if kind == "f_s":
-        s = chart.const(pf) if pf is not None else chart.var(PARAM_NAME)
-        f4 = x1**4 - x1**2 * s + x1 * t_last + sq
-        return _last_component_model(kind, n, chart, f4, (f4.differentiate("x1"),), param=pf)
-    if kind == "w_s":
-        s = chart.const(pf) if pf is not None else chart.var(PARAM_NAME)
-        c_re = t_last * t_last - x1 * x1 + sq + s * t_last
-        c_im = 2 * t_last * x1 + 2 * x2 * x3
-        coords = tuple(chart.var(f"t{i}") for i in range(1, 2 * n - 3))
-        components = coords + (c_re, c_im)
-        # rank drops exactly on {x2 = x3 = 0, 2t^2 + s t + 2x1^2 = 0}
-        crit = (x2, x3, 2 * t_last * t_last + s * t_last + 2 * x1 * x1)
-        return FibrationModel(
-            name=f"w_s(n={n})",
-            kind=kind,
-            n=n,
-            chart=chart,
-            components=components,
-            casimirs=components,
-            critical_locus=crit,
-            param=pf,
-        )
-    if kind == "lefschetz":
+            "def2": (-1, -1, -1),
+        }[variant]
+        last = (x1 * x1 * signs[0] + x2 * x2 * signs[1] + x3 * x3 * signs[2],)
+        critical = (x1, x2, x3)
+        if kind == "fold-2n":
+            scale = Fraction(2)
+    elif kind in ("lefschetz", "w_s"):
         # z_{n-1} = t_{2n-3} + i x1, z_n = x2 + i x3; earlier complex
         # coordinates are t_{2j-1} + i t_{2j} so their Re/Im parts are the
-        # coordinate Casimirs t_1..t_{2n-4}.
+        # coordinate Casimirs t_1..t_{2n-4}.  w_s adds s t to the real part.
         c_re = t_last * t_last - x1 * x1 + sq
-        c_im = 2 * t_last * x1 + 2 * x2 * x3
-        coords = tuple(chart.var(f"t{i}") for i in range(1, 2 * n - 3))
-        components = coords + (c_re, c_im)
-        crit = (t_last, x1, x2, x3)
-        return FibrationModel(
-            name=f"lefschetz(n={n})",
-            kind=kind,
-            n=n,
-            chart=chart,
-            components=components,
-            casimirs=components,
-            critical_locus=crit,
-            claimed_scale=Fraction(4),
-            is_complex=True,
-        )
-    raise UnknownKind(kind)
+        if kind == "w_s":
+            c_re = c_re + s * t_last
+            # rank drops exactly on {x2 = x3 = 0, 2t^2 + s t + 2x1^2 = 0}
+            critical = (x2, x3, 2 * t_last * t_last + s * t_last + 2 * x1 * x1)
+        else:
+            critical = (t_last, x1, x2, x3)
+            scale = Fraction(4)
+        last = (c_re, 2 * t_last * x1 + 2 * x2 * x3)
+    else:
+        if kind == "b_s":
+            f4 = x1**3 - 3 * x1 * (t_last * t_last - s) + sq
+        elif kind == "m_s":
+            f4 = x1**3 - 3 * x1 * (s - t_last * t_last) + sq
+        else:
+            f4 = x1**4 - x1**2 * s + x1 * t_last + sq
+        last = (f4,)
+        critical = (f4.differentiate("x1"), x2, x3)
+
+    coords = tuple(chart.var(f"t{i}") for i in range(1, 2 * n - 1 - len(last)))
+    return FibrationModel(
+        name=f"{kind}(n={n})",
+        kind=kind,
+        n=n,
+        chart=chart,
+        casimirs=coords + last,
+        critical_locus=critical,
+        claimed_scale=scale,
+        param=pf,
+    )
 
 
 _shared_model = cache(build_model)
@@ -351,6 +306,6 @@ def manifest_text() -> str:
     lines = ["# model manifest: kind | n | chart | components"]
     for kind in ALL_KINDS:
         model = get_model(kind, 3)
-        comps = "; ".join(str(c) for c in model.components)
+        comps = "; ".join(str(c) for c in model.casimirs)
         lines.append(f"{kind} | n=3 | ({', '.join(model.chart.names)}) | {comps}")
     return "\n".join(lines) + "\n"

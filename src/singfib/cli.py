@@ -90,7 +90,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         for kind in kinds
     ]
     for model in models:
-        comps = ", ".join(str(c) for c in model.components)
+        comps = ", ".join(str(c) for c in model.casimirs)
         print(f"{model.name}: R^{2 * model.n} -> R^{2 * model.n - 2}")
         print(f"  chart: ({', '.join(model.chart.names)})")
         print(f"  components: {comps}")

@@ -56,7 +56,6 @@ class SingularPoint(ValueError):
 class LeafFrame:
     """Orthogonal leaf-tangent pair with exact squared-norm certificates."""
 
-    point: tuple[Fraction, ...]
     #: primitive integer vectors; u is the first kernel vector, v the second made orthogonal to u
     u: tuple[int, ...]
     v: tuple[int, ...]
@@ -95,7 +94,7 @@ def leaf_frame(model: FibrationModel, q: Sequence[Rational]) -> LeafFrame:
     vv = _dot(v, v)
     if _dot(u, v) != 0 or uu == 0 or vv == 0:
         raise AssertionError("frame orthogonalization failed")
-    return LeafFrame(q, tuple(u), tuple(v), uu, vv, rows, (tuple(num), den))
+    return LeafFrame(tuple(u), tuple(v), uu, vv, rows, (tuple(num), den))
 
 
 def solve_structure_covector(
@@ -164,7 +163,8 @@ def leaf_coefficient(
 
     A rank-2 pi(q) whose image is the leaf plane sends v to a nonzero
     multiple rho u and u to a nonzero multiple sigma v; InconsistentSystem
-    is raised where it does not.
+    is raised where it does not, and where lambda^2 differs from
+    1 / sum_{i<j} (pi^{ij})^2 (a pi of rank above 2 that keeps the leaf plane).
     """
     b = bivector if bivector is not None else flaschka_ratiu(model, k)
     frame = leaf_frame(model, q)
@@ -177,19 +177,17 @@ def leaf_coefficient(
     pairing_uv = Fraction(d * vv * c, a)
     # lambda^2 = <alpha, v>^2 / (|u|^2 |v|^2) = 1 / sum_{i<j} (pi^{ij})^2, with P = d * pi
     if vv * c * c * _dot(entries, entries) != uu * a * a:
-        raise AssertionError("lambda^2 differs from 1 / sum_{i<j} (pi^{ij})^2")
+        raise linalg.InconsistentSystem("lambda^2 differs from 1 / sum_{i<j} (pi^{ij})^2")
     return LeafCoefficient(frame, pairing_uv, Fraction(d * uu * f, e))
 
 
-def defining_relations_check(
-    model: FibrationModel, samples: int, rng: random.Random, k: Poly | Rational = 1
-) -> CheckReport:
-    """pi.alpha = u, pi.beta = v and <alpha,v> + <beta,u> = 0, exactly, at random points."""
-    bivector = flaschka_ratiu(model, k)
+def defining_relations_check(model: FibrationModel, samples: int, rng: random.Random) -> CheckReport:
+    """pi.alpha = u, pi.beta = v and <alpha,v> + <beta,u> = 0, exactly, at random points (k = 1)."""
+    bivector = flaschka_ratiu(model, 1)
     for _ in range(samples):
         q = random_noncritical_point(model, rng)
         try:
-            coeff = leaf_coefficient(model, q, k, bivector=bivector)
+            coeff = leaf_coefficient(model, q, bivector=bivector)
         except (SingularPoint, linalg.InconsistentSystem) as exc:
             return CheckReport(model.name, "leaf-relations", FAIL, str(exc), witness=str(q))
         if not coeff.pairing_antisymmetric:
@@ -210,7 +208,7 @@ def defining_relations_check(
         model.name,
         "leaf-relations",
         PASS,
-        f"defining relations exact at {samples} points (k = {k})",
+        f"defining relations exact at {samples} points (k = 1)",
     )
 
 

@@ -236,23 +236,22 @@ def dk_rank_at(omega: KForm, point: Sequence[Fraction], kernel: Sequence[Sequenc
     return linalg.rank(rows)
 
 
+#: the scale eps at which the degeneracy checks sample the critical locus
+DEGENERACY_EPS = Fraction(1, 8)
+
+
 def degeneracy_checks(
-    omega: KForm,
-    model: NSModel,
-    count: int,
-    rng: random.Random,
-    eps_value: Fraction = Fraction(1, 8),
-    label: str = "near-symplectic",
+    omega: KForm, model: NSModel, count: int, rng: random.Random, label: str = "near-symplectic"
 ) -> CheckReport:
     """Kernel dimension 4 and intrinsic-gradient rank 3 at sampled critical points."""
-    for point in model.critical_points(count, rng, eps_value):
+    for point in model.critical_points(count, rng, DEGENERACY_EPS):
         kernel = kernel_at(omega, point)
         if len(kernel) != 4:
             return CheckReport(
                 model.kind,
                 label,
                 FAIL,
-                f"kernel dimension {len(kernel)} != 4 at a critical point (eps={eps_value})",
+                f"kernel dimension {len(kernel)} != 4 at a critical point (eps={DEGENERACY_EPS})",
                 witness=str(point),
             )
         r = dk_rank_at(omega, point, kernel)
@@ -261,14 +260,14 @@ def degeneracy_checks(
                 model.kind,
                 label,
                 FAIL,
-                f"intrinsic gradient rank {r} != 3 at a critical point (eps={eps_value})",
+                f"intrinsic gradient rank {r} != 3 at a critical point (eps={DEGENERACY_EPS})",
                 witness=str(point),
             )
     return CheckReport(
         model.kind,
         label,
         PASS,
-        f"kernel dim 4 and gradient rank 3 at {count} critical points (eps={eps_value})",
+        f"kernel dim 4 and gradient rank 3 at {count} critical points (eps={DEGENERACY_EPS})",
     )
 
 
@@ -280,7 +279,7 @@ class NearSymplecticCandidate:
     model: NSModel
     omega0: KForm
     eta: KForm
-    eta_source: str  # "claimed" | "repair" | "none"
+    eta_source: str  # "claimed" | "repair"
     omega: KForm
 
     def closed(self) -> bool:
@@ -327,9 +326,7 @@ def assemble(kind: str, eta_source: str) -> NearSymplecticCandidate:
     omega0 = build_omega0(model)
     eps = NS_CHART_EPS.var("eps")
     base = rescale(omega0) if model.rescaled else omega0
-    if eta_source == "none":
-        eta = KForm(NS_CHART_EPS, 2, {})
-    elif eta_source == "claimed":
+    if eta_source == "claimed":
         eta = claimed_correction(kind)
     elif eta_source == "repair":
         eta = repair_correction(base) if model.rescaled else KForm(NS_CHART_EPS, 2, {})

@@ -184,15 +184,13 @@ def match_claimed_bivector(model: FibrationModel) -> BivectorMatch:
     return BivectorMatch(model, sign, model.claimed_scale, tuple(bad), computed, picked, claimed)
 
 
-def rank_stratification(
-    model: FibrationModel, samples: int, rng: random.Random, k: Poly | Rational = 1
-) -> CheckReport:
-    """Rank 2 at random non-critical points, rank 0 at sampled critical points.
+def rank_stratification(model: FibrationModel, samples: int, rng: random.Random) -> CheckReport:
+    """Rank 2 at random non-critical points, rank 0 at sampled critical points (k = 1).
 
     Rank <= 2 is proved once, everywhere, by pi^pi = 0; the rank at each
     point is then read from the entries of pi, without elimination.
     """
-    b = flaschka_ratiu(model, k)
+    b = flaschka_ratiu(model, 1)
     proof = decomposability(b)
     if proof.status != PASS:
         return CheckReport(model.name, "rank", FAIL, "pi^pi != 0, so rank <= 2 fails", witness=proof.witness)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .catalog import PARAM_NAME, FibrationModel
+from .catalog import FibrationModel, deformation_symbol
 from .exterior import KForm, KVector, form_term, vector_term
 from .poly import Chart, Poly, Rational
 
@@ -78,7 +78,7 @@ def claimed_bivector(model: FibrationModel) -> KVector:
             + v(t * t + x1 * x1, "x2", "x3")
         )
 
-    s = chart.const(model.param) if model.param is not None else chart.var(PARAM_NAME)
+    s = deformation_symbol(chart, model.param)
     if kind == "b_s":
         return (
             v(2 * x3, "x1", "x2")
@@ -161,7 +161,7 @@ def leaf_claim(model: FibrationModel) -> LeafClaim:
         r = t * t + x1 * x1 + x2 * x2 + x3 * x3
         return LeafClaim(kind, chart.one(), r * r)
 
-    s = chart.const(model.param) if model.param is not None else chart.var(PARAM_NAME)
+    s = deformation_symbol(chart, model.param)
     if kind == "b_s":
         a = s - t * t + x1 * x1
         return LeafClaim(kind, a, a * a * (9 * a * a + 4 * (x2 * x2 + x3 * x3)))
@@ -197,7 +197,7 @@ def ws_leaf_claim(model: FibrationModel) -> WsLeafClaim:
     n = model.n
     t = chart.var(f"t{2 * n - 3}")
     x1, x2, x3 = chart.var("x1"), chart.var("x2"), chart.var("x3")
-    s = chart.const(model.param) if model.param is not None else chart.var(PARAM_NAME)
+    s = deformation_symbol(chart, model.param)
 
     b = t * x2 + x1 * x3
     s_num = (s * t + 2 * (t * t + x1 * x1)) ** 2 + (x3 * (s + 2 * t) - 2 * x1 * x2) ** 2 + 4 * b

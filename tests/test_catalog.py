@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,15 +27,50 @@ from singfib.poisson import flaschka_ratiu, match_claimed_bivector
 from singfib.poly import integer_point, parse_poly
 
 
+#: chart, printed Casimirs, printed critical locus and scale of every model
+#: buildable with n in {3, 4, 5} (and param in {None, 0, 1/2} on the
+#: deformation kinds); a model that changes on purpose changes its row
+MODEL_TABLE = json.loads(Path(__file__).with_name("catalog_models.json").read_text())
+GRID_PARAMS = (None, Fraction(0), Fraction(1, 2))
+
+
+def _table_param(row):
+    return None if row["param"] is None else Fraction(row["param"])
+
+
+def test_model_table_covers_every_buildable_model():
+    built = set()
+    for kind in ALL_KINDS:
+        for n in (3, 4, 5):
+            for param in GRID_PARAMS:
+                try:
+                    build_model(kind, n, param)
+                except ModelError:
+                    continue
+                built.add((kind, n, param))
+    assert {(r["kind"], r["n"], _table_param(r)) for r in MODEL_TABLE} == built
+    assert len(MODEL_TABLE) == len(built) == 62
+
+
+@pytest.mark.parametrize("row", MODEL_TABLE, ids=lambda r: f"{r['kind']}-{r['n']}-{r['param']}")
+def test_build_model_matches_the_table(row):
+    m = build_model(row["kind"], row["n"], _table_param(row))
+    assert list(m.chart.names) == row["chart"]
+    assert [str(c) for c in m.casimirs] == row["casimirs"]
+    assert [str(c) for c in m.critical_locus] == row["critical_locus"]
+    assert str(m.claimed_scale) == row["claimed_scale"]
+    assert m.param == _table_param(row)
+
+
 def test_cusp_fourth_component():
     m = get_model("cusp", 3)
-    assert str(m.components[3]) == "x1^3 - 3*t1*x1 + x2^2 - x3^2"
+    assert str(m.casimirs[3]) == "x1^3 - 3*t1*x1 + x2^2 - x3^2"
 
 
 def test_ws_components_at_zero_parameter():
     m = get_model("w_s", 4, param=0)
-    assert str(m.components[-2]) == "t5^2 - x1^2 + x2^2 - x3^2"
-    assert str(m.components[-1]) == "2*t5*x1 + 2*x2*x3"
+    assert str(m.casimirs[-2]) == "t5^2 - x1^2 + x2^2 - x3^2"
+    assert str(m.casimirs[-1]) == "2*t5*x1 + 2*x2*x3"
 
 
 def test_lefschetz_casimirs_match_complex_square():
@@ -59,13 +96,13 @@ def test_lefschetz_casimirs_match_complex_square():
 
 def test_jacobian_fold_last_row():
     m = get_model("fold", 3)
-    last = [str(p) for p in m.jacobian()[-1]]
+    last = [str(p) for p in m.casimir_gradients[-1]]
     assert last == ["0", "0", "0", "-2*x1", "2*x2", "2*x3"]
 
 
 def test_jacobian_swallowtail_entry():
     m = get_model("swallowtail", 3)
-    assert str(m.jacobian()[-1][3]) == "4*x1^3 + 2*t1*x1 + t2"
+    assert str(m.casimir_gradients[-1][3]) == "4*x1^3 + 2*t1*x1 + t2"
 
 
 @pytest.mark.parametrize("kind, n", [("lefschetz", 3), ("w_s", 4), ("cusp", 3)])
@@ -157,7 +194,7 @@ def test_casimir_determinants_are_expanded_once(monkeypatch, kind, n):
 
 def test_jacobian_identity_block():
     m = get_model("butterfly", 3)
-    jac = m.jacobian()
+    jac = m.casimir_gradients
     for i in range(3):
         for j in range(3):
             assert jac[i][j] == (m.chart.one() if i == j else m.chart.zero())
@@ -170,12 +207,16 @@ def test_critical_samples_and_rank(kind):
     rng = random.Random(f"crit:{kind}")
     # the two-component singular charts drop rank by 2 at their deepest stratum
     expected = 2 * m.n - 4 if kind in ("lefschetz", "w_s") else 2 * m.n - 3
+
+    def jacobian_rank_at(p):
+        return linalg.rank([[g.evaluate(p) for g in row] for row in m.casimir_gradients])
+
     for p in critical_points_sample(m, 8, rng):
         assert m.is_critical(p)
-        assert m.jacobian_rank_at(p) == expected
+        assert jacobian_rank_at(p) == expected
     for _ in range(8):
         q = random_noncritical_point(m, rng)
-        assert m.jacobian_rank_at(q) == 2 * m.n - 2
+        assert jacobian_rank_at(q) == 2 * m.n - 2
 
 
 def test_parametric_kinds_at_higher_dimension():
@@ -188,15 +229,15 @@ def test_parametric_kinds_at_higher_dimension():
 def test_dim6_is_the_n3_specialization():
     fold6 = get_model("fold", 3)
     fold2n = get_model("fold-2n", 3)
-    assert fold6.components == fold2n.components
+    assert fold6.casimirs == fold2n.casimirs
     for kind in ("cusp", "swallowtail", "butterfly"):
         m3 = get_model(kind, 3)
         m4 = get_model(kind, 4)
         # the distinguished component agrees after the coordinate chart embeds
         sub = {f"t{i}": m4.chart.var(f"t{i}") for i in range(1, 4)}
-        lifted = m3.components[-1]
+        lifted = m3.casimirs[-1]
         mapped = parse_poly(str(lifted), m4.chart)
-        assert mapped == m4.components[-1]
+        assert mapped == m4.casimirs[-1]
 
 
 def test_errors():
@@ -218,4 +259,4 @@ def test_manifest_round_trip():
         kind, _, _, comps = (part.strip() for part in line.split("|"))
         model = get_model(kind, 3)
         parsed = [parse_poly(c.strip(), model.chart) for c in comps.split(";")]
-        assert tuple(parsed) == model.components
+        assert tuple(parsed) == model.casimirs

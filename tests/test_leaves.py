@@ -170,11 +170,17 @@ def test_bivector_whose_image_is_not_the_leaf_plane_fails(monkeypatch, which):
     assert "leaf plane" in rep.detail
 
 
-def test_lambda_identity_checks_the_whole_bivector():
+def test_lambda_identity_checks_the_whole_bivector(monkeypatch):
     # e_t1^e_t2 kills the leaf plane, so rho and sigma stay; sum (pi^{ij})^2 grows
     bad = cusp_bivector(True, [(0, 1)])
-    with pytest.raises(AssertionError, match="lambda\\^2 differs"):
+    with pytest.raises(linalg.InconsistentSystem, match="lambda\\^2 differs"):
         leaf_coefficient(bad.model, CUSP_POINT, bivector=bad)
+    monkeypatch.setattr(leaves, "flaschka_ratiu", lambda m, k=1: bad)
+    first = random_noncritical_point(bad.model, random.Random(5))
+    rep = defining_relations_check(bad.model, 3, random.Random(5))
+    assert rep.status == "fail"
+    assert rep.detail.startswith("lambda^2 differs")
+    assert rep.witness == str(first)
 
 
 @pytest.mark.parametrize("kind", ["cusp", "lefschetz", "w_s"])

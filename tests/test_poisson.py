@@ -39,7 +39,6 @@ def synthetic_model(casimirs, name="synthetic"):
         kind="fold",
         n=3,
         chart=CHART6,
-        components=tuple(casimirs),
         casimirs=tuple(casimirs),
         critical_locus=(CHART6.one(),),  # empty zero set
     )

@@ -277,32 +277,6 @@ def test_solve_matches_oracle(m, data):
     assert linalg.mat_vec(m, got) == [Fraction(v) for v in rhs]
 
 
-@settings(max_examples=60, deadline=None)
-@given(matrices(), st.data())
-def test_solve_with_several_columns_matches_oracle_per_column(m, data):
-    n_rows, n_cols = len(m), len(m[0])
-    columns = []
-    for k in range(data.draw(st.integers(2, 3), label="columns")):
-        if data.draw(st.booleans(), label=f"consistent {k}"):
-            x = data.draw(st.lists(entries, min_size=n_cols, max_size=n_cols), label=f"x{k}")
-            columns.append(linalg.mat_vec(m, x))
-        else:
-            columns.append(data.draw(st.lists(entries, min_size=n_rows, max_size=n_rows), label=f"rhs{k}"))
-    want = []
-    for rhs in columns:
-        try:
-            want.append(oracle_solve(m, rhs))
-        except linalg.InconsistentSystem:
-            # one inconsistent column makes the whole solve raise
-            with pytest.raises(linalg.InconsistentSystem):
-                linalg.solve(m, *columns)
-            return
-    got = linalg.solve(m, *columns)
-    assert type(got) is tuple and list(got) == want
-    for x, rhs in zip(got, columns):
-        assert linalg.mat_vec(m, x) == [Fraction(v) for v in rhs]
-
-
 @pytest.mark.parametrize(
     "m, rhs",
     [

@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .poly import Chart, IntegerKernel, Poly, Rational, chart_2n
+from .exterior import KVector
+from .poly import Chart, IntegerKernel, Poly, Rational, chart_2n, integer_point
 
 PARAM_NAME = "s_par"
 
@@ -95,8 +96,20 @@ class FibrationModel:
                     dets[(i, j)] = det
         return dets
 
+    @cached_property
+    def determinant_bivector(self) -> KVector:
+        """``casimir_determinants`` as the bivector sum_{i<j} det_{ij} e_i ^ e_j (k = 1)."""
+        return KVector(self.chart, 2, self.casimir_determinants)
+
+    @cached_property
+    def critical_kernel(self) -> IntegerKernel:
+        """``critical_locus``, compiled once per model for integer points."""
+        return IntegerKernel(self.chart, list(self.critical_locus))
+
     def is_critical(self, point: Sequence[Rational]) -> bool:
-        return all(eq.evaluate(point) == 0 for eq in self.critical_locus)
+        """Every critical equation vanishes at the point (read from the integer kernel)."""
+        values, _ = self.critical_kernel(*integer_point(point))
+        return not any(values)
 
 
 def deformation_symbol(chart: Chart, param: Fraction | None) -> Poly:

@@ -22,6 +22,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import linalg
+from .catalog import random_rational
 from .exterior import (
     KForm,
     PolyMap,
@@ -53,6 +54,9 @@ TARGET4 = Chart(("w1", "w2", "w3", "w4"))
 _IDX = {name: NS_CHART_EPS.index(name) for name in ("u", "s", "t", "x", "y", "z")}
 _FIBRE_BLOCK = (_IDX["y"], _IDX["z"])
 
+#: the scale eps at which the degeneracy checks sample the critical locus
+DEGENERACY_EPS = Fraction(1, 8)
+
 
 @dataclass(frozen=True)
 class NSModel:
@@ -72,17 +76,18 @@ class NSModel:
         """The x-derivative of f4; the fibre frames clear this factor."""
         return self.f4.differentiate("x")
 
-    def critical_points(self, count: int, rng: random.Random, eps: Fraction) -> list[list[Fraction]]:
+    def critical_points(self, count: int, rng: random.Random) -> list[list[Fraction]]:
+        """Rational points on the critical locus at eps = ``DEGENERACY_EPS``, checked against grad f4."""
         pts: list[list[Fraction]] = []
-        c = NS_CHART_EPS
+        grad = [self.f4.differentiate(n) for n in ("x", "y", "z")]
         while len(pts) < count:
-            vals = {name: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for name in ("u", "s", "x")}
+            vals = {name: random_rational(rng) for name in ("u", "s", "x")}
             vals["y"] = Fraction(0)
             vals["z"] = Fraction(0)
             x = vals["x"]
             if self.kind == "fold":
                 vals["x"] = Fraction(0)
-                vals["t"] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                vals["t"] = random_rational(rng)
             elif self.kind == "cusp":
                 vals["t"] = x * x
             elif self.kind == "swallowtail":
@@ -91,9 +96,8 @@ class NSModel:
                 vals["t"] = 5 * x**4 - 3 * vals["u"] * x * x + 2 * vals["s"] * x
             else:
                 raise ValueError(self.kind)
-            point = [vals[name] for name in ("u", "s", "t", "x", "y", "z")] + [eps]
-            grad = [self.f4.differentiate(n).evaluate(point) for n in ("x", "y", "z")]
-            if any(g != 0 for g in grad):
+            point = [vals[name] for name in ("u", "s", "t", "x", "y", "z")] + [DEGENERACY_EPS]
+            if any(g.evaluate(point) != 0 for g in grad):
                 raise AssertionError("sampler missed the critical locus")
             pts.append(point)
         return pts
@@ -236,15 +240,11 @@ def dk_rank_at(omega: KForm, point: Sequence[Fraction], kernel: Sequence[Sequenc
     return linalg.rank(rows)
 
 
-#: the scale eps at which the degeneracy checks sample the critical locus
-DEGENERACY_EPS = Fraction(1, 8)
-
-
 def degeneracy_checks(
     omega: KForm, model: NSModel, count: int, rng: random.Random, label: str = "near-symplectic"
 ) -> CheckReport:
     """Kernel dimension 4 and intrinsic-gradient rank 3 at sampled critical points."""
-    for point in model.critical_points(count, rng, DEGENERACY_EPS):
+    for point in model.critical_points(count, rng):
         kernel = kernel_at(omega, point)
         if len(kernel) != 4:
             return CheckReport(

@@ -17,22 +17,29 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import linalg
 from .catalog import FibrationModel, critical_points_sample, random_noncritical_point
 from .exterior import KVector, schouten, wedge
-from .poly import IntegerKernel, Poly, Rational
+from .poly import IntegerKernel, Poly, Rational, integer_point
 from .report import FAIL, MISMATCH, PASS, CheckReport
 from .reference import claimed_bivector
 
 
 @dataclass(frozen=True)
 class PoissonBivector:
+    """The bivector k * base on the model's chart."""
+
     model: FibrationModel
     k: Poly
-    pi: KVector  # degree 2, includes the factor k
+    base: KVector  # degree 2, without the factor k
+
+    @cached_property
+    def pi(self) -> KVector:
+        """The bivector itself, k * base."""
+        return self.base.scale(self.k)
 
     def matrix_at(self, point: Sequence[Rational]) -> list[list[Fraction]]:
         return self.pi.coefficient_matrix(point)
@@ -46,19 +53,16 @@ class PoissonBivector:
 def flaschka_ratiu(model: FibrationModel, k: Poly | Rational = 1) -> PoissonBivector:
     """The bivector with pi^{ij} given by the Casimir determinant, scaled by k.
 
-    The determinants are expanded once per model
-    (``FibrationModel.casimir_determinants``); each call only multiplies
-    them by k.
+    Every k shares the model's ``determinant_bivector`` as its base, expanded
+    once per model; ``pi`` multiplies it by k when first read.
     """
-    chart = model.chart
     if not isinstance(k, Poly):
-        k = chart.const(k)
+        k = model.chart.const(k)
     if k.is_zero():
         raise ValueError("scaling function k must be a nonzero polynomial")
     if len(model.casimirs) != 2 * model.n - 2:
         raise ValueError("Casimir count must be 2n-2")
-    terms = {ij: k * det for ij, det in model.casimir_determinants.items()}
-    return PoissonBivector(model, k, KVector(chart, 2, terms))
+    return PoissonBivector(model, k, model.determinant_bivector)
 
 
 def casimir_annihilation(b: PoissonBivector) -> CheckReport:
@@ -79,9 +83,14 @@ def casimir_annihilation(b: PoissonBivector) -> CheckReport:
 
 def foreign_casimir_residual(b: PoissonBivector, h: Poly) -> list[Poly]:
     """pi^# dh as a vector of polynomials (nonzero when h is not a Casimir)."""
-    chart = b.model.chart
+    return _sharp(b.pi, h)
+
+
+def _sharp(pi: KVector, h: Poly) -> list[Poly]:
+    """(pi^# dh)^i = sum_j pi^{ij} d_j h, over the geometric coordinates."""
+    chart = pi.chart
     grad = [h.differentiate(v) for v in chart.geometric_names()]
-    return [sum((m * g for m, g in zip(row, grad)), chart.zero()) for row in b.pi.coefficient_matrix()]
+    return [sum((m * g for m, g in zip(row, grad)), chart.zero()) for row in pi.coefficient_matrix()]
 
 
 def rank_at(b: PoissonBivector, point: Sequence[Rational]) -> int:
@@ -92,14 +101,37 @@ def _decomposable_rank_at(b: PoissonBivector, point: Sequence[Rational]) -> int:
     """``rank_at`` without elimination, for pi with pi^pi = 0 (rank <= 2).
 
     A skew matrix has even rank: 2 where some entry of pi is nonzero, 0
-    where all vanish.
+    where all vanish; the entries are read from ``entry_kernel``.
     """
-    return 2 if any(e.evaluate(point) for e in b.pi.terms.values()) else 0
+    values, _ = b.entry_kernel(*integer_point(point))
+    return 2 if any(values) else 0
+
+
+@lru_cache(maxsize=64)
+def _self_bracket(base: KVector) -> KVector:
+    """[base, base], once per distinct bivector.
+
+    Keyed by value, so a bivector made by hand never reads another's bracket;
+    bounded, so a long process does not grow without limit.
+    """
+    return schouten(base, base)
+
+
+def self_bracket(b: PoissonBivector) -> KVector:
+    """[pi, pi] for pi = k base, as k^2 [base, base] + 2k base ^ base^#(dk), exactly.
+
+    The identity is the Leibniz rule of the Schouten bracket in the
+    convention of ``exterior.schouten``, so only [base, base] takes a
+    bracket, and every k shares it.
+    """
+    base, k = b.base, b.k
+    sharp_dk = KVector(base.chart, 1, {(i,): c for i, c in enumerate(_sharp(base, k))})
+    return _self_bracket(base).scale(k * k) + wedge(base, sharp_dk).scale(2 * k)
 
 
 def jacobi(b: PoissonBivector) -> CheckReport:
     """Schouten self-bracket vanishes exactly."""
-    bracket = schouten(b.pi, b.pi)
+    bracket = self_bracket(b)
     if bracket.is_zero():
         return CheckReport(b.model.name, "jacobi", PASS, f"[pi,pi] = 0 with k = {b.k}")
     return CheckReport(

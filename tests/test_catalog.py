@@ -219,6 +219,22 @@ def test_critical_samples_and_rank(kind):
         assert jacobian_rank_at(q) == 2 * m.n - 2
 
 
+@pytest.mark.parametrize(
+    "kind, param", [(k, None) for k in ALL_KINDS] + [(k, Fraction(1, 2)) for k in DEFORMATION_KINDS]
+)
+def test_is_critical_is_every_equation_vanishing(kind, param):
+    m = get_model(kind, 3, param)
+    rng = random.Random(f"is-critical:{kind}")
+    points = [[random_rational(rng) for _ in range(m.chart.dim)] for _ in range(20)]
+    points.append([0] * m.chart.dim)
+    if param is None:
+        # sampled on the locus at s = 0, with the parameter coordinate pinned there
+        points += critical_points_sample(m, 20, rng)
+    verdicts = [m.is_critical(p) for p in points]
+    assert verdicts == [all(eq.evaluate(p) == 0 for eq in m.critical_locus) for p in points]
+    assert False in verdicts and (param is not None or True in verdicts)
+
+
 def test_parametric_kinds_at_higher_dimension():
     for kind in ("lefschetz", "fold-2n", "b_s", "m_s", "f_s", "w_s"):
         m = get_model(kind, 5)

@@ -10,6 +10,7 @@ import pytest
 from singfib.exterior import KForm, ext_d, form_term, wedge_power, volume_form
 from singfib.interval import parse_box
 from singfib.nearsymp import (
+    DEGENERACY_EPS,
     NSModel,
     RejectedBox,
     SOS_CUBE_FACTOR,
@@ -200,6 +201,25 @@ def test_assemble_and_verify_outcomes(kind):
 def test_claimed_forms_pass_definition_checks(kind):
     reports = verify_claimed_form(kind, 6, random.Random(f"vc:{kind}"))
     assert [r.status for r in reports] == ["pass", "pass"]
+
+
+@pytest.mark.parametrize("kind", ["fold", "cusp", "swallowtail", "butterfly"])
+def test_critical_points_keep_their_draws(kind):
+    # the draws are Fraction(randint(-6, 6), randint(1, 4)) for u, s, x (and t
+    # for the fold), in that order; t is solved from the locus otherwise
+    rng, oracle = random.Random(f"cp:{kind}"), random.Random(f"cp:{kind}")
+    points = ns_model(kind).critical_points(5, rng)
+    for point in points:
+        u, s, x = (Fraction(oracle.randint(-6, 6), oracle.randint(1, 4)) for _ in range(3))
+        t = {
+            "fold": lambda: Fraction(oracle.randint(-6, 6), oracle.randint(1, 4)),
+            "cusp": lambda: x * x,
+            "swallowtail": lambda: -4 * x**3 - 2 * s * x,
+            "butterfly": lambda: 5 * x**4 - 3 * u * x * x + 2 * s * x,
+        }[kind]()
+        x = Fraction(0) if kind == "fold" else x
+        assert point == [u, s, t, x, Fraction(0), Fraction(0), DEGENERACY_EPS]
+    assert rng.getstate() == oracle.getstate()
 
 
 def test_kernel_at_critical_point_is_coordinate_block():

@@ -17,7 +17,7 @@ from singfib.catalog import (
     get_model,
     random_noncritical_point,
 )
-from singfib.exterior import KVector, vector_term, wedge
+from singfib.exterior import KVector, schouten, vector_term, wedge
 from singfib.poisson import (
     PoissonBivector,
     _decomposable_rank_at,
@@ -137,6 +137,52 @@ def test_non_poisson_bivector_detected():
     rep = jacobi(fake)
     assert rep.status == "fail"
     assert rep.witness  # nonzero trivector witness
+
+
+def test_non_poisson_bivector_with_nonconstant_k_detected():
+    # a bivector made by hand gets its own bracket, whatever was bracketed before
+    c = CHART6
+    pi = vector_term(c, c.var("x3"), ("t1", "x1")) + vector_term(c, c.var("t1"), ("x2", "x3"))
+    jacobi(flaschka_ratiu(get_model("fold", 3), parse_poly("1 + x1^2", c)))
+    fake = PoissonBivector(get_model("fold", 3), parse_poly("1 + x1^2", c), pi)
+    rep = jacobi(fake)
+    assert rep.status == "fail"
+    assert rep.detail == "[pi,pi] != 0 with k = x1^2 + 1"
+    assert rep.witness == str(schouten(fake.pi, fake.pi))
+
+
+def test_jacobi_check_brackets_each_model_once(monkeypatch):
+    from singfib.suite import JACOBI_SCALES, check_jacobi
+
+    calls = []
+
+    def counting_schouten(a, b):
+        calls.append(a)
+        return schouten(a, b)
+
+    poisson._self_bracket.cache_clear()
+    monkeypatch.setattr(poisson, "schouten", counting_schouten)
+    reports = check_jacobi(None, 7, 1)
+    assert len(reports) == len(ALL_KINDS) * len(JACOBI_SCALES) == 54
+    assert all(r.status == "pass" for r in reports)
+    # one bracket per distinct bivector: fold and fold-2n have equal Casimirs at
+    # n = 3, so their determinant bivectors are equal and share one bracket
+    bases = [get_model(kind, 3).determinant_bivector for kind in ALL_KINDS]
+    assert bases[ALL_KINDS.index("fold")] == bases[ALL_KINDS.index("fold-2n")]
+    assert calls == list(dict.fromkeys(bases))
+    assert len(calls) == 17
+    check_jacobi(None, 7, 1)
+    assert len(calls) == 17
+
+
+# the definite variants are catalogued in dimension 6 only
+@pytest.mark.parametrize("kind, n", [(k, n) for n in (3, 4) for k in ALL_KINDS if n == 3 or "-def" not in k])
+def test_pi_is_k_times_each_determinant(kind, n):
+    model = get_model(kind, n)
+    for text in ("1", "1 + x1^2", "7"):
+        k = parse_poly(text, model.chart)
+        expected = KVector(model.chart, 2, {ij: k * det for ij, det in model.casimir_determinants.items()})
+        assert flaschka_ratiu(model, k).pi == expected
 
 
 def test_decomposability_catalogue():

@@ -12,8 +12,10 @@ with one or several right-hand sides) is checked against a plain
 Gauss-Jordan elimination over Fractions kept here as the oracle;
 ``Poly.evaluate`` against a term-by-term sum and the ring axioms;
 ``poly.IntegerKernel`` against ``Poly.evaluate`` times its scale;
-``interval.enclose`` against exact values at points of the box; and
-``interval.certified_minimum`` against its witness and exact values.
+``interval.enclose`` against exact values at points of the box;
+``interval.certified_minimum`` against its witness and exact values; and
+``poisson.self_bracket`` (the Leibniz identity that ``jacobi`` decides
+from) against the Schouten bracket of k * base computed directly.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from singfib import linalg
+from singfib.catalog import get_model
 from singfib.interval import CertificationFailure, Interval, certified_minimum, corners, enclose, eval_at
 from singfib.exterior import (
     KForm,
@@ -38,6 +41,8 @@ from singfib.exterior import (
     interior,
     poincare_homotopy,
     pullback,
+    schouten,
+    vector_term,
     wedge,
 )
 from singfib.poly import (
@@ -51,6 +56,7 @@ from singfib.poly import (
     integer_point,
     parse_poly,
 )
+from singfib.poisson import PoissonBivector, jacobi, self_bracket
 
 SETTINGS = settings(max_examples=25, deadline=None)
 NG = CHART6.n_geom
@@ -422,3 +428,64 @@ def test_certified_minimum_is_attained_and_below_the_box(p, box, fractions_of_wi
     ]
     for point in [*corners(box), *inner]:
         assert m <= eval_at(p, point)
+
+
+# -- [k pi, k pi] = k^2 [pi, pi] + 2k pi ^ pi^#(dk) -----------------------------------
+
+S_CHART = chart_2n(3, ("s_par",))
+nonzero_rationals = st.builds(Fraction, st.integers(1, 5) | st.integers(-5, -1), st.integers(1, 4))
+#: any model on the chart; the bracket reads only the bivector and k
+CHART_MODELS = {CHART6: get_model("fold", 3), S_CHART: get_model("w_s", 3)}
+
+
+def small_polys(
+    chart: Chart, min_terms: int = 0, max_terms: int = 2, geometric: bool = True
+) -> st.SearchStrategy[Poly]:
+    """Polynomials of degree <= 1 per variable; with ``geometric`` they do not involve s_par."""
+    n = chart.n_geom if geometric else chart.dim
+    exponents = st.tuples(*[st.integers(0, 1)] * n).map(lambda e: e + (0,) * (chart.dim - n))
+    terms = st.dictionaries(exponents, nonzero_rationals, min_size=min_terms, max_size=max_terms)
+    return terms.map(lambda t: Poly(chart, t))
+
+
+def bivectors(chart: Chart) -> st.SearchStrategy[KVector]:
+    pairs = [(i, j) for i in range(chart.n_geom) for j in range(i + 1, chart.n_geom)]
+    coeffs = small_polys(chart, 1, geometric=False)
+    return st.dictionaries(st.sampled_from(pairs), coeffs, min_size=2, max_size=4).map(
+        lambda t: KVector(chart, 2, t)
+    )
+
+
+def scales(chart: Chart, kind: str) -> st.SearchStrategy[Poly]:
+    if kind == "constant":
+        return nonzero_rationals.map(chart.const)
+    if kind == "polynomial":
+        return small_polys(chart, 1, 3).filter(lambda k: any(sum(e) for e in k.terms))
+    s = chart.var("s_par")
+    return st.tuples(small_polys(chart, 1), small_polys(chart)).map(lambda pq: s * pq[0] + pq[1])
+
+
+@pytest.mark.parametrize("kind", ["constant", "polynomial", "parameter"])
+@settings(max_examples=15, deadline=None)  # three dense brackets per example
+@given(data=st.data())
+def test_scaled_bracket_is_the_direct_bracket(kind, data):
+    # a parameter-dependent k needs the s_par chart; the other two draw either chart
+    chart = S_CHART if kind == "parameter" else data.draw(st.sampled_from([CHART6, S_CHART]), label="chart")
+    base = data.draw(bivectors(chart).filter(lambda pi: not schouten(pi, pi).is_zero()), label="base")
+    k = data.draw(scales(chart, kind), label="k")
+    b = PoissonBivector(CHART_MODELS[chart], k, base)
+    direct = schouten(b.pi, b.pi)
+    assert self_bracket(b) == direct
+    report = jacobi(b)
+    assert (report.status, report.witness) == (("pass", None) if direct.is_zero() else ("fail", str(direct)))
+
+
+def test_scaled_bracket_sign_convention():
+    # pi = e_t1^e_t2 + e_x1^e_x2 is constant, so [pi, pi] = 0, and with k = x1
+    # pi^#(dk) = pi^{i,x1} e_i = -e_x2; the identity gives 2k pi^(-e_x2)
+    c = CHART6
+    base = vector_term(c, 1, ("t1", "t2")) + vector_term(c, 1, ("x1", "x2"))
+    b = PoissonBivector(CHART_MODELS[c], c.var("x1"), base)
+    expected = vector_term(c, -2 * c.var("x1"), ("t1", "t2", "x2"))
+    assert self_bracket(b) == expected
+    assert schouten(b.pi, b.pi) == expected

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import nearsymp, poisson
 from .catalog import ALL_KINDS, DEFORMATION_KINDS, DIM6_KINDS, ModelError, get_model, manifest_text
-from .interval import BoxParseError, parse_box
+from .interval import BoxParseError, CertificationFailure, parse_box
 from .poly import ChartMismatch, PolyParseError, parse_poly
 from .report import exit_code, render_records, render_table
 from .suite import CHECK_NAMES, SCOPES, SelectionError, run_suite
@@ -159,6 +159,9 @@ def cmd_epsilon(args: argparse.Namespace) -> int:
         bound = nearsymp.epsilon_bound(args.kind, box)
     except nearsymp.RejectedBox as exc:
         print(f"rejected: {exc}", file=sys.stderr)
+        return 2
+    except CertificationFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     print(bound.describe())
     for label, a, m in bound.constraints:

@@ -115,8 +115,8 @@ def certified_minimum(
     """Exact minimum of p over the box, with a witness point attaining it.
 
     Raises CertificationFailure if branch-and-bound cannot settle the
-    candidate within the depth budget (does not happen for the bound
-    polynomials this package produces, whose minima sit on box faces).
+    candidate within the depth budget, as for a minimum inside the box and
+    off the dyadic grid (``epsilon_bound`` meets one on some butterfly boxes).
     """
     names = sorted(set(box) & p.variables()) or sorted(box)[:1]
     partials = {n: p.differentiate(n) for n in names}

@@ -45,7 +45,7 @@ from .catalog import FibrationModel, random_noncritical_point
 from .poisson import PoissonBivector, flaschka_ratiu
 from .poly import Poly, Rational, integer_point
 from .report import FAIL, MISMATCH, PASS, CheckReport
-from .reference import leaf_claim, ws_leaf_claim, ws_leaf_claim_sq
+from .reference import leaf_claim
 
 
 class SingularPoint(ValueError):
@@ -236,8 +236,7 @@ def audit_leaf_formulas(
     renderings.  Points where either side divides by zero are skipped.
     """
     rows: list[LeafAuditRow] = []
-    use_ws = model.kind == "w_s"
-    claim = ws_leaf_claim(model) if use_ws else leaf_claim(model)
+    claim = leaf_claim(model)
     # the claimed formulas belong to the catalogued bivector, which is the
     # raw construction divided by the recorded scale; lambda scales inversely
     scale_sq = model.claimed_scale**2
@@ -247,7 +246,7 @@ def audit_leaf_formulas(
         attempts += 1
         q = random_noncritical_point(model, rng)
         try:
-            claimed_sq = ws_leaf_claim_sq(claim, q) if use_ws else claim.value_sq(q)
+            claimed_sq = claim.value_sq(q)
             # the kernel gives d * pi^{ij}(q), so sum (pi^{ij})^2 = sum (entries)^2 / d^2
             entries, d = entry_kernel(*integer_point(q))
             derived_sq = Fraction(scale_sq.numerator * d * d, scale_sq.denominator * _dot(entries, entries))
@@ -255,7 +254,6 @@ def audit_leaf_formulas(
             continue
         rows.append(LeafAuditRow(tuple(q), derived_sq, claimed_sq))
     matches = sum(1 for r in rows if r.match)
-    label = "w_s mu-expression" if use_ws else claim.describe()
     if not rows:
         rep = CheckReport(
             model.name, "leaf-audit", FAIL, f"no usable point in {attempts} attempts for {samples} samples"
@@ -265,7 +263,7 @@ def audit_leaf_formulas(
             model.name,
             "leaf-audit",
             PASS,
-            f"derived coefficient equals {label} at all {len(rows)} points",
+            f"derived coefficient equals {claim.text} at all {len(rows)} points",
         )
     else:
         bad = next(r for r in rows if not r.match)
@@ -273,7 +271,7 @@ def audit_leaf_formulas(
             model.name,
             "leaf-audit",
             MISMATCH,
-            f"{len(rows) - matches} of {len(rows)} points disagree with {label}",
+            f"{len(rows) - matches} of {len(rows)} points disagree with {claim.text}",
             witness=(
                 f"point {bad.point}: derived |lambda| = {math.sqrt(bad.derived_sq):.9g} "
                 f"(lambda^2 = {bad.derived_sq}), catalogued |lambda| = {math.sqrt(bad.claimed_sq):.9g} "

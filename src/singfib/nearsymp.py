@@ -277,7 +277,6 @@ def degeneracy_checks(
 @dataclass(frozen=True)
 class NearSymplecticCandidate:
     model: NSModel
-    omega0: KForm
     eta: KForm
     eta_source: str  # "claimed" | "repair"
     omega: KForm
@@ -333,7 +332,7 @@ def assemble(kind: str, eta_source: str) -> NearSymplecticCandidate:
     else:
         raise ValueError(f"unknown eta source {eta_source!r}")
     omega = base + eta.scale(eps)
-    return NearSymplecticCandidate(model, omega0, eta, eta_source, omega)
+    return NearSymplecticCandidate(model, eta, eta_source, omega)
 
 
 def assemble_and_verify(
@@ -520,7 +519,6 @@ class RejectedBox(ValueError):
 
 @dataclass(frozen=True)
 class EpsilonBound:
-    kind: str
     box: Box
     bound: Fraction | None  # None = positivity holds for every eps > 0 on this box
     constraints: tuple[tuple[str, Fraction, Fraction], ...]  # (label, a, min b)
@@ -546,6 +544,9 @@ def epsilon_bound(kind: str, box: Box | None = None, omega: KForm | None = None)
         from .interval import parse_box
 
         box = parse_box(DEFAULT_BOXES[kind])
+    unknown = sorted(set(box) - set(NS_CHART_EPS.geometric_names()))
+    if unknown:
+        raise RejectedBox(f"box bounds {unknown}, which are not among the coordinates u, s, t, x, y, z")
     result, _ = fibre_positivity(kind, omega)
     n = result.numerator
     c = NS_CHART_EPS
@@ -606,7 +607,7 @@ def epsilon_bound(kind: str, box: Box | None = None, omega: KForm | None = None)
         if m < 0:
             candidate = a / (-m)
             bound = candidate if bound is None else min(bound, candidate)
-    return EpsilonBound(kind, dict(box), bound, tuple(constraints))
+    return EpsilonBound(dict(box), bound, tuple(constraints))
 
 
 # -- Darboux-type normal form -------------------------------------------------------

@@ -157,7 +157,6 @@ class BivectorMatch:
     sign: int  # sign applied to the raw result for the best agreement
     scale: Fraction
     mismatched: tuple[tuple[int, int], ...]
-    computed: KVector
     normalized: KVector
     claimed: KVector
 
@@ -198,10 +197,8 @@ def match_claimed_bivector(model: FibrationModel) -> BivectorMatch:
     termwise under both global signs; the sign with fewer differing terms
     wins and any leftover differences are reported per term.
     """
-    computed = flaschka_ratiu(model, 1).pi
     claimed = claimed_bivector(model)
-    inv = Fraction(1) / model.claimed_scale
-    normalized = computed.scale(inv)
+    normalized = flaschka_ratiu(model, 1).pi.scale(Fraction(1) / model.claimed_scale)
 
     def mismatches(candidate: KVector) -> list[tuple[int, int]]:
         keys = set(candidate.terms) | set(claimed.terms)
@@ -213,7 +210,7 @@ def match_claimed_bivector(model: FibrationModel) -> BivectorMatch:
         sign, picked, bad = -1, -normalized, minus
     else:
         sign, picked, bad = 1, normalized, plus
-    return BivectorMatch(model, sign, model.claimed_scale, tuple(bad), computed, picked, claimed)
+    return BivectorMatch(model, sign, model.claimed_scale, tuple(bad), picked, claimed)
 
 
 def rank_stratification(model: FibrationModel, samples: int, rng: random.Random) -> CheckReport:

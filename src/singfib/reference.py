@@ -10,8 +10,8 @@ per-term mismatch.
 Conventions here:
   - bivector claims are written in the basis order in which they are
     catalogued (the antisymmetric constructors fix the signs);
-  - leaf-coefficient claims of the shape num/sqrt(den) are stored as the
-    exact pair (num, den) so comparisons stay in Q;
+  - every leaf-coefficient claim is lambda^2 = num^2 / prod(den), stored
+    as num and the factors of den, so comparisons stay in Q;
   - a model's raw determinant construction equals
     ``claimed_scale * (global sign) * claim``; the recorded scales are 2
     for fold-2n and 4 for the Lefschetz-type chart, else 1.
@@ -19,6 +19,7 @@ Conventions here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -115,20 +116,25 @@ def claimed_bivector(model: FibrationModel) -> KVector:
 
 @dataclass(frozen=True)
 class LeafClaim:
-    """Claimed leaf coefficient lambda = num / sqrt(den) at k = 1."""
+    """Claimed leaf coefficient at k = 1, as lambda^2 = num^2 / prod(den).
 
-    label: str
+    The denominator is kept as its factors, each evaluated on its own, so
+    a large product (the w_s claim) is never expanded.
+    """
+
+    text: str
     num: Poly
-    den: Poly
+    den: tuple[Poly, ...]
 
     def value_sq(self, point: Sequence[Rational]) -> Fraction:
-        den = self.den.evaluate(point)
-        if den == 0:
-            raise ZeroDivisionError("claimed formula degenerates at this point")
-        return self.num.evaluate(point) ** 2 / den
+        """lambda^2 at the point; ZeroDivisionError where a factor of den vanishes."""
+        num = self.num.evaluate(point)
+        return num * num / math.prod(factor.evaluate(point) for factor in self.den)
 
-    def describe(self) -> str:
-        return f"({self.num}) / sqrt({self.den})"
+
+def _claim(num: Poly, den: Poly) -> LeafClaim:
+    """The claim lambda = num / sqrt(den)."""
+    return LeafClaim(f"({num}) / sqrt({den})", num, (den,))
 
 
 def leaf_claim(model: FibrationModel) -> LeafClaim:
@@ -139,91 +145,56 @@ def leaf_claim(model: FibrationModel) -> LeafClaim:
     t = chart.var(f"t{2 * n - 3}")
 
     if kind in ("fold", "fold-def2"):
-        return LeafClaim(kind, x1 * x1, 4 * (x1 * x1 + x3 * x3))
+        return _claim(x1 * x1, 4 * (x1 * x1 + x3 * x3))
     if kind == "fold-def1":
-        return LeafClaim(kind, -(x1 * x1), 4 * (x1 * x1 + x3 * x3))
+        return _claim(-(x1 * x1), 4 * (x1 * x1 + x3 * x3))
     if kind.startswith("cusp"):
         t1 = chart.var("t1")
-        num = 3 * x2 * (t1 - x1 * x1)
-        den = 9 * (t1 - x1 * x1) ** 2 + 4 * x3 * x3
-        return LeafClaim(kind, num, den)
+        return _claim(3 * x2 * (t1 - x1 * x1), 9 * (t1 - x1 * x1) ** 2 + 4 * x3 * x3)
     if kind.startswith("swallowtail"):
         t1, t2 = chart.var("t1"), chart.var("t2")
         w = t2 + 2 * t1 * x1 + 4 * x1**3
-        return LeafClaim(kind, -w, w * w + 4 * x3 * x3)
+        return _claim(-w, w * w + 4 * x3 * x3)
     if kind.startswith("butterfly"):
         t1, t2, t3 = chart.var("t1"), chart.var("t2"), chart.var("t3")
         w = t3 + x1 * (2 * t2 + 3 * t1 * x1 + 5 * x1**3)
-        return LeafClaim(kind, -w, w * w + 4 * x3 * x3)
+        return _claim(-w, w * w + 4 * x3 * x3)
     if kind == "fold-2n":
-        return LeafClaim(kind, chart.one(), x1 * x1 + x2 * x2 + x3 * x3)
+        return _claim(chart.one(), x1 * x1 + x2 * x2 + x3 * x3)
     if kind == "lefschetz":
         r = t * t + x1 * x1 + x2 * x2 + x3 * x3
-        return LeafClaim(kind, chart.one(), r * r)
+        return _claim(chart.one(), r * r)
 
     s = deformation_symbol(chart, model.param)
     if kind == "b_s":
         a = s - t * t + x1 * x1
-        return LeafClaim(kind, a, a * a * (9 * a * a + 4 * (x2 * x2 + x3 * x3)))
+        return _claim(a, a * a * (9 * a * a + 4 * (x2 * x2 + x3 * x3)))
     if kind == "m_s":
         a = s - t * t - x1 * x1
-        return LeafClaim(kind, -a, a * a * (9 * a * a + 4 * (x2 * x2 + x3 * x3)))
+        return _claim(-a, a * a * (9 * a * a + 4 * (x2 * x2 + x3 * x3)))
     if kind == "f_s":
         a = t - 2 * s * x1 + 4 * x1**3
-        return LeafClaim(kind, a, a * a * (a * a + 4 * (x2 * x2 + x3 * x3)))
+        return _claim(a, a * a * (a * a + 4 * (x2 * x2 + x3 * x3)))
     if kind == "w_s":
-        raise ValueError("w_s uses the dedicated ws_leaf_claim")
+        # lambda = (b * S) / (2 mu sqrt(s_den)) with S = s_num / s_den, and
+        # mu^2 given as the product b^2 * mu_a * mu_b
+        b = t * x2 + x1 * x3
+        s_num = (s * t + 2 * (t * t + x1 * x1)) ** 2 + (x3 * (s + 2 * t) - 2 * x1 * x2) ** 2 + 4 * b
+        s_den = (s * t + 2 * (t * t + x1 * x1)) ** 2 + (x3 * (s + 2 * t) - 2 * x1 * x2) ** 2 + 4 * b * b
+        r2 = t * t + x1 * x1 + x2 * x2 + x3 * x3
+        mu_a = s * s * (t * t + x2 * x2 + x3 * x3) + 4 * s * t * r2 + 4 * r2 * r2
+        mu_b = (
+            s * s * (t * t + x3 * x3)
+            + 4 * (t * t + x1 * x1) * r2
+            + 4 * s * (t**3 - x1 * x2 * x3 + t * (x1 * x1 + x3 * x3))
+        )
+        return LeafClaim("w_s mu-expression", b * s_num, (4 * b * b, mu_a, mu_b, s_den))
     raise ValueError(f"no catalogued leaf formula for kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class WsLeafClaim:
-    """Claimed w_s leaf coefficient (B * S) / (2 mu sqrt(S_den)) with S = s_num / s_den.
-
-    The claim gives mu^2 as the explicit product b^2 * mu_a * mu_b, so the
-    square of the coefficient is rational.
-    """
-
-    b: Poly
-    s_num: Poly
-    s_den: Poly
-    mu_a: Poly
-    mu_b: Poly
-
-
-def ws_leaf_claim(model: FibrationModel) -> WsLeafClaim:
-    """The five polynomials of the w_s claim, built once per model."""
-    chart = model.chart
-    n = model.n
-    t = chart.var(f"t{2 * n - 3}")
-    x1, x2, x3 = chart.var("x1"), chart.var("x2"), chart.var("x3")
-    s = deformation_symbol(chart, model.param)
-
-    b = t * x2 + x1 * x3
-    s_num = (s * t + 2 * (t * t + x1 * x1)) ** 2 + (x3 * (s + 2 * t) - 2 * x1 * x2) ** 2 + 4 * b
-    s_den = (s * t + 2 * (t * t + x1 * x1)) ** 2 + (x3 * (s + 2 * t) - 2 * x1 * x2) ** 2 + 4 * b * b
-    r2 = t * t + x1 * x1 + x2 * x2 + x3 * x3
-    mu_a = s * s * (t * t + x2 * x2 + x3 * x3) + 4 * s * t * r2 + 4 * r2 * r2
-    mu_b = (
-        s * s * (t * t + x3 * x3)
-        + 4 * (t * t + x1 * x1) * r2
-        + 4 * s * (t**3 - x1 * x2 * x3 + t * (x1 * x1 + x3 * x3))
-    )
-    return WsLeafClaim(b, s_num, s_den, mu_a, mu_b)
-
-
-def ws_leaf_claim_sq(claim: WsLeafClaim, point: Sequence[Rational]) -> Fraction:
-    """Claimed squared leaf coefficient for the w_s map at a point.
-
-    mu^2 is evaluated as the product of its factors b^2, mu_a and mu_b.
-    """
-    bv = claim.b.evaluate(point)
-    s_num_v = claim.s_num.evaluate(point)
-    s_den_v = claim.s_den.evaluate(point)
-    mu_sq_v = bv * bv * claim.mu_a.evaluate(point) * claim.mu_b.evaluate(point)
-    if mu_sq_v == 0 or s_den_v == 0:
-        raise ZeroDivisionError("claimed w_s formula degenerates at this point")
-    return (bv * s_num_v) ** 2 / (4 * mu_sq_v * s_den_v)
+# the benchmark's per-layer trace still names this function
+def ws_leaf_claim_sq(claim: LeafClaim, point: Sequence[Rational]) -> Fraction:
+    return claim.value_sq(point)
 
 
 # -- claimed near-symplectic data ---------------------------------------------------

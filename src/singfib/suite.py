@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import leaves, nearsymp, poisson
 from .catalog import ALL_KINDS, DEFORMATION_KINDS, DIM6_KINDS, PARAMETRIC_KINDS, get_model
@@ -254,106 +254,84 @@ def _jacobiator_oracle(a: KVector) -> KVector:
     return KVector(chart, 3, out)
 
 
+def _trials(check: str, label: str, seed: int, count: int, trial: Callable, passed: str) -> CheckReport:
+    """Run ``trial`` up to ``count`` times on the generator of ``label``.
+
+    A trial draws one example from the generator and returns None, or
+    (message, witness) when the identity fails; the first failure is the
+    check's record.
+    """
+    rng = _rng(seed, "calculus", label)
+    for i in range(count):
+        failure = trial(rng)
+        if failure is not None:
+            message, witness = failure
+            return CheckReport("calculus", check, FAIL, f"{message} at trial {i}", witness=witness)
+    return CheckReport("calculus", check, PASS, passed)
+
+
 def check_calculus(scope: str | None, seed: int, samples: int) -> list[CheckReport]:
     if scope is not None and scope != "calculus":
         return []
     chart = CHART6
     target = Chart(("w1", "w2", "w3", "w4"))
-    reports = []
+    ng = chart.n_geom
 
-    rng = _rng(seed, "calculus", "d2")
-    for i in range(samples):
+    def d2(rng: random.Random):
         form = _random_form(chart, rng, rng.randint(0, 4))
         if not ext_d(ext_d(form)).is_zero():
-            reports.append(CheckReport("calculus", "d2", FAIL, f"d(d(a)) != 0 at trial {i}", witness=str(form)))
-            break
-    else:
-        reports.append(CheckReport("calculus", "d2", PASS, f"d(d(a)) = 0 on {samples} random forms"))
+            return "d(d(a)) != 0", str(form)
 
-    rng = _rng(seed, "calculus", "leibniz")
-    for i in range(samples):
+    def leibniz(rng: random.Random):
         ka, kb = rng.randint(0, 3), rng.randint(0, 3)
         fa, fb = _random_form(chart, rng, ka), _random_form(chart, rng, kb)
         lhs = ext_d(wedge(fa, fb))
         rhs = wedge(ext_d(fa), fb) + wedge(fa, ext_d(fb)).scale(Fraction((-1) ** ka))
         if lhs != rhs:
-            reports.append(CheckReport("calculus", "leibniz", FAIL, f"Leibniz failed at trial {i}"))
-            break
-    else:
-        reports.append(CheckReport("calculus", "leibniz", PASS, f"Leibniz rule on {samples} random pairs"))
+            return "Leibniz failed", None
 
-    rng = _rng(seed, "calculus", "pullback")
-    for i in range(samples):
+    def pullback_d(rng: random.Random):
         comps = tuple(_random_poly(chart, rng) for _ in range(4))
         fmap = PolyMap(chart, target, comps)
         form = _random_form(target, rng, rng.randint(0, 3))
         if pullback(ext_d(form), fmap) != ext_d(pullback(form, fmap)):
-            reports.append(CheckReport("calculus", "pullback-d", FAIL, f"pullback/d failed at trial {i}"))
-            break
-    else:
-        reports.append(
-            CheckReport("calculus", "pullback-d", PASS, f"pullback commutes with d on {samples} random maps")
-        )
+            return "pullback/d failed", None
 
-    rng = _rng(seed, "calculus", "hodge")
-    ng = chart.n_geom
-    for i in range(samples):
+    def hodge(rng: random.Random):
         k = rng.randint(0, ng)
         form = _random_form(chart, rng, k)
-        sign = Fraction((-1) ** (k * (ng - k)))
-        if hodge_star(hodge_star(form)) != form.scale(sign):
-            reports.append(CheckReport("calculus", "hodge", FAIL, f"involution failed at trial {i}"))
-            break
-        const_terms = {
-            idx: chart.const(Fraction(rng.randint(-5, 5))) for idx in form.terms
-        }
-        cform = KForm(chart, k, const_terms)
-        pairing = wedge(cform, hodge_star(cform))
+        if hodge_star(hodge_star(form)) != form.scale(Fraction((-1) ** (k * (ng - k)))):
+            return "involution failed", None
+        cform = KForm(chart, k, {idx: chart.const(Fraction(rng.randint(-5, 5))) for idx in form.terms})
         norm_sq = sum((c.constant_value() ** 2 for c in cform.terms.values()), Fraction(0))
-        if pairing != volume_form(chart).scale(norm_sq):
-            reports.append(CheckReport("calculus", "hodge", FAIL, f"pairing failed at trial {i}"))
-            break
-    else:
-        reports.append(
-            CheckReport(
-                "calculus", "hodge", PASS, f"involution sign law and pairing on {samples} random forms"
-            )
-        )
+        if wedge(cform, hodge_star(cform)) != volume_form(chart).scale(norm_sq):
+            return "pairing failed", None
 
-    rng = _rng(seed, "calculus", "homotopy")
-    for i in range(samples):
+    def homotopy(rng: random.Random):
         k = rng.randint(1, ng)
         form = _random_form(chart, rng, k)
         recovered = ext_d(poincare_homotopy(form))
         if k < ng:
             recovered = recovered + poincare_homotopy(ext_d(form))
         if recovered != form:
-            reports.append(CheckReport("calculus", "homotopy", FAIL, f"dK + Kd != id at trial {i}"))
-            break
-    else:
-        reports.append(
-            CheckReport("calculus", "homotopy", PASS, f"dK + Kd = id on {samples} random positive-degree forms")
-        )
+            return "dK + Kd != id", None
 
-    rng = _rng(seed, "calculus", "schouten")
-    trials = max(1, samples // 10)  # two nested symbolic brackets per trial
-    for i in range(trials):
+    def bracket(rng: random.Random):
         biv = _random_bivector(chart, rng)
         if schouten(biv, biv) != _jacobiator_oracle(biv).scale(2):
-            reports.append(
-                CheckReport("calculus", "schouten", FAIL, f"bracket disagrees with the Jacobiator at trial {i}")
-            )
-            break
-    else:
-        reports.append(
-            CheckReport(
-                "calculus",
-                "schouten",
-                PASS,
-                f"self-bracket equals twice the nested-bracket Jacobiator on {trials} random bivectors",
-            )
-        )
-    return reports
+            return "bracket disagrees with the Jacobiator", None
+
+    brackets = max(1, samples // 10)  # two nested symbolic brackets per trial
+    jacobiator = f"self-bracket equals twice the nested-bracket Jacobiator on {brackets} random bivectors"
+    runs = (
+        ("d2", "d2", samples, d2, f"d(d(a)) = 0 on {samples} random forms"),
+        ("leibniz", "leibniz", samples, leibniz, f"Leibniz rule on {samples} random pairs"),
+        ("pullback-d", "pullback", samples, pullback_d, f"pullback commutes with d on {samples} random maps"),
+        ("hodge", "hodge", samples, hodge, f"involution sign law and pairing on {samples} random forms"),
+        ("homotopy", "homotopy", samples, homotopy, f"dK + Kd = id on {samples} random positive-degree forms"),
+        ("schouten", "schouten", brackets, bracket, jacobiator),
+    )
+    return [_trials(check, label, seed, count, trial, passed) for check, label, count, trial, passed in runs]
 
 
 CHECKS = {

@@ -11,6 +11,7 @@ from singfib.catalog import get_model
 from singfib.cli import main
 from singfib.interval import BoxParseError, parse_box
 from singfib.leaves import audit_leaf_formulas
+from singfib.nearsymp import RejectedBox, epsilon_bound
 from singfib.suite import run_suite
 
 
@@ -209,6 +210,22 @@ def test_epsilon_rejects_a_variable_bounded_twice(capsys, box):
     with pytest.raises(BoxParseError, match="bounded more than once"):
         parse_box(box)
     assert "bounded more than once" in one_line_error(capsys, "epsilon", "--kind", "cusp", "--box", box)
+
+
+def test_epsilon_reports_an_uncertified_minimum_as_an_error(capsys):
+    # the minimiser x = sqrt(u/10) is irrational, so branch-and-bound cannot settle it
+    box = "0<=x<=1,1/20<=u<=1/10,|s|<=1/10"
+    err = one_line_error(capsys, "epsilon", "--kind", "butterfly", "--box", box)
+    assert "could not certify the minimum of 40*x^3 - 12*u*x + 4*s" in err
+
+
+@pytest.mark.parametrize("box, name", [("|x|<=1,|q|<=1", "q"), ("|eps|<=1,|x|<=1", "eps")])
+def test_epsilon_rejects_a_variable_outside_the_chart(capsys, box, name):
+    with pytest.raises(RejectedBox, match=f"box bounds \\['{name}'\\]"):
+        epsilon_bound("cusp", parse_box(box))
+    code, out, err = run(capsys, "epsilon", "--kind", "cusp", "--box", box)
+    assert (code, out) == (2, "")
+    assert err == f"rejected: box bounds ['{name}'], which are not among the coordinates u, s, t, x, y, z\n"
 
 
 def test_derive_rejects_zero_denominator_parameter(capsys):

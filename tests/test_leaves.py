@@ -21,6 +21,7 @@ from singfib.leaves import (
 )
 from singfib.poisson import PoissonBivector, flaschka_ratiu
 from singfib.poly import CHART6
+from singfib.reference import LeafClaim, leaf_claim
 from singfib.suite import _leaf_models
 
 ANCHOR = (0, 0, 0, 1, 0, 1)
@@ -320,3 +321,81 @@ def test_frame_solve_agrees_with_the_closed_form_audit(label):
     scale_sq = model.claimed_scale**2
     for row in rows:
         assert leaf_coefficient(model, row.point).value_sq * scale_sq == row.derived_sq, row.point
+
+
+# -- one claim type for every kind -----------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_leaf_claim_is_built_for_every_kind(kind):
+    model = get_model(kind, 3)
+    claim = leaf_claim(model)
+    assert isinstance(claim, LeafClaim) and claim.den
+    if kind == "w_s":
+        assert claim.text == "w_s mu-expression"
+    else:
+        assert claim.text == f"({claim.num}) / sqrt({claim.den[0]})" and len(claim.den) == 1
+    q = random_noncritical_point(model, random.Random(f"claim:{kind}"))
+    den = 1
+    for factor in claim.den:
+        den *= factor.evaluate(q)
+    if den:
+        assert claim.value_sq(q) == claim.num.evaluate(q) ** 2 / den
+
+
+def _ws_factors(model):
+    """The w_s claim's polynomials b, s_num, s_den, mu_a, mu_b, written out here as the oracle."""
+    chart = model.chart
+    t = chart.var(f"t{2 * model.n - 3}")
+    x1, x2, x3 = chart.var("x1"), chart.var("x2"), chart.var("x3")
+    s = chart.var("s_par") if model.param is None else chart.const(model.param)
+    b = t * x2 + x1 * x3
+    square_sum = (s * t + 2 * (t * t + x1 * x1)) ** 2 + (x3 * (s + 2 * t) - 2 * x1 * x2) ** 2
+    r2 = t * t + x1 * x1 + x2 * x2 + x3 * x3
+    mu_a = s * s * (t * t + x2 * x2 + x3 * x3) + 4 * s * t * r2 + 4 * r2 * r2
+    mu_b = (
+        s * s * (t * t + x3 * x3)
+        + 4 * (t * t + x1 * x1) * r2
+        + 4 * s * (t**3 - x1 * x2 * x3 + t * (x1 * x1 + x3 * x3))
+    )
+    return b, square_sum + 4 * b, square_sum + 4 * b * b, mu_a, mu_b
+
+
+WS_PARAMS = pytest.mark.parametrize("param", [None, Fraction(1, 2)], ids=["symbolic", "half"])
+
+
+@WS_PARAMS
+def test_ws_claim_is_the_product_formula(param):
+    model = get_model("w_s", 4, param)
+    claim = leaf_claim(model)
+    factors = _ws_factors(model)
+    rng = random.Random(f"ws-claim:{param}")
+    checked = 0
+    for _ in range(40):
+        q = random_noncritical_point(model, rng)
+        b, s_num, s_den, mu_a, mu_b = (p.evaluate(q) for p in factors)
+        if 0 in (b, mu_a, mu_b, s_den):
+            continue  # the audit skips these points; see the next test
+        assert claim.value_sq(q) == (b * s_num) ** 2 / (4 * b * b * mu_a * mu_b * s_den), q
+        checked += 1
+    assert checked >= 30
+
+
+@WS_PARAMS
+def test_ws_claim_degenerates_exactly_where_a_factor_vanishes(param):
+    model = get_model("w_s", 4, param)
+    claim = leaf_claim(model)
+    factors = _ws_factors(model)
+    rng = random.Random(f"ws-zero:{param}")
+    raised = 0
+    for _ in range(200):
+        # small coordinates, so that b, mu_a, mu_b or s_den often vanish
+        q = [Fraction(rng.randint(-1, 1), rng.randint(1, 2)) for _ in range(model.chart.dim)]
+        b, s_num, s_den, mu_a, mu_b = (p.evaluate(q) for p in factors)
+        if 0 in (b, mu_a, mu_b, s_den):
+            raised += 1
+            with pytest.raises(ZeroDivisionError):
+                claim.value_sq(q)
+        else:
+            assert claim.value_sq(q) == (b * s_num) ** 2 / (4 * b * b * mu_a * mu_b * s_den), q
+    assert 0 < raised < 200

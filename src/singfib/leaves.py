@@ -122,15 +122,6 @@ class LeafCoefficient:
         return self.pairing_uv**2 / (self.frame.u_norm_sq * self.frame.v_norm_sq)
 
     @property
-    def sign(self) -> int:
-        p = self.pairing_uv
-        return (p > 0) - (p < 0)
-
-    @property
-    def value_float(self) -> float:
-        return self.sign * math.sqrt(float(self.value_sq))
-
-    @property
     def pairing_antisymmetric(self) -> bool:
         return self.pairing_uv == -self.pairing_vu
 

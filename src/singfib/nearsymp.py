@@ -15,11 +15,12 @@ vanishes on the critical locus and the kernel conditions survive.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import linalg
 from .catalog import random_rational
@@ -39,7 +40,7 @@ from .exterior import (
     wedge_power,
 )
 from .interval import Box, certified_minimum, enclose, format_box
-from .poly import Chart, Poly, Rational
+from .poly import Chart, IntegerKernel, Poly, Rational, integer_point
 from .report import FAIL, MISMATCH, PASS, CheckReport
 from .reference import (
     NS_CHART_EPS,
@@ -79,7 +80,7 @@ class NSModel:
     def critical_points(self, count: int, rng: random.Random) -> list[list[Fraction]]:
         """Rational points on the critical locus at eps = ``DEGENERACY_EPS``, checked against grad f4."""
         pts: list[list[Fraction]] = []
-        grad = [self.f4.differentiate(n) for n in ("x", "y", "z")]
+        grad = IntegerKernel(NS_CHART_EPS, [self.f4.differentiate(n) for n in ("x", "y", "z")])
         while len(pts) < count:
             vals = {name: random_rational(rng) for name in ("u", "s", "x")}
             vals["y"] = Fraction(0)
@@ -97,7 +98,7 @@ class NSModel:
             else:
                 raise ValueError(self.kind)
             point = [vals[name] for name in ("u", "s", "t", "x", "y", "z")] + [DEGENERACY_EPS]
-            if any(g.evaluate(point) != 0 for g in grad):
+            if any(grad(*integer_point(point))[0]):
                 raise AssertionError("sampler missed the critical locus")
             pts.append(point)
         return pts
@@ -205,47 +206,53 @@ def sos_top_power(omega0: KForm) -> tuple[tuple[Poly, Poly, Poly], CheckReport]:
 # -- pointwise degeneracy checks ----------------------------------------------------
 
 
-def kernel_at(omega: KForm, point: Sequence[Fraction]) -> list[list[Fraction]]:
-    return linalg.nullspace(omega.coefficient_matrix(point))
+def compile_degeneracy(omega: KForm) -> Callable[[Sequence[Fraction]], tuple[list[list[int]], int]]:
+    """omega's kernel basis and intrinsic-gradient rank at a point, from one integer kernel.
 
-
-def dk_rank_at(omega: KForm, point: Sequence[Fraction], kernel: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of the intrinsic gradient of omega restricted to the kernel block.
-
-    Rows: derivative directions (the kernel basis).  Columns: the pair
-    functions omega(v_a, v_b) for kernel basis pairs, differentiated with
-    the basis vectors held constant.
+    The kernel is compiled once over omega's entries and their first
+    partials in the geometric coordinates.  At a point the kernel basis is
+    ``linalg.integer_nullspace`` of the scaled skew matrix; the gradient has
+    one row per kernel vector w and one column per basis pair (v_a, v_b),
+    sum_l w_l sum_{i<j} (v_a^i v_b^j - v_a^j v_b^i) d_l omega^{ij}: the pair
+    function omega(v_a, v_b) differentiated with the basis held constant.
+    Each basis vector and partial is a positive multiple of its rational
+    counterpart, so rows and columns scale by positive factors and the
+    rank is the rational one.
     """
     chart = omega.chart
-    names = chart.geometric_names()
-    pair_polys: list[Poly] = []
-    for a, b in combinations(range(len(kernel)), 2):
-        va, vb = kernel[a], kernel[b]
-        poly = chart.zero()
-        for (i, j), c in omega.terms.items():
-            factor = va[i] * vb[j] - va[j] * vb[i]
-            if factor != 0:
-                poly = poly + c.scale(factor)
-        pair_polys.append(poly)
-    rows = []
-    for w in kernel:
-        row = []
-        for poly in pair_polys:
-            acc = Fraction(0)
-            for i, name in enumerate(names):
-                if w[i] != 0:
-                    acc += w[i] * poly.differentiate(name).evaluate(point)
-            row.append(acc)
-        rows.append(row)
-    return linalg.rank(rows)
+    n = chart.n_geom
+    pairs = list(omega.terms)
+    m = len(pairs)
+    coeffs = list(omega.terms.values())
+    partials = [c.differentiate(x) for x in chart.geometric_names() for c in coeffs]
+    kernel = IntegerKernel(chart, coeffs + partials)
+
+    def at(point: Sequence[Fraction]) -> tuple[list[list[int]], int]:
+        values, _ = kernel(*integer_point(point))
+        mat = [[0] * n for _ in range(n)]
+        for (i, j), e in zip(pairs, values):
+            mat[i][j] = e
+            mat[j][i] = -e
+        basis = linalg.integer_nullspace(mat)
+        grad = [values[m * (l + 1) : m * (l + 2)] for l in range(n)]
+        factors = [[va[i] * vb[j] - va[j] * vb[i] for i, j in pairs] for va, vb in combinations(basis, 2)]
+        rows = []
+        for w in basis:
+            # the derivative of every entry of omega along w
+            along = [sum(w[l] * grad[l][p] for l in range(n) if w[l]) for p in range(m)]
+            rows.append([sum(map(operator.mul, along, f)) for f in factors])
+        return basis, linalg.rank(rows)
+
+    return at
 
 
 def degeneracy_checks(
     omega: KForm, model: NSModel, count: int, rng: random.Random, label: str = "near-symplectic"
 ) -> CheckReport:
     """Kernel dimension 4 and intrinsic-gradient rank 3 at sampled critical points."""
+    degeneracy = compile_degeneracy(omega)
     for point in model.critical_points(count, rng):
-        kernel = kernel_at(omega, point)
+        kernel, r = degeneracy(point)
         if len(kernel) != 4:
             return CheckReport(
                 model.kind,
@@ -254,7 +261,6 @@ def degeneracy_checks(
                 f"kernel dimension {len(kernel)} != 4 at a critical point (eps={DEGENERACY_EPS})",
                 witness=str(point),
             )
-        r = dk_rank_at(omega, point, kernel)
         if r != 3:
             return CheckReport(
                 model.kind,
@@ -621,6 +627,22 @@ class DarbouxVerdict:
     kernel_dim_on_locus: int  # with the normal coordinates zeroed
 
 
+def darboux_normal_form(beta2_sign: int = 1) -> KForm:
+    """The normal-form 2-form on Z x R^3, with the second self-dual term's sign chosen."""
+    chart = Chart(("z0", "z1", "z2", "x1", "x2", "x3"))
+    x1, x2, x3 = chart.var("x1"), chart.var("x2"), chart.var("x3")
+
+    def f(coeff, *names):
+        return form_term(chart, coeff, names)
+
+    return (
+        f(1, "z1", "z2")
+        + f(-2 * x1, "z0", "x1") + f(-2 * x1, "x2", "x3")
+        + f(x2.scale(beta2_sign), "z0", "x2") + f(-x2.scale(beta2_sign), "x1", "x3")
+        + f(x3, "z0", "x3") + f(x3, "x1", "x2")
+    )
+
+
 def darboux_normal_form_data(beta2_sign: int = 1) -> DarbouxVerdict:
     """Degeneracy data of the normal-form 2-form on Z x R^3 at the origin.
 
@@ -628,25 +650,13 @@ def darboux_normal_form_data(beta2_sign: int = 1) -> DarbouxVerdict:
     self-dual term breaks closedness but the kernel and rank conditions
     are sign-robust, which is what the perturbed variant demonstrates.
     """
-    chart = Chart(("z0", "z1", "z2", "x1", "x2", "x3"))
-    x1, x2, x3 = chart.var("x1"), chart.var("x2"), chart.var("x3")
-
-    def f(coeff, *names):
-        return form_term(chart, coeff, names)
-
-    omega = (
-        f(1, "z1", "z2")
-        + f(-2 * x1, "z0", "x1") + f(-2 * x1, "x2", "x3")
-        + f(x2.scale(beta2_sign), "z0", "x2") + f(-x2.scale(beta2_sign), "x1", "x3")
-        + f(x3, "z0", "x3") + f(x3, "x1", "x2")
-    )
+    omega = darboux_normal_form(beta2_sign)
     origin = [Fraction(0)] * 6
-    kernel = kernel_at(omega, origin)
-    rank3 = dk_rank_at(omega, origin, kernel)
+    kernel, rank3 = compile_degeneracy(omega)(origin)
     restricted = KForm(
-        chart, 2, {idx: c.substitute({"x1": 0, "x2": 0, "x3": 0}) for idx, c in omega.terms.items()}
+        omega.chart, 2, {idx: c.substitute({"x1": 0, "x2": 0, "x3": 0}) for idx, c in omega.terms.items()}
     )
-    kernel_locus = kernel_at(restricted, origin)
+    kernel_locus, _ = compile_degeneracy(restricted)(origin)
     return DarbouxVerdict(ext_d(omega).is_zero(), len(kernel), rank3, len(kernel_locus))
 
 

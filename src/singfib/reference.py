@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .catalog import FibrationModel, deformation_symbol
 from .exterior import KForm, KVector, form_term, vector_term
-from .poly import Chart, Poly, Rational
+from .poly import Chart, IntegerKernel, Poly, Rational, integer_point
 
 # -- claimed Poisson bivectors ----------------------------------------------------
 
@@ -119,17 +120,24 @@ class LeafClaim:
     """Claimed leaf coefficient at k = 1, as lambda^2 = num^2 / prod(den).
 
     The denominator is kept as its factors, each evaluated on its own, so
-    a large product (the w_s claim) is never expanded.
+    a large product (the w_s claim) is never expanded.  num and the factors
+    are read from one integer kernel, compiled on first use.
     """
 
     text: str
     num: Poly
     den: tuple[Poly, ...]
 
+    @cached_property
+    def kernel(self) -> IntegerKernel:
+        return IntegerKernel(self.num.chart, [self.num, *self.den])
+
     def value_sq(self, point: Sequence[Rational]) -> Fraction:
         """lambda^2 at the point; ZeroDivisionError where a factor of den vanishes."""
-        num = self.num.evaluate(point)
-        return num * num / math.prod(factor.evaluate(point) for factor in self.den)
+        (v0, *factors), scale = self.kernel(*integer_point(point))
+        # each value is scale times its polynomial's: num^2 / prod(den) = v0^2 scale^(m-2) / prod(factors)
+        m = len(factors)
+        return Fraction(v0 * v0 * scale ** max(m - 2, 0), math.prod(factors) * scale ** max(2 - m, 0))
 
 
 def _claim(num: Poly, den: Poly) -> LeafClaim:

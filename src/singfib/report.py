@@ -5,14 +5,13 @@ defining relation that holds, fail for one that does not, mismatch for a
 disagreement with a catalogued closed-form expression (mismatches are
 informative, not fatal).  Records serialize as JSON lines with a fixed
 field order and no timing data, so a fixed seed reproduces report files
-byte for byte; wall-clock timing is kept on the object for the human
-summary only.
+byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 PASS = "pass"
@@ -27,7 +26,6 @@ class CheckReport:
     status: str
     detail: str
     witness: str | None = None
-    timing_ms: float | None = None
 
     def to_record(self) -> str:
         payload = {

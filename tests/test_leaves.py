@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from singfib import leaves, linalg
+from singfib import leaves, linalg, poly
 from singfib.catalog import ALL_KINDS, DEFORMATION_KINDS, DIM6_KINDS, get_model, random_noncritical_point
 from singfib.exterior import KVector
 from singfib.leaves import (
@@ -22,7 +23,7 @@ from singfib.leaves import (
 from singfib.poisson import PoissonBivector, flaschka_ratiu
 from singfib.poly import CHART6
 from singfib.reference import LeafClaim, leaf_claim
-from singfib.suite import _leaf_models
+from singfib.suite import _leaf_models, run_suite
 
 ANCHOR = (0, 0, 0, 1, 0, 1)
 
@@ -82,7 +83,6 @@ def test_anchor_coefficient_value():
     coeff = leaf_coefficient(get_model("fold", 3), ANCHOR, 1)
     assert coeff.value_sq == Fraction(1, 8)  # |lambda| = 1/(2 sqrt 2)
     assert coeff.pairing_antisymmetric
-    assert abs(abs(coeff.value_float) - 0.35355339) < 1e-7
 
 
 def test_more_hand_computed_fold_values():
@@ -379,6 +379,62 @@ def test_ws_claim_is_the_product_formula(param):
         assert claim.value_sq(q) == (b * s_num) ** 2 / (4 * b * b * mu_a * mu_b * s_den), q
         checked += 1
     assert checked >= 30
+
+
+def _claim_by_evaluation(claim, q):
+    """num^2 / prod(den) from Poly.evaluate, each factor on its own; ZeroDivisionError where one vanishes."""
+    return claim.num.evaluate(q) ** 2 / math.prod(factor.evaluate(q) for factor in claim.den)
+
+
+def _value_agrees(claim, q) -> bool:
+    """value_sq equals the evaluated formula, or both raise ZeroDivisionError; True when they raise."""
+    try:
+        want = _claim_by_evaluation(claim, q)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            claim.value_sq(q)
+        return True
+    assert claim.value_sq(q) == want, q
+    return False
+
+
+AUDIT_MODELS = list(_leaf_models(None, for_audit=True))
+
+
+@pytest.mark.parametrize("model", AUDIT_MODELS, ids=[m.name for m in AUDIT_MODELS])
+def test_claim_value_equals_the_evaluated_formula(model):
+    claim = leaf_claim(model)
+    rng = random.Random(f"claim-value:{model.name}")
+    raised = sum(_value_agrees(claim, random_noncritical_point(model, rng)) for _ in range(20))
+    assert raised < 10
+    # small coordinates, so that a factor of den sometimes vanishes
+    for _ in range(60):
+        _value_agrees(claim, [Fraction(rng.randint(-1, 1), rng.randint(1, 2)) for _ in range(model.chart.dim)])
+
+
+def test_claim_value_raises_where_the_fold_denominator_vanishes():
+    model = get_model("fold", 3)
+    claim = leaf_claim(model)
+    chart = model.chart
+    for x2 in (Fraction(0), Fraction(1), Fraction(-3, 2)):
+        q = [Fraction(1, 3)] * chart.dim
+        q[chart.index("x1")] = q[chart.index("x3")] = Fraction(0)
+        q[chart.index("x2")] = x2
+        assert _value_agrees(claim, q)
+
+
+def test_audit_and_near_symplectic_evaluate_no_polynomial(monkeypatch):
+    calls = []
+    evaluate = poly.Poly.evaluate
+
+    def counting_evaluate(self, point):
+        calls.append(self)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(poly.Poly, "evaluate", counting_evaluate)
+    reports = run_suite(checks=["leaf-audit", "near-symplectic"])
+    assert len(reports) > 1 and not any(r.status == "fail" for r in reports)
+    assert calls == []
 
 
 @WS_PARAMS

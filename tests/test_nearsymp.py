@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from singfib.exterior import KForm, ext_d, form_term, wedge_power, volume_form
+from singfib import linalg
+from singfib.catalog import random_rational
+from singfib.exterior import KForm, PolyMap, ext_d, form_term, pullback, wedge_power, volume_form
 from singfib.interval import parse_box
 from singfib.nearsymp import (
     DEGENERACY_EPS,
@@ -17,12 +20,13 @@ from singfib.nearsymp import (
     assemble,
     assemble_and_verify,
     build_omega0,
+    compile_degeneracy,
+    darboux_normal_form,
     darboux_normal_form_check,
     darboux_normal_form_data,
     decompose,
     epsilon_bound,
     fibre_positivity,
-    kernel_at,
     ns_model,
     repair_correction,
     rescale,
@@ -203,6 +207,13 @@ def test_claimed_forms_pass_definition_checks(kind):
     assert [r.status for r in reports] == ["pass", "pass"]
 
 
+def test_critical_points_reject_a_sampler_off_the_locus():
+    # the cusp sampler puts t = x^2, which is off the swallowtail's critical locus
+    model = NSModel("cusp", ns_model("swallowtail").f4, rescaled=True)
+    with pytest.raises(AssertionError, match="sampler missed the critical locus"):
+        model.critical_points(1, random.Random(0))
+
+
 @pytest.mark.parametrize("kind", ["fold", "cusp", "swallowtail", "butterfly"])
 def test_critical_points_keep_their_draws(kind):
     # the draws are Fraction(randint(-6, 6), randint(1, 4)) for u, s, x (and t
@@ -225,11 +236,102 @@ def test_critical_points_keep_their_draws(kind):
 def test_kernel_at_critical_point_is_coordinate_block():
     omega = claimed_assembled_form("cusp")
     point = [Fraction(0), Fraction(0), Fraction(1), Fraction(1), Fraction(0), Fraction(0), Fraction(1, 8)]
-    kernel = kernel_at(omega, point)
-    assert len(kernel) == 4
+    kernel, rank = compile_degeneracy(omega)(point)
+    assert len(kernel) == 4 and rank == 3
     spanned = {tuple(v) for v in kernel}
-    coords = {tuple(Fraction(1) if i == j else Fraction(0) for i in range(6)) for j in (2, 3, 4, 5)}
+    coords = {tuple(1 if i == j else 0 for i in range(6)) for j in (2, 3, 4, 5)}
     assert spanned == coords
+
+
+# -- compiled degeneracy against the rational oracle ---------------------------------
+
+
+def oracle_kernel(omega, point):
+    """The rational kernel basis of omega at the point (one vector per free column)."""
+    return linalg.nullspace(omega.coefficient_matrix(point))
+
+
+def oracle_gradient_rank(omega, point, kernel):
+    """Rank of the intrinsic gradient on the kernel, from pair polynomials built at the point.
+
+    Rows: derivative directions (the kernel basis).  Columns: the pair
+    functions omega(v_a, v_b) for kernel basis pairs, differentiated with
+    the basis vectors held constant.
+    """
+    chart = omega.chart
+    names = chart.geometric_names()
+    pair_polys = []
+    for va, vb in combinations(kernel, 2):
+        poly = chart.zero()
+        for (i, j), c in omega.terms.items():
+            factor = va[i] * vb[j] - va[j] * vb[i]
+            if factor != 0:
+                poly = poly + c.scale(factor)
+        pair_polys.append(poly)
+    rows = []
+    for w in kernel:
+        row = []
+        for poly in pair_polys:
+            acc = Fraction(0)
+            for i, name in enumerate(names):
+                if w[i] != 0:
+                    acc += w[i] * poly.differentiate(name).evaluate(point)
+            row.append(acc)
+        rows.append(row)
+    return linalg.rank(rows)
+
+
+def _ns_candidates():
+    """Every 2-form the near-symplectic check decides: claimed form, claimed assembly, repaired assembly."""
+    for kind in ("fold", "cusp", "swallowtail", "butterfly"):
+        yield f"{kind}:claimed-form", ns_model(kind), claimed_assembled_form(kind)
+        yield f"{kind}:claimed", ns_model(kind), assemble(kind, "claimed").omega
+        yield f"{kind}:repair", ns_model(kind), assemble(kind, "repair").omega
+
+
+NS_CANDIDATES = list(_ns_candidates())
+
+
+def _agree(omega, point):
+    kernel, rank = compile_degeneracy(omega)(point)
+    want = oracle_kernel(omega, point)
+    assert len(kernel) == len(want)
+    # each integer basis vector is a positive multiple of the rational one
+    for vec, ref in zip(kernel, want):
+        ratio = next(Fraction(a) / b for a, b in zip(vec, ref) if b)
+        assert ratio > 0 and [Fraction(a) for a in vec] == [ratio * b for b in ref]
+    assert rank == oracle_gradient_rank(omega, point, want)
+    return len(kernel), rank
+
+
+@pytest.mark.parametrize("label, model, omega", NS_CANDIDATES, ids=[c[0] for c in NS_CANDIDATES])
+def test_compiled_degeneracy_matches_the_oracle(label, model, omega):
+    rng = random.Random(f"degeneracy:{label}")
+    for point in model.critical_points(5, rng):
+        _agree(omega, point)
+    dims = set()
+    for _ in range(5):
+        point = [random_rational(rng) for _ in range(6)] + [DEGENERACY_EPS]
+        dims.add(_agree(omega, point)[0])
+    assert 4 not in dims
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_compiled_degeneracy_matches_the_oracle_on_the_darboux_forms(sign):
+    omega = darboux_normal_form(sign)
+    assert _agree(omega, [Fraction(0)] * 6) == (4, 3)
+    rng = random.Random(f"darboux:{sign}")
+    for _ in range(5):
+        assert _agree(omega, [random_rational(rng) for _ in range(6)])[0] != 4
+    # a linear change of coordinates keeps kernel dim 4 and rank 3 at the origin,
+    # with a kernel basis that is no longer a set of coordinate vectors
+    chart = omega.chart
+    xs = [chart.var(name) for name in chart.names]
+    lower = [[1 if i == j else rng.randint(-2, 2) * (j < i) for j in range(6)] for i in range(6)]
+    upper = [[1 if i == j else rng.randint(-2, 2) * (j > i) for j in range(6)] for i in range(6)]
+    mixed = [[sum(lower[i][k] * upper[k][j] for k in range(6)) for j in range(6)] for i in range(6)]
+    linear = PolyMap(chart, chart, tuple(sum((a * x for a, x in zip(row, xs)), chart.zero()) for row in mixed))
+    assert _agree(pullback(omega, linear), [Fraction(0)] * 6) == (4, 3)
 
 
 # -- fibre positivity -------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A model is its Casimir list, which is the polynomial map's component
 functions (real and imaginary parts for the complex Lefschetz-type charts),
-plus the equations cutting out its critical locus; a sampler produces exact
-rational points on that locus.
+plus the equations cutting out its critical locus; ``sample_locus`` solves
+those equations for exact rational points.
 
 Every indefinite kind accepts any half-dimension n >= 3 (they are the
 type-2n families); the definite variants are catalogued in dimension 6
@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import linalg
 from .exterior import KVector
@@ -250,66 +250,66 @@ def random_noncritical_point(model: FibrationModel, rng: random.Random) -> list[
 
 
 def critical_points_sample(model: FibrationModel, count: int, rng: random.Random) -> list[list[Fraction]]:
-    """Exact rational points on the critical locus, verified against the equations.
+    """Exact rational points on the critical locus, a symbolic deformation parameter pinned to 0."""
+    pinned = {PARAM_NAME: Fraction(0)} if PARAM_NAME in model.chart.names else {}
+    return sample_locus(model.chart, model.critical_locus, count, rng, pinned)
 
-    Deformation kinds are sampled at the pinned parameter value (the
-    symbolic-parameter model is sampled at parameter 0, appending the
-    parameter coordinate).
+
+def sample_locus(
+    chart: Chart, equations: Sequence[Poly], count: int, rng: random.Random, pinned: Mapping[str, Rational]
+) -> list[list[Fraction]]:
+    """Exact rational points where every equation vanishes, checked through one integer kernel.
+
+    Each point draws every chart coordinate with ``random_rational`` in chart
+    order, sets the pinned ones and solves the equations (pinned values
+    substituted) in turn.  c*v + r, c a nonzero constant and v the first such
+    variable, sets v = -r/c, with every nonzero r read from one integer
+    kernel at the drawn point.  a*v^2 + b*w^2 sets v = w = 0 when definite
+    and w = +-v (one ``rng.choice``) when a = -b.  Any other equation raises
+    ``NotImplementedError``.
     """
-    pts: list[list[Fraction]] = []
-    chart = model.chart
-    n = model.n
-    has_param = chart.dim > chart.n_geom
-
-    def base_point() -> list[Fraction]:
-        p = [random_rational(rng) for _ in range(chart.dim)]
-        if has_param:
-            p[chart.index(PARAM_NAME)] = Fraction(0)
-        return p
-
-    ix1, ix2, ix3 = chart.index("x1"), chart.index("x2"), chart.index("x3")
-    it_last = chart.index(f"t{2 * n - 3}")
-    while len(pts) < count:
-        p = base_point()
-        p[ix2] = Fraction(0)
-        p[ix3] = Fraction(0)
-        kind = model.kind
-        s_val = model.param if model.param is not None else Fraction(0)
-        if kind.startswith("fold"):
-            p[ix1] = Fraction(0)
-        elif kind.startswith("cusp"):
-            p[chart.index("t1")] = p[ix1] ** 2
-        elif kind.startswith("swallowtail"):
-            x1, t1 = p[ix1], p[chart.index("t1")]
-            p[chart.index("t2")] = -4 * x1**3 - 2 * t1 * x1
-        elif kind.startswith("butterfly"):
-            x1, t1, t2 = p[ix1], p[chart.index("t1")], p[chart.index("t2")]
-            p[chart.index("t3")] = -(5 * x1**4 + 3 * t1 * x1**2 + 2 * t2 * x1)
-        elif kind == "b_s":
-            # x1^2 = t^2 - s; solvable over Q with x1 = +-t when s = 0
-            if s_val != 0:
-                raise NotImplementedError("b_s sampling requires parameter 0")
-            p[ix1] = p[it_last] * rng.choice((1, -1))
-        elif kind == "m_s":
-            if s_val != 0:
-                raise NotImplementedError("m_s sampling requires parameter 0")
-            p[ix1] = Fraction(0)
-            p[it_last] = Fraction(0)
-        elif kind == "f_s":
-            x1 = p[ix1]
-            p[it_last] = 2 * s_val * x1 - 4 * x1**3
-        elif kind == "w_s":
-            if s_val != 0:
-                raise NotImplementedError("w_s sampling requires parameter 0")
-            p[ix1] = Fraction(0)
-            p[it_last] = Fraction(0)
-        elif kind == "lefschetz":
-            p[ix1] = Fraction(0)
-            p[it_last] = Fraction(0)
+    pins = [(chart.index(name), Fraction(value)) for name, value in pinned.items()]
+    units = [tuple(int(j == i) for j in range(chart.dim)) for i in range(chart.dim)]
+    steps: list[tuple[str, int, Fraction | int, int]] = []  # (op, i, c or j, slot of r)
+    rests: list[Poly] = []
+    solved: set[str] = set()
+    for eq in (e.substitute(pinned) for e in equations):
+        terms = eq.terms
+        # the first v with eq = c*v + r, c a nonzero constant and r free of v; else a*v^2 + b*w^2
+        i = next((i for i, u in enumerate(units) if u in terms and all(e == u or not e[i] for e in terms)), None)
+        squares = sorted((e.index(2), c) for e, c in terms.items() if sum(e) == 2 and 2 in e)
+        ratio = -squares[0][1] / squares[1][1] if len(squares) == len(terms) == 2 else 0  # w^2 / v^2
+        if i is not None:
+            r = eq - chart.var(chart.names[i]).scale(terms[units[i]])
+            if r.variables() & solved:
+                raise ValueError(f"{r} holds a variable an earlier equation solved")
+            if r:
+                steps.append(("linear", i, terms[units[i]], len(rests)))
+                rests.append(r)
+            else:
+                steps.append(("zero", i, i, 0))
+            solved.add(chart.names[i])
+        elif ratio < 0 or ratio == 1:
+            steps.append(("zero" if ratio < 0 else "sign", squares[0][0], squares[1][0], 0))
+            solved.update(chart.names[v] for v, _ in squares)
         else:
-            raise UnknownKind(kind)
-        if not model.is_critical(p):
-            raise AssertionError(f"sampler produced a non-critical point for {kind}: {p}")
+            raise NotImplementedError(f"no rational sampler for the equation {eq} = 0")
+    kernel, check = IntegerKernel(chart, rests), IntegerKernel(chart, list(equations))
+    pts: list[list[Fraction]] = []
+    while len(pts) < count:
+        p = [random_rational(rng) for _ in range(chart.dim)]
+        for j, value in pins:
+            p[j] = value
+        values, scale = kernel(*integer_point(p)) if rests else ([], 1)
+        for op, i, arg, k in steps:
+            if op == "linear":
+                p[i] = Fraction(-values[k] * arg.denominator, scale * arg.numerator)
+            elif op == "zero":
+                p[i] = p[arg] = Fraction(0)
+            else:
+                p[arg] = p[i] * rng.choice((1, -1))
+        if any(check(*integer_point(p))[0]):
+            raise AssertionError(f"sampler missed the critical locus: {p}")
         pts.append(p)
     return pts
 

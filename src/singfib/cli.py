@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--out", help="also write the records to this file")
 
     p_eps = sub.add_parser("epsilon", help="certified fibre-positivity scale bound")
-    p_eps.add_argument("--kind", required=True, choices=("cusp", "swallowtail", "butterfly"))
+    p_eps.add_argument("--kind", required=True, choices=nearsymp.FIBRE_KINDS)
     p_eps.add_argument("--box", default=None, help="e.g. '|x|<=1,|u|<=1/10' (default per kind)")
     return parser
 

@@ -59,9 +59,6 @@ class Interval:
         # even power straddling zero
         return Interval(Fraction(0), max(self.lo**e, self.hi**e))
 
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from . import linalg
-from .catalog import random_rational
+from .catalog import sample_locus
 from .exterior import (
     KForm,
     PolyMap,
@@ -78,30 +78,9 @@ class NSModel:
         return self.f4.differentiate("x")
 
     def critical_points(self, count: int, rng: random.Random) -> list[list[Fraction]]:
-        """Rational points on the critical locus at eps = ``DEGENERACY_EPS``, checked against grad f4."""
-        pts: list[list[Fraction]] = []
-        grad = IntegerKernel(NS_CHART_EPS, [self.f4.differentiate(n) for n in ("x", "y", "z")])
-        while len(pts) < count:
-            vals = {name: random_rational(rng) for name in ("u", "s", "x")}
-            vals["y"] = Fraction(0)
-            vals["z"] = Fraction(0)
-            x = vals["x"]
-            if self.kind == "fold":
-                vals["x"] = Fraction(0)
-                vals["t"] = random_rational(rng)
-            elif self.kind == "cusp":
-                vals["t"] = x * x
-            elif self.kind == "swallowtail":
-                vals["t"] = -4 * x**3 - 2 * vals["s"] * x
-            elif self.kind == "butterfly":
-                vals["t"] = 5 * x**4 - 3 * vals["u"] * x * x + 2 * vals["s"] * x
-            else:
-                raise ValueError(self.kind)
-            point = [vals[name] for name in ("u", "s", "t", "x", "y", "z")] + [DEGENERACY_EPS]
-            if any(grad(*integer_point(point))[0]):
-                raise AssertionError("sampler missed the critical locus")
-            pts.append(point)
-        return pts
+        """Rational points where grad f4 = 0, at eps = ``DEGENERACY_EPS``."""
+        grad = [self.f4.differentiate(name) for name in ("x", "y", "z")]
+        return sample_locus(NS_CHART_EPS, grad, count, rng, {"eps": DEGENERACY_EPS})
 
 
 def ns_model(kind: str) -> NSModel:
@@ -139,15 +118,16 @@ class Decomposition:
     h: Poly
     residue: KForm
 
-    def reassemble(self, f_scale: Poly | Rational = 1, residue_scale: Poly | Rational = 1) -> KForm:
+    def reassemble(self, scale: Poly | Rational) -> KForm:
+        """The form with the b1 component and the residue multiplied by ``scale``."""
         c = NS_CHART_EPS
         b1 = form_term(c, 1, ("t", "x")) + form_term(c, 1, ("y", "z"))
         b2 = form_term(c, 1, ("t", "y")) + form_term(c, 1, ("z", "x"))
         b3 = form_term(c, 1, ("t", "z")) + form_term(c, 1, ("x", "y"))
         out = form_term(c, self.c_us, ("u", "s"))
-        out = out + b1.scale(self.f).scale(f_scale)
+        out = out + b1.scale(self.f).scale(scale)
         out = out + b2.scale(self.g) + b3.scale(self.h)
-        out = out + self.residue.scale(residue_scale)
+        out = out + self.residue.scale(scale)
         return out
 
 
@@ -157,7 +137,7 @@ def decompose(omega: KForm) -> Decomposition:
     f = omega.coeff((it, ix))
     g = omega.coeff((it, iy))
     h = omega.coeff((it, iz))
-    residue = omega - Decomposition(c_us, f, g, h, KForm(NS_CHART_EPS, 2, {})).reassemble()
+    residue = omega - Decomposition(c_us, f, g, h, KForm(NS_CHART_EPS, 2, {})).reassemble(1)
     return Decomposition(c_us, f, g, h, residue)
 
 
@@ -171,7 +151,7 @@ def rescale(omega: KForm) -> KForm:
     close it).
     """
     eps = NS_CHART_EPS.var("eps")
-    return decompose(omega).reassemble(f_scale=eps, residue_scale=eps)
+    return decompose(omega).reassemble(eps)
 
 
 #: multinomial factor in the cube of a 2-form: 3!/(1!2!) choices times
@@ -424,6 +404,15 @@ def verify_claimed_form(kind: str, samples: int, rng: random.Random) -> list[Che
 # -- fibre positivity -----------------------------------------------------------------
 
 
+DEFAULT_BOXES: dict[str, str] = {
+    "cusp": "|x|<=1",
+    "swallowtail": "|x|<=1,|s|<=1/10",
+    "butterfly": "|x|<=1,|u|<=1/10,|s|<=1/10",
+}
+#: the kinds whose fibre numerator ``fibre_positivity`` audits and ``epsilon_bound`` certifies
+FIBRE_KINDS = tuple(DEFAULT_BOXES)
+
+
 @dataclass(frozen=True)
 class FibrePositivity:
     kind: str
@@ -446,8 +435,8 @@ def fibre_positivity(kind: str, omega: KForm | None = None) -> tuple[FibrePositi
     coefficient pattern and re-derived through interior products as
     omega(D v1, D v2) = D * N.
     """
-    if kind not in ("cusp", "swallowtail", "butterfly"):
-        raise ValueError(f"fibre positivity applies to cusp/swallowtail/butterfly, not {kind!r}")
+    if kind not in FIBRE_KINDS:
+        raise ValueError(f"fibre positivity applies to {'/'.join(FIBRE_KINDS)}, not {kind!r}")
     model = ns_model(kind)
     if omega is None:
         omega = claimed_assembled_form(kind)
@@ -510,13 +499,6 @@ def fibre_positivity(kind: str, omega: KForm | None = None) -> tuple[FibrePositi
             )
         )
     return result, reports
-
-
-DEFAULT_BOXES: dict[str, str] = {
-    "cusp": "|x|<=1",
-    "swallowtail": "|x|<=1,|s|<=1/10",
-    "butterfly": "|x|<=1,|u|<=1/10,|s|<=1/10",
-}
 
 
 class RejectedBox(ValueError):

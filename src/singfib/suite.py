@@ -157,7 +157,7 @@ def check_near_symplectic(scope: str | None, seed: int, samples: int) -> list[Ch
 
 def check_fibre_positivity(scope: str | None, seed: int, samples: int) -> list[CheckReport]:
     reports = []
-    for kind in ("cusp", "swallowtail", "butterfly"):
+    for kind in nearsymp.FIBRE_KINDS:
         if not _kind_selected(kind, scope):
             continue
         result, reps = nearsymp.fibre_positivity(kind)
@@ -166,7 +166,9 @@ def check_fibre_positivity(scope: str | None, seed: int, samples: int) -> list[C
         reports.append(
             CheckReport(kind, "fibre-bound", PASS, f"certified fibre positivity: {bound.describe()}")
         )
-        cand, _ = nearsymp.assemble_and_verify(kind, "claimed", 1, _rng(seed, "fibre-repair", kind))
+        cand = nearsymp.assemble(kind, "claimed")
+        if not cand.closed():
+            cand = nearsymp.assemble(kind, "repair")
         try:
             rbound = nearsymp.epsilon_bound(kind, omega=cand.omega)
             reports.append(

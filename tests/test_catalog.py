@@ -22,9 +22,10 @@ from singfib.catalog import (
     manifest_text,
     random_noncritical_point,
     random_rational,
+    sample_locus,
 )
 from singfib.poisson import flaschka_ratiu, match_claimed_bivector
-from singfib.poly import integer_point, parse_poly
+from singfib.poly import Chart, integer_point, parse_poly
 
 
 #: chart, printed Casimirs, printed critical locus and scale of every model
@@ -198,6 +199,92 @@ def test_jacobian_identity_block():
     for i in range(3):
         for j in range(3):
             assert jac[i][j] == (m.chart.one() if i == j else m.chart.zero())
+
+
+def per_kind_critical_points(model, count, rng):
+    """The hand-solved critical-point sampler, one branch per kind: the oracle for ``sample_locus``."""
+    pts = []
+    chart = model.chart
+    n = model.n
+    has_param = chart.dim > chart.n_geom
+
+    def base_point():
+        p = [random_rational(rng) for _ in range(chart.dim)]
+        if has_param:
+            p[chart.index("s_par")] = Fraction(0)
+        return p
+
+    ix1, ix2, ix3 = chart.index("x1"), chart.index("x2"), chart.index("x3")
+    it_last = chart.index(f"t{2 * n - 3}")
+    while len(pts) < count:
+        p = base_point()
+        p[ix2] = Fraction(0)
+        p[ix3] = Fraction(0)
+        kind = model.kind
+        s_val = model.param if model.param is not None else Fraction(0)
+        if kind.startswith("fold"):
+            p[ix1] = Fraction(0)
+        elif kind.startswith("cusp"):
+            p[chart.index("t1")] = p[ix1] ** 2
+        elif kind.startswith("swallowtail"):
+            x1, t1 = p[ix1], p[chart.index("t1")]
+            p[chart.index("t2")] = -4 * x1**3 - 2 * t1 * x1
+        elif kind.startswith("butterfly"):
+            x1, t1, t2 = p[ix1], p[chart.index("t1")], p[chart.index("t2")]
+            p[chart.index("t3")] = -(5 * x1**4 + 3 * t1 * x1**2 + 2 * t2 * x1)
+        elif kind == "b_s":
+            # x1^2 = t^2 - s; solvable over Q with x1 = +-t when s = 0
+            if s_val != 0:
+                raise NotImplementedError("b_s sampling requires parameter 0")
+            p[ix1] = p[it_last] * rng.choice((1, -1))
+        elif kind == "m_s":
+            if s_val != 0:
+                raise NotImplementedError("m_s sampling requires parameter 0")
+            p[ix1] = Fraction(0)
+            p[it_last] = Fraction(0)
+        elif kind == "f_s":
+            x1 = p[ix1]
+            p[it_last] = 2 * s_val * x1 - 4 * x1**3
+        elif kind == "w_s":
+            if s_val != 0:
+                raise NotImplementedError("w_s sampling requires parameter 0")
+            p[ix1] = Fraction(0)
+            p[it_last] = Fraction(0)
+        elif kind == "lefschetz":
+            p[ix1] = Fraction(0)
+            p[it_last] = Fraction(0)
+        else:
+            raise UnknownKind(kind)
+        pts.append(p)
+    return pts
+
+
+@pytest.mark.parametrize("row", MODEL_TABLE, ids=lambda r: f"{r['kind']}-{r['n']}-{r['param']}")
+def test_critical_points_equal_the_per_kind_sampler(row):
+    m = build_model(row["kind"], row["n"], _table_param(row))
+    label = f"crit-oracle:{m.name}:{row['param']}"
+    rng, oracle = random.Random(label), random.Random(label)
+    try:
+        want = per_kind_critical_points(m, 12, oracle)
+    except NotImplementedError:
+        with pytest.raises(NotImplementedError):
+            critical_points_sample(m, 12, rng)
+        return
+    assert critical_points_sample(m, 12, rng) == want
+    assert rng.getstate() == oracle.getstate()
+
+
+def test_sample_locus_raises_on_equations_it_does_not_solve():
+    chart = Chart(("t1", "x1"))
+    t1, x1 = chart.var("t1"), chart.var("x1")
+    rng = random.Random(0)
+    # no variable of constant coefficient, an irrational ratio, and a form that is not binary
+    for eq in (t1 * x1, 2 * t1 * t1 - x1 * x1, t1 * t1 - x1 * x1 + 1):
+        with pytest.raises(NotImplementedError):
+            sample_locus(chart, [eq], 1, rng, {})
+    # x1 = -t1^2 would read t1 at the drawn point, after t1 - 1 = 0 has set it
+    with pytest.raises(ValueError, match="earlier equation"):
+        sample_locus(chart, [t1 - 1, x1 + t1 * t1], 1, rng, {})
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 from singfib import linalg
-from singfib.catalog import random_rational
+from singfib.catalog import random_rational, sample_locus
 from singfib.exterior import KForm, PolyMap, ext_d, form_term, pullback, wedge_power, volume_form
 from singfib.interval import parse_box
 from singfib.nearsymp import (
@@ -33,6 +33,7 @@ from singfib.nearsymp import (
     sos_top_power,
     verify_claimed_form,
 )
+from singfib.poly import Chart
 from singfib.reference import NS_CHART_EPS, claimed_assembled_form, claimed_correction
 
 C = NS_CHART_EPS
@@ -208,29 +209,49 @@ def test_claimed_forms_pass_definition_checks(kind):
 
 
 def test_critical_points_reject_a_sampler_off_the_locus():
-    # the cusp sampler puts t = x^2, which is off the swallowtail's critical locus
-    model = NSModel("cusp", ns_model("swallowtail").f4, rescaled=True)
+    # x1 - t1 = 0 sets t1 = x1, then t1 - x1 - 1 = 0 sets t1 = x1 + 1, off the first equation
+    chart = Chart(("t1", "x1"))
+    t1, x1 = chart.var("t1"), chart.var("x1")
     with pytest.raises(AssertionError, match="sampler missed the critical locus"):
-        model.critical_points(1, random.Random(0))
+        sample_locus(chart, [x1 - t1, t1 - x1 - 1], 1, random.Random(0), {})
 
 
 @pytest.mark.parametrize("kind", ["fold", "cusp", "swallowtail", "butterfly"])
 def test_critical_points_keep_their_draws(kind):
-    # the draws are Fraction(randint(-6, 6), randint(1, 4)) for u, s, x (and t
-    # for the fold), in that order; t is solved from the locus otherwise
+    # each point draws Fraction(randint(-6, 6), randint(1, 4)) for u, s, t, x,
+    # y, z and eps, in chart order; eps is pinned, and grad f4 = 0 solves x
+    # (fold) or t (the others), then y and z
     rng, oracle = random.Random(f"cp:{kind}"), random.Random(f"cp:{kind}")
     points = ns_model(kind).critical_points(5, rng)
     for point in points:
-        u, s, x = (Fraction(oracle.randint(-6, 6), oracle.randint(1, 4)) for _ in range(3))
+        u, s, t, x, _, _, _ = (Fraction(oracle.randint(-6, 6), oracle.randint(1, 4)) for _ in range(7))
         t = {
-            "fold": lambda: Fraction(oracle.randint(-6, 6), oracle.randint(1, 4)),
-            "cusp": lambda: x * x,
-            "swallowtail": lambda: -4 * x**3 - 2 * s * x,
-            "butterfly": lambda: 5 * x**4 - 3 * u * x * x + 2 * s * x,
-        }[kind]()
+            "fold": t,
+            "cusp": x * x,
+            "swallowtail": -4 * x**3 - 2 * s * x,
+            "butterfly": 5 * x**4 - 3 * u * x * x + 2 * s * x,
+        }[kind]
         x = Fraction(0) if kind == "fold" else x
         assert point == [u, s, t, x, Fraction(0), Fraction(0), DEGENERACY_EPS]
     assert rng.getstate() == oracle.getstate()
+
+
+@pytest.mark.parametrize(
+    "label, f4, solved",
+    [
+        ("birth", X**3 - 3 * X * (T * T - S) + Y * Y - Z * Z, ("s", T * T - X * X)),
+        ("merge", X**3 - 3 * X * (S - T * T) + Y * Y - Z * Z, ("s", T * T + X * X)),
+        ("flip", X**4 - S * X * X + T * X + Y * Y - Z * Z, ("t", 2 * S * X - 4 * X**3)),
+    ],
+)
+def test_critical_points_of_the_wrinkled_models(label, f4, solved):
+    # the birth, merge and flip models in the (u, s, t, x, y, z) chart, base coordinate s
+    name, value = solved
+    points = NSModel(label, f4, rescaled=True).critical_points(10, random.Random(f"wrinkled:{label}"))
+    for point in points:
+        assert all(f4.differentiate(v).evaluate(point) == 0 for v in ("x", "y", "z"))
+        assert point[C.index(name)] == value.evaluate(point)
+        assert point[4:] == [0, 0, DEGENERACY_EPS]
 
 
 def test_kernel_at_critical_point_is_coordinate_block():

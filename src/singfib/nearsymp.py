@@ -19,6 +19,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -39,7 +40,7 @@ from .exterior import (
     wedge,
     wedge_power,
 )
-from .interval import Box, certified_minimum, enclose, format_box
+from .interval import Box, certified_minimum, enclose, format_box, parse_box
 from .poly import Chart, IntegerKernel, Poly, Rational, integer_point
 from .report import FAIL, MISMATCH, PASS, CheckReport
 from .reference import (
@@ -186,8 +187,8 @@ def sos_top_power(omega0: KForm) -> tuple[tuple[Poly, Poly, Poly], CheckReport]:
 # -- pointwise degeneracy checks ----------------------------------------------------
 
 
-def compile_degeneracy(omega: KForm) -> Callable[[Sequence[Fraction]], tuple[list[list[int]], int]]:
-    """omega's kernel basis and intrinsic-gradient rank at a point, from one integer kernel.
+def compile_degeneracy(omega: KForm) -> Callable[[Sequence[Fraction]], tuple[list[list[int]], list[list[int]]]]:
+    """omega's kernel basis and intrinsic-gradient rows at a point, from one integer kernel.
 
     The kernel is compiled once over omega's entries and their first
     partials in the geometric coordinates.  At a point the kernel basis is
@@ -196,8 +197,8 @@ def compile_degeneracy(omega: KForm) -> Callable[[Sequence[Fraction]], tuple[lis
     sum_l w_l sum_{i<j} (v_a^i v_b^j - v_a^j v_b^i) d_l omega^{ij}: the pair
     function omega(v_a, v_b) differentiated with the basis held constant.
     Each basis vector and partial is a positive multiple of its rational
-    counterpart, so rows and columns scale by positive factors and the
-    rank is the rational one.
+    counterpart, so rows and columns scale by positive factors and
+    ``linalg.rank`` of the rows is the rational rank.
     """
     chart = omega.chart
     n = chart.n_geom
@@ -207,7 +208,7 @@ def compile_degeneracy(omega: KForm) -> Callable[[Sequence[Fraction]], tuple[lis
     partials = [c.differentiate(x) for x in chart.geometric_names() for c in coeffs]
     kernel = IntegerKernel(chart, coeffs + partials)
 
-    def at(point: Sequence[Fraction]) -> tuple[list[list[int]], int]:
+    def at(point: Sequence[Fraction]) -> tuple[list[list[int]], list[list[int]]]:
         values, _ = kernel(*integer_point(point))
         mat = [[0] * n for _ in range(n)]
         for (i, j), e in zip(pairs, values):
@@ -221,7 +222,7 @@ def compile_degeneracy(omega: KForm) -> Callable[[Sequence[Fraction]], tuple[lis
             # the derivative of every entry of omega along w
             along = [sum(w[l] * grad[l][p] for l in range(n) if w[l]) for p in range(m)]
             rows.append([sum(map(operator.mul, along, f)) for f in factors])
-        return basis, linalg.rank(rows)
+        return basis, rows
 
     return at
 
@@ -232,7 +233,7 @@ def degeneracy_checks(
     """Kernel dimension 4 and intrinsic-gradient rank 3 at sampled critical points."""
     degeneracy = compile_degeneracy(omega)
     for point in model.critical_points(count, rng):
-        kernel, r = degeneracy(point)
+        kernel, rows = degeneracy(point)
         if len(kernel) != 4:
             return CheckReport(
                 model.kind,
@@ -241,6 +242,7 @@ def degeneracy_checks(
                 f"kernel dimension {len(kernel)} != 4 at a critical point (eps={DEGENERACY_EPS})",
                 witness=str(point),
             )
+        r = linalg.rank(rows)
         if r != 3:
             return CheckReport(
                 model.kind,
@@ -426,14 +428,21 @@ class FibrePositivity:
         return self.numerator == self.claimed
 
 
+def fibre_numerator(omega: KForm, denominator: Poly) -> Poly:
+    """N = a D + 2y b - 2z c, with a, b, c omega's dy^dz, dz^dx and dx^dy coefficients."""
+    ix, iy, iz = _IDX["x"], _IDX["y"], _IDX["z"]
+    y, z = NS_CHART_EPS.var("y"), NS_CHART_EPS.var("z")
+    a, b, c = omega.coeff((iy, iz)), -omega.coeff((ix, iz)), omega.coeff((ix, iy))
+    return a * denominator + 2 * y * b - 2 * z * c
+
+
 def fibre_positivity(kind: str, omega: KForm | None = None) -> tuple[FibrePositivity, list[CheckReport]]:
     """Exact cleared numerator of omega(v1, v2) on the fibre frame, audited.
 
     v1 = (2z/D) d_x + d_z and v2 = (2y/D) d_x - d_y with D the x-derivative
     of the fourth component; both are exact Jacobian kernel vectors after
-    clearing D.  The numerator N = D * omega(v1, v2) is computed from the
-    coefficient pattern and re-derived through interior products as
-    omega(D v1, D v2) = D * N.
+    clearing D.  The numerator N = D * omega(v1, v2) is ``fibre_numerator``,
+    re-derived through interior products as omega(D v1, D v2) = D * N.
     """
     if kind not in FIBRE_KINDS:
         raise ValueError(f"fibre positivity applies to {'/'.join(FIBRE_KINDS)}, not {kind!r}")
@@ -458,11 +467,7 @@ def fibre_positivity(kind: str, omega: KForm | None = None) -> tuple[FibrePositi
             if not acc.is_zero():
                 frame_ok = False
 
-    iy, iz, ix = _IDX["y"], _IDX["z"], _IDX["x"]
-    a = omega.coeff((iy, iz))
-    b = -omega.coeff((ix, iz))  # coefficient of dz^dx
-    c_xy = omega.coeff((ix, iy))
-    numerator = a * d_poly + 2 * y * b - 2 * z * c_xy
+    numerator = fibre_numerator(omega, d_poly)
     identity_ok = evaluate_form(omega, [v1, v2]) == d_poly * numerator
 
     claimed = claimed_fibre_numerator(kind)
@@ -518,72 +523,80 @@ class EpsilonBound:
         return f"eps* = {self.bound} on {where}"
 
 
+@dataclass(frozen=True)
+class FibreDecomposition:
+    """The fibre numerator as eps D^2 + y^2 L1 + z^2 L2, with L_i = a_i + eps b_i."""
+
+    denominator: Poly  # D
+    constraints: tuple[tuple[str, Fraction, Poly], ...]  # (label, a_i > 0, b_i)
+
+
+@lru_cache(maxsize=64)
+def fibre_decomposition(kind: str, omega: KForm | None = None) -> FibreDecomposition:
+    """The fibre numerator of omega in the shape ``epsilon_bound`` certifies.
+
+    ``omega=None`` is the catalogued form.  Keyed by value, so a form rebuilt term by term reads the same entry;
+    bounded, so a long process does not grow without limit.  A numerator
+    of any other shape raises ``RejectedBox``, which is never cached.
+    """
+    if kind not in FIBRE_KINDS:
+        raise ValueError(f"fibre positivity applies to {'/'.join(FIBRE_KINDS)}, not {kind!r}")
+    c = NS_CHART_EPS
+    d_poly = ns_model(kind).denominator()
+    numerator = fibre_numerator(claimed_assembled_form(kind) if omega is None else omega, d_poly)
+    iy, iz, ieps = _IDX["y"], _IDX["z"], c.index("eps")
+    buckets: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
+    for exp, coeff in numerator.terms.items():
+        stripped = list(exp)
+        stripped[iy] = stripped[iz] = 0
+        buckets.setdefault((exp[iy], exp[iz]), {})[tuple(stripped)] = coeff
+    extra = set(buckets) - {(0, 0), (2, 0), (0, 2)}
+    if extra:
+        raise RejectedBox(f"numerator is not of the certified shape: extra terms {extra}")
+    if Poly(c, buckets.get((0, 0), {})) != c.var("eps") * d_poly * d_poly:
+        raise RejectedBox("numerator (y,z)-free part is not eps * D^2")
+    constraints = []
+    for key, label in (((2, 0), "y^2"), ((0, 2), "z^2")):
+        terms = buckets.get(key)
+        if not terms:
+            raise RejectedBox(f"missing {label} term in the numerator")
+        if any(e[ieps] > 1 for e in terms):
+            raise RejectedBox("numerator is not linear in eps")
+        a_poly = Poly(c, {e: v for e, v in terms.items() if e[ieps] == 0})
+        if not a_poly.is_constant() or a_poly.constant_value() <= 0:
+            raise RejectedBox(f"{label} coefficient has a non-constant eps-free part")
+        b_poly = Poly(c, {e[:ieps] + (0,) + e[ieps + 1 :]: v for e, v in terms.items() if e[ieps] == 1})
+        constraints.append((label, a_poly.constant_value(), b_poly))
+    return FibreDecomposition(d_poly, tuple(constraints))
+
+
 def epsilon_bound(kind: str, box: Box | None = None, omega: KForm | None = None) -> EpsilonBound:
     """Largest eps* with the fibre numerator positive for all 0 < eps < eps*.
 
     The numerator decomposes exactly as eps D^2 + y^2 L1 + z^2 L2 with
-    L_i = a_i + eps b_i, a_i a positive constant.  With y, z, t unbounded
-    the positivity requirement on the punctured fibre is L1, L2 > 0 over
-    the box, so eps* = min a_i / (-min b_i) over the constraints with a
-    negative certified minimum.
+    L_i = a_i + eps b_i, a_i a positive constant (``fibre_decomposition``,
+    built once per form).  With y, z, t unbounded the positivity
+    requirement on the punctured fibre is L1, L2 > 0 over the box, so
+    eps* = min a_i / (-min b_i) over the constraints with a negative
+    certified minimum.
     """
-    model = ns_model(kind)
+    dec = fibre_decomposition(kind, omega)
     if box is None:
-        from .interval import parse_box
-
         box = parse_box(DEFAULT_BOXES[kind])
     unknown = sorted(set(box) - set(NS_CHART_EPS.geometric_names()))
     if unknown:
         raise RejectedBox(f"box bounds {unknown}, which are not among the coordinates u, s, t, x, y, z")
-    result, _ = fibre_positivity(kind, omega)
-    n = result.numerator
-    c = NS_CHART_EPS
-    iy, iz = _IDX["y"], _IDX["z"]
-
-    buckets: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
-    for exp, coeff in n.terms.items():
-        key = (exp[iy], exp[iz])
-        stripped = list(exp)
-        stripped[iy] = 0
-        stripped[iz] = 0
-        buckets.setdefault(key, {})[tuple(stripped)] = coeff
-    allowed = {(0, 0), (2, 0), (0, 2)}
-    if set(buckets) - allowed:
-        raise RejectedBox(f"numerator is not of the certified shape: extra terms {set(buckets) - allowed}")
-
-    d_poly = model.denominator()
-    eps = c.var("eps")
-    base = Poly(c, buckets.get((0, 0), {}))
-    if base != eps * d_poly * d_poly:
-        raise RejectedBox("numerator (y,z)-free part is not eps * D^2")
 
     # reject boxes that pin the denominator near zero
-    d_vars = d_poly.variables()
-    if d_vars <= set(box):
+    if dec.denominator.variables() <= set(box):
         margin = max(iv.width for iv in box.values()) / 64
-        encl = enclose(d_poly, box)
+        encl = enclose(dec.denominator, box)
         if encl.lo <= margin and encl.hi >= -margin:
             raise RejectedBox("box meets (or comes within margin of) the frame denominator's zero set")
 
-    ieps = c.index("eps")
     constraints: list[tuple[str, Fraction, Fraction]] = []
     bound: Fraction | None = None
-    for key, label in (((2, 0), "y^2"), ((0, 2), "z^2")):
-        l_poly = Poly(c, buckets.get(key, {}))
-        if l_poly.is_zero():
-            raise RejectedBox(f"missing {label} term in the numerator")
-        a_terms = {e: v for e, v in l_poly.terms.items() if e[ieps] == 0}
-        b_terms = {}
-        for e, v in l_poly.terms.items():
-            if e[ieps] == 1:
-                b_terms[e[:ieps] + (0,) + e[ieps + 1 :]] = v
-            elif e[ieps] > 1:
-                raise RejectedBox("numerator is not linear in eps")
-        a_poly = Poly(c, a_terms)
-        b_poly = Poly(c, b_terms)
-        if not a_poly.is_constant() or a_poly.constant_value() <= 0:
-            raise RejectedBox(f"{label} coefficient has a non-constant eps-free part")
-        a = a_poly.constant_value()
+    for label, a, b_poly in dec.constraints:
         needed = b_poly.variables()
         if not needed <= set(box):
             raise RejectedBox(f"box must bound {sorted(needed)} for the {label} constraint")
@@ -634,12 +647,12 @@ def darboux_normal_form_data(beta2_sign: int = 1) -> DarbouxVerdict:
     """
     omega = darboux_normal_form(beta2_sign)
     origin = [Fraction(0)] * 6
-    kernel, rank3 = compile_degeneracy(omega)(origin)
+    kernel, rows = compile_degeneracy(omega)(origin)
     restricted = KForm(
         omega.chart, 2, {idx: c.substitute({"x1": 0, "x2": 0, "x3": 0}) for idx, c in omega.terms.items()}
     )
     kernel_locus, _ = compile_degeneracy(restricted)(origin)
-    return DarbouxVerdict(ext_d(omega).is_zero(), len(kernel), rank3, len(kernel_locus))
+    return DarbouxVerdict(ext_d(omega).is_zero(), len(kernel), linalg.rank(rows), len(kernel_locus))
 
 
 def darboux_normal_form_check() -> CheckReport:

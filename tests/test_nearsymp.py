@@ -11,7 +11,7 @@ import pytest
 from singfib import linalg
 from singfib.catalog import random_rational, sample_locus
 from singfib.exterior import KForm, PolyMap, ext_d, form_term, pullback, wedge_power, volume_form
-from singfib.interval import parse_box
+from singfib.interval import Interval, corners, eval_at, parse_box
 from singfib.nearsymp import (
     DEGENERACY_EPS,
     NSModel,
@@ -26,6 +26,7 @@ from singfib.nearsymp import (
     darboux_normal_form_data,
     decompose,
     epsilon_bound,
+    fibre_decomposition,
     fibre_positivity,
     ns_model,
     repair_correction,
@@ -33,7 +34,7 @@ from singfib.nearsymp import (
     sos_top_power,
     verify_claimed_form,
 )
-from singfib.poly import Chart
+from singfib.poly import Chart, Poly
 from singfib.reference import NS_CHART_EPS, claimed_assembled_form, claimed_correction
 
 C = NS_CHART_EPS
@@ -257,8 +258,8 @@ def test_critical_points_of_the_wrinkled_models(label, f4, solved):
 def test_kernel_at_critical_point_is_coordinate_block():
     omega = claimed_assembled_form("cusp")
     point = [Fraction(0), Fraction(0), Fraction(1), Fraction(1), Fraction(0), Fraction(0), Fraction(1, 8)]
-    kernel, rank = compile_degeneracy(omega)(point)
-    assert len(kernel) == 4 and rank == 3
+    kernel, rows = compile_degeneracy(omega)(point)
+    assert len(kernel) == 4 and linalg.rank(rows) == 3
     spanned = {tuple(v) for v in kernel}
     coords = {tuple(1 if i == j else 0 for i in range(6)) for j in (2, 3, 4, 5)}
     assert spanned == coords
@@ -272,8 +273,8 @@ def oracle_kernel(omega, point):
     return linalg.nullspace(omega.coefficient_matrix(point))
 
 
-def oracle_gradient_rank(omega, point, kernel):
-    """Rank of the intrinsic gradient on the kernel, from pair polynomials built at the point.
+def oracle_gradient_rows(omega, point, kernel):
+    """The intrinsic gradient on the kernel, from pair polynomials built at the point.
 
     Rows: derivative directions (the kernel basis).  Columns: the pair
     functions omega(v_a, v_b) for kernel basis pairs, differentiated with
@@ -299,7 +300,7 @@ def oracle_gradient_rank(omega, point, kernel):
                     acc += w[i] * poly.differentiate(name).evaluate(point)
             row.append(acc)
         rows.append(row)
-    return linalg.rank(rows)
+    return rows
 
 
 def _ns_candidates():
@@ -314,14 +315,27 @@ NS_CANDIDATES = list(_ns_candidates())
 
 
 def _agree(omega, point):
-    kernel, rank = compile_degeneracy(omega)(point)
+    kernel, rows = compile_degeneracy(omega)(point)
     want = oracle_kernel(omega, point)
     assert len(kernel) == len(want)
     # each integer basis vector is a positive multiple of the rational one
+    ratios = []
     for vec, ref in zip(kernel, want):
         ratio = next(Fraction(a) / b for a, b in zip(vec, ref) if b)
         assert ratio > 0 and [Fraction(a) for a in vec] == [ratio * b for b in ref]
-    assert rank == oracle_gradient_rank(omega, point, want)
+        ratios.append(ratio)
+    # the integer gradient is the oracle's with row w scaled by w's ratio, column
+    # (v_a, v_b) by the product of theirs, and every entry by one positive factor
+    oracle = oracle_gradient_rows(omega, point, want)
+    pair_ratios = [ra * rb for ra, rb in combinations(ratios, 2)]
+    scaled = [[rw * rp * e for rp, e in zip(pair_ratios, row)] for rw, row in zip(ratios, oracle)]
+    assert [len(row) for row in rows] == [len(row) for row in scaled]
+    entries = [(Fraction(got), e) for row, srow in zip(rows, scaled) for got, e in zip(row, srow)]
+    assert all(got == 0 for got, e in entries if e == 0)
+    common = {got / e for got, e in entries if e != 0}
+    assert len(common) <= 1 and all(f > 0 for f in common)
+    rank = linalg.rank(rows)
+    assert rank == linalg.rank(oracle)
     return len(kernel), rank
 
 
@@ -420,6 +434,135 @@ def test_repaired_candidates_admit_positive_bounds():
     for kind, expect in (("cusp", Fraction(2, 3)), ("swallowtail", Fraction(20, 61)), ("butterfly", Fraction(5, 26))):
         cand, _ = assemble_and_verify(kind, "claimed", 1, random.Random(0))
         assert epsilon_bound(kind, omega=cand.omega).bound == expect
+
+
+# -- the fibre decomposition behind epsilon_bound --------------------------------------------
+
+#: the box variables each kind's constraints need, and the boxes on which both
+#: constraints take their minimum at a corner (branch-and-bound settles those)
+BOX_VARS = {"cusp": ("x",), "swallowtail": ("x", "s"), "butterfly": ("x", "u", "s")}
+DEFAULT_AND_REPAIRED = {
+    "cusp": (Fraction(1, 3), Fraction(2, 3)),
+    "swallowtail": (Fraction(5), Fraction(20, 61)),
+    "butterfly": (Fraction(5, 104), Fraction(5, 26)),
+}
+
+
+def _corner_minimum_box(kind, source, rng):
+    while True:
+        box = {}
+        for name in BOX_VARS[kind]:
+            lo, hi = sorted(rng.sample(range(-24, 25), 2))
+            box[name] = Interval(Fraction(lo, 20), Fraction(hi, 20))
+        x_one_signed = not box["x"].lo < 0 < box["x"].hi
+        if (
+            kind == "cusp"
+            or (kind == "swallowtail" and x_one_signed)
+            or (kind == "butterfly" and source == "catalogued" and box["x"].hi <= 0)
+            or (kind == "butterfly" and source == "repaired" and box["u"].hi <= 0 and x_one_signed)
+        ):
+            return box
+
+
+def oracle_epsilon_bound(numerator, box):
+    """eps* read off the numerator: y^2 and z^2 coefficients a + eps b, min b over the box corners."""
+    iy, iz, ieps = C.index("y"), C.index("z"), C.index("eps")
+    a = {"y^2": Fraction(0), "z^2": Fraction(0)}
+    b = {"y^2": {}, "z^2": {}}
+    for exp, coeff in numerator.terms.items():
+        label = {(2, 0): "y^2", (0, 2): "z^2"}.get((exp[iy], exp[iz]))
+        rest = list(exp)
+        rest[iy] = rest[iz] = rest[ieps] = 0
+        if label and exp[ieps] == 1:
+            b[label][tuple(rest)] = coeff
+        elif label and not any(exp[i] for i in range(len(exp)) if i not in (iy, iz)):
+            a[label] = coeff
+    constraints = []
+    for label in ("y^2", "z^2"):
+        poly = Poly(C, b[label])
+        m = min(eval_at(poly, corner) for corner in corners(box))
+        constraints.append((label, a[label], m))
+    negatives = [a / -m for _, a, m in constraints if m < 0]
+    return (min(negatives) if negatives else None), tuple(constraints)
+
+
+@pytest.mark.parametrize("kind", list(BOX_VARS))
+def test_bounds_are_the_same_from_a_cold_and_a_warm_memo(kind):
+    catalogued, repaired = DEFAULT_AND_REPAIRED[kind]
+    omega = assemble(kind, "repair").omega
+    fibre_decomposition.cache_clear()
+    for _ in range(2):
+        assert epsilon_bound(kind).bound == catalogued
+        assert epsilon_bound(kind, omega=omega).bound == repaired
+    assert fibre_decomposition.cache_info().hits == 2
+
+
+@pytest.mark.parametrize("source", ("catalogued", "repaired"))
+@pytest.mark.parametrize("kind", list(BOX_VARS))
+def test_epsilon_bound_equals_the_numerator_oracle_on_seeded_boxes(kind, source):
+    omega = None if source == "catalogued" else assemble(kind, "repair").omega
+    numerator = fibre_positivity(kind, omega)[0].numerator
+    rng = random.Random(f"epsilon-oracle:{kind}:{source}")
+    for _ in range(20):
+        box = _corner_minimum_box(kind, source, rng)
+        got = epsilon_bound(kind, box, omega)
+        assert (got.bound, got.constraints) == oracle_epsilon_bound(numerator, box)
+        assert got.box == box
+
+
+def _term_by_term(omega):
+    out = KForm(C, 2, {})
+    for idx, coeff in omega.terms.items():
+        out = out + form_term(C, coeff, tuple(C.names[i] for i in idx))
+    return out
+
+
+def test_a_form_rebuilt_term_by_term_reads_the_memo():
+    omega = assemble("butterfly", "repair").omega
+    rebuilt = _term_by_term(omega)
+    assert rebuilt is not omega and rebuilt == omega
+    fibre_decomposition.cache_clear()
+    first = epsilon_bound("butterfly", omega=omega)
+    assert epsilon_bound("butterfly", omega=rebuilt) == first
+    info = fibre_decomposition.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_catalogued_and_repaired_forms_never_share_an_entry():
+    repaired = assemble("butterfly", "repair").omega
+    fibre_decomposition.cache_clear()
+    for _ in range(2):
+        assert epsilon_bound("butterfly").bound == Fraction(5, 104)
+        assert epsilon_bound("butterfly", omega=repaired).bound == Fraction(5, 26)
+    info = fibre_decomposition.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    assert fibre_decomposition("butterfly", None) != fibre_decomposition("butterfly", repaired)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (f(X * Y, "y", "z"), "not of the certified shape"),
+        (f(1, "y", "z"), "free part is not eps \\* D\\^2"),
+        (f(EPS * EPS * Y, "x", "z"), "not linear in eps"),
+        (f(X * Y, "x", "z"), "y\\^2 coefficient has a non-constant eps-free part"),
+        (f(2 * Y * (1 - 3 * EPS * X), "x", "z"), "missing y\\^2 term"),
+    ],
+    ids=["odd-y", "eps-free", "eps-squared", "non-constant", "missing"],
+)
+def test_a_shape_failure_is_raised_on_every_call(extra, message):
+    omega = claimed_assembled_form("cusp") + extra
+    fibre_decomposition.cache_clear()
+    for _ in range(3):
+        with pytest.raises(RejectedBox, match=message):
+            epsilon_bound("cusp", omega=omega)
+    assert fibre_decomposition.cache_info().currsize == 0
+
+
+def test_epsilon_bound_rejects_a_kind_without_a_fibre_frame():
+    for box in (None, parse_box("|x|<=1")):
+        with pytest.raises(ValueError, match="fibre positivity applies to"):
+            epsilon_bound("fold", box)
 
 
 # -- Darboux-type normal form --------------------------------------------------------------

@@ -43,7 +43,7 @@ from typing import Sequence
 from . import linalg
 from .catalog import FibrationModel, random_noncritical_point
 from .poisson import PoissonBivector, flaschka_ratiu
-from .poly import Poly, Rational, integer_point
+from .poly import Rational, integer_point
 from .report import FAIL, MISMATCH, PASS, CheckReport
 from .reference import leaf_claim
 
@@ -144,21 +144,16 @@ def _multiplier(y: Sequence[int], x: Sequence[int], what: str) -> tuple[int, int
     return a, c
 
 
-def leaf_coefficient(
-    model: FibrationModel,
-    q: Sequence[Rational],
-    k: Poly | Rational = 1,
-    bivector: PoissonBivector | None = None,
-) -> LeafCoefficient:
-    """lambda at q from the closed-form solutions of pi . alpha = u and pi . beta = v.
+def leaf_coefficient(b: PoissonBivector, q: Sequence[Rational]) -> LeafCoefficient:
+    """lambda of b at q from the closed-form solutions of pi . alpha = u and pi . beta = v.
 
-    A rank-2 pi(q) whose image is the leaf plane sends v to a nonzero
-    multiple rho u and u to a nonzero multiple sigma v; InconsistentSystem
-    is raised where it does not, and where lambda^2 differs from
-    1 / sum_{i<j} (pi^{ij})^2 (a pi of rank above 2 that keeps the leaf plane).
+    The leaf frame is that of ``b.model``.  A rank-2 pi(q) whose image is
+    the leaf plane sends v to a nonzero multiple rho u and u to a nonzero
+    multiple sigma v; InconsistentSystem is raised where it does not, and
+    where lambda^2 differs from 1 / sum_{i<j} (pi^{ij})^2 (a pi of rank
+    above 2 that keeps the leaf plane).
     """
-    b = bivector if bivector is not None else flaschka_ratiu(model, k)
-    frame = leaf_frame(model, q)
+    frame = leaf_frame(b.model, q)
     u, v, uu, vv = frame.u, frame.v, frame.u_norm_sq, frame.v_norm_sq
     entries, d = b.entry_kernel(*frame.scaled_point)
     # P = d * pi(q): P.v = rho * u and P.u = sigma * v, rho = a / c and sigma = e / f
@@ -178,7 +173,7 @@ def defining_relations_check(model: FibrationModel, samples: int, rng: random.Ra
     for _ in range(samples):
         q = random_noncritical_point(model, rng)
         try:
-            coeff = leaf_coefficient(model, q, bivector=bivector)
+            coeff = leaf_coefficient(bivector, q)
         except (SingularPoint, linalg.InconsistentSystem) as exc:
             return CheckReport(model.name, "leaf-relations", FAIL, str(exc), witness=str(q))
         if not coeff.pairing_antisymmetric:

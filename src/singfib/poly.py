@@ -206,13 +206,6 @@ class Poly:
             raise ValueError(f"not a constant polynomial: {self}")
         return next(iter(self.terms.values()), Fraction(0))
 
-    def total_degree(self) -> int:
-        """Total degree in the geometric variables (-1 for the zero polynomial)."""
-        ng = self.chart.n_geom
-        if not self.terms:
-            return -1
-        return max(sum(e[:ng]) for e in self.terms)
-
     def variables(self) -> set[str]:
         used: set[str] = set()
         for exp in self.terms:

@@ -1,5 +1,7 @@
 """The full verification suite: every check, in a fixed deterministic order.
 
+``CHECKS`` declares each check once, in suite order, with the scopes it runs
+on; a check function runs one scope, and ``run_suite`` does the selection.
 Each check draws its randomness from a generator seeded by the global
 seed together with the check and model labels, so any subset of the suite
 reproduces the corresponding full-suite records byte for byte.
@@ -12,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import leaves, nearsymp, poisson
-from .catalog import ALL_KINDS, DEFORMATION_KINDS, DIM6_KINDS, PARAMETRIC_KINDS, get_model
+from .catalog import ALL_KINDS, DEFORMATION_KINDS, DIM6_KINDS, FibrationModel, get_model
 from .exterior import (
     KForm,
     KVector,
@@ -25,26 +27,8 @@ from .exterior import (
     volume_form,
     wedge,
 )
-from .poly import CHART6, Chart, Poly
+from .poly import CHART6, Chart, Poly, parse_poly
 from .report import FAIL, MISMATCH, PASS, CheckReport
-
-CHECK_NAMES = (
-    "bivector",
-    "casimir",
-    "jacobi",
-    "decomposable",
-    "rank",
-    "leaf-relations",
-    "leaf-audit",
-    "near-symplectic",
-    "fibre-positivity",
-    "darboux",
-    "calculus",
-)
-
-#: values of ``scope`` besides None (everything): a model kind, or one of the
-#: two checks that belong to no model
-SCOPES = ALL_KINDS + ("darboux", "calculus")
 
 #: parametric kinds are matched against the catalogue at these half-dimensions
 MATCH_DIMS = (4, 5)
@@ -56,137 +40,80 @@ def _rng(seed: int, *labels: str) -> random.Random:
     return random.Random(f"{seed}:" + ":".join(labels))
 
 
-def _kind_selected(kind: str, scope: str | None) -> bool:
-    return scope is None or scope == kind
+def check_bivector(kind: str, seed: int, samples: int) -> list[CheckReport]:
+    dims = (3,) if kind in DIM6_KINDS else MATCH_DIMS
+    return [poisson.match_claimed_bivector(get_model(kind, n)).report() for n in dims]
 
 
-def check_bivector(scope: str | None, seed: int, samples: int) -> list[CheckReport]:
-    reports = []
-    for kind in DIM6_KINDS:
-        if not _kind_selected(kind, scope):
-            continue
-        reports.append(poisson.match_claimed_bivector(get_model(kind, 3)).report())
-    for kind in PARAMETRIC_KINDS:
-        if not _kind_selected(kind, scope):
-            continue
-        for n in MATCH_DIMS:
-            reports.append(poisson.match_claimed_bivector(get_model(kind, n)).report())
-    return reports
+def check_casimir(kind: str, seed: int, samples: int) -> list[CheckReport]:
+    model = get_model(kind, 3)
+    k = model.chart.one() + model.chart.var("x1") ** 2
+    return [poisson.casimir_annihilation(poisson.flaschka_ratiu(model, k))]
 
 
-def _poisson_models(scope: str | None):
-    for kind in ALL_KINDS:
-        if _kind_selected(kind, scope):
-            yield get_model(kind, 3)
+def check_jacobi(kind: str, seed: int, samples: int) -> list[CheckReport]:
+    model = get_model(kind, 3)
+    return [poisson.jacobi(poisson.flaschka_ratiu(model, parse_poly(text, model.chart))) for text in JACOBI_SCALES]
 
 
-def check_casimir(scope: str | None, seed: int, samples: int) -> list[CheckReport]:
-    reports = []
-    for model in _poisson_models(scope):
-        k = model.chart.one() + model.chart.var("x1") ** 2
-        reports.append(poisson.casimir_annihilation(poisson.flaschka_ratiu(model, k)))
-    return reports
+def check_decomposable(kind: str, seed: int, samples: int) -> list[CheckReport]:
+    return [poisson.decomposability(poisson.flaschka_ratiu(get_model(kind, 3), 1))]
 
 
-def check_jacobi(scope: str | None, seed: int, samples: int) -> list[CheckReport]:
-    from .poly import parse_poly
-
-    reports = []
-    for model in _poisson_models(scope):
-        for text in JACOBI_SCALES:
-            k = parse_poly(text, model.chart)
-            reports.append(poisson.jacobi(poisson.flaschka_ratiu(model, k)))
-    return reports
+def check_rank(kind: str, seed: int, samples: int) -> list[CheckReport]:
+    param = Fraction(0) if kind in DEFORMATION_KINDS else None
+    model = get_model(kind, 3, param)
+    return [poisson.rank_stratification(model, samples, _rng(seed, "rank", kind))]
 
 
-def check_decomposable(scope: str | None, seed: int, samples: int) -> list[CheckReport]:
-    return [poisson.decomposability(poisson.flaschka_ratiu(m, 1)) for m in _poisson_models(scope)]
+def leaf_model(kind: str, for_audit: bool) -> FibrationModel:
+    """The model of ``kind`` that the leaf-audit (or the leaf-relations) check samples."""
+    if kind in DIM6_KINDS:
+        return get_model(kind, 3)
+    param = Fraction(1, 2) if kind in DEFORMATION_KINDS else None
+    return get_model(kind, 4 if for_audit else 3, param)
 
 
-def check_rank(scope: str | None, seed: int, samples: int) -> list[CheckReport]:
-    reports = []
-    for kind in ALL_KINDS:
-        if not _kind_selected(kind, scope):
-            continue
-        param = Fraction(0) if kind in DEFORMATION_KINDS else None
-        model = get_model(kind, 3, param)
-        reports.append(poisson.rank_stratification(model, samples, _rng(seed, "rank", kind)))
-    return reports
+def check_leaf_relations(kind: str, seed: int, samples: int) -> list[CheckReport]:
+    model = leaf_model(kind, for_audit=False)
+    return [leaves.defining_relations_check(model, samples, _rng(seed, "leaf-relations", model.name))]
 
 
-def _leaf_models(scope: str | None, for_audit: bool):
-    for kind in ALL_KINDS:
-        if not _kind_selected(kind, scope):
-            continue
-        if kind in DIM6_KINDS:
-            yield get_model(kind, 3)
-        else:
-            n = 4 if for_audit else 3
-            param = Fraction(1, 2) if kind in DEFORMATION_KINDS else None
-            yield get_model(kind, n, param)
+def check_leaf_audit(kind: str, seed: int, samples: int) -> list[CheckReport]:
+    model = leaf_model(kind, for_audit=True)
+    return [leaves.audit_leaf_formulas(model, samples, _rng(seed, "leaf-audit", model.name))[0]]
 
 
-def check_leaf_relations(scope: str | None, seed: int, samples: int) -> list[CheckReport]:
-    reports = []
-    for model in _leaf_models(scope, for_audit=False):
-        reports.append(
-            leaves.defining_relations_check(model, samples, _rng(seed, "leaf-relations", model.name))
-        )
-    return reports
-
-
-def check_leaf_audit(scope: str | None, seed: int, samples: int) -> list[CheckReport]:
-    reports = []
-    for model in _leaf_models(scope, for_audit=True):
-        rep, _ = leaves.audit_leaf_formulas(model, samples, _rng(seed, "leaf-audit", model.name))
-        reports.append(rep)
-    return reports
-
-
-def check_near_symplectic(scope: str | None, seed: int, samples: int) -> list[CheckReport]:
-    reports = []
+def check_near_symplectic(kind: str, seed: int, samples: int) -> list[CheckReport]:
     count = max(1, min(samples, 20))
-    for kind in nearsymp.NS_KINDS:
-        if not _kind_selected(kind, scope):
-            continue
-        reports.extend(nearsymp.verify_claimed_form(kind, count, _rng(seed, "ns-claimed", kind)))
-        _, reps = nearsymp.assemble_and_verify(kind, "claimed", count, _rng(seed, "ns-assemble", kind))
-        reports.extend(reps)
-    return reports
+    reports = nearsymp.verify_claimed_form(kind, count, _rng(seed, "ns-claimed", kind))
+    _, reps = nearsymp.assemble_and_verify(kind, "claimed", count, _rng(seed, "ns-assemble", kind))
+    return reports + reps
 
 
-def check_fibre_positivity(scope: str | None, seed: int, samples: int) -> list[CheckReport]:
-    reports = []
-    for kind in nearsymp.FIBRE_KINDS:
-        if not _kind_selected(kind, scope):
-            continue
-        result, reps = nearsymp.fibre_positivity(kind)
-        reports.extend(reps)
-        bound = nearsymp.epsilon_bound(kind)
+def check_fibre_positivity(kind: str, seed: int, samples: int) -> list[CheckReport]:
+    _, reports = nearsymp.fibre_positivity(kind)
+    bound = nearsymp.epsilon_bound(kind)
+    reports.append(CheckReport(kind, "fibre-bound", PASS, f"certified fibre positivity: {bound.describe()}"))
+    cand = nearsymp.assemble(kind, "claimed")
+    if not cand.closed():
+        cand = nearsymp.assemble(kind, "repair")
+    try:
+        rbound = nearsymp.epsilon_bound(kind, omega=cand.omega)
         reports.append(
-            CheckReport(kind, "fibre-bound", PASS, f"certified fibre positivity: {bound.describe()}")
-        )
-        cand = nearsymp.assemble(kind, "claimed")
-        if not cand.closed():
-            cand = nearsymp.assemble(kind, "repair")
-        try:
-            rbound = nearsymp.epsilon_bound(kind, omega=cand.omega)
-            reports.append(
-                CheckReport(
-                    kind,
-                    "fibre-bound-repaired",
-                    PASS,
-                    f"closed candidate ({cand.eta_source}): {rbound.describe()}",
-                )
+            CheckReport(
+                kind,
+                "fibre-bound-repaired",
+                PASS,
+                f"closed candidate ({cand.eta_source}): {rbound.describe()}",
             )
-        except nearsymp.RejectedBox as exc:
-            reports.append(CheckReport(kind, "fibre-bound-repaired", MISMATCH, str(exc)))
+        )
+    except nearsymp.RejectedBox as exc:
+        reports.append(CheckReport(kind, "fibre-bound-repaired", MISMATCH, str(exc)))
     return reports
 
 
-def check_darboux(scope: str | None, seed: int, samples: int) -> list[CheckReport]:
-    if scope is not None and scope != "darboux":
-        return []
+def check_darboux(scope: str, seed: int, samples: int) -> list[CheckReport]:
     return [nearsymp.darboux_normal_form_check()]
 
 
@@ -272,9 +199,7 @@ def _trials(check: str, label: str, seed: int, count: int, trial: Callable, pass
     return CheckReport("calculus", check, PASS, passed)
 
 
-def check_calculus(scope: str | None, seed: int, samples: int) -> list[CheckReport]:
-    if scope is not None and scope != "calculus":
-        return []
+def check_calculus(scope: str, seed: int, samples: int) -> list[CheckReport]:
     chart = CHART6
     target = Chart(("w1", "w2", "w3", "w4"))
     ng = chart.n_geom
@@ -336,19 +261,27 @@ def check_calculus(scope: str | None, seed: int, samples: int) -> list[CheckRepo
     return [_trials(check, label, seed, count, trial, passed) for check, label, count, trial, passed in runs]
 
 
+#: every check once, in suite order: the scopes it runs on, and the function
+#: that runs it on one scope
 CHECKS = {
-    "bivector": check_bivector,
-    "casimir": check_casimir,
-    "jacobi": check_jacobi,
-    "decomposable": check_decomposable,
-    "rank": check_rank,
-    "leaf-relations": check_leaf_relations,
-    "leaf-audit": check_leaf_audit,
-    "near-symplectic": check_near_symplectic,
-    "fibre-positivity": check_fibre_positivity,
-    "darboux": check_darboux,
-    "calculus": check_calculus,
+    "bivector": (ALL_KINDS, check_bivector),
+    "casimir": (ALL_KINDS, check_casimir),
+    "jacobi": (ALL_KINDS, check_jacobi),
+    "decomposable": (ALL_KINDS, check_decomposable),
+    "rank": (ALL_KINDS, check_rank),
+    "leaf-relations": (ALL_KINDS, check_leaf_relations),
+    "leaf-audit": (ALL_KINDS, check_leaf_audit),
+    "near-symplectic": (nearsymp.NS_KINDS, check_near_symplectic),
+    "fibre-positivity": (nearsymp.FIBRE_KINDS, check_fibre_positivity),
+    "darboux": (("darboux",), check_darboux),
+    "calculus": (("calculus",), check_calculus),
 }
+
+CHECK_NAMES = tuple(CHECKS)
+
+#: values of ``scope`` besides None (everything): a model kind, or one of the
+#: two checks that belong to no model
+SCOPES = tuple(dict.fromkeys(scope for scopes, _ in CHECKS.values() for scope in scopes))
 
 
 class SelectionError(ValueError):
@@ -363,10 +296,10 @@ def run_suite(
 ) -> list[CheckReport]:
     """Run the requested checks (all by default) in the fixed order.
 
-    The first report is the run's manifest.  Raises ``SelectionError`` for
-    a non-positive sample count, an unknown scope or check, and a selection
-    whose checks emit no report for the scope, so no run passes having
-    checked nothing.
+    The first report is the run's manifest.  Raises ``SelectionError``,
+    before any check runs, for a non-positive sample count, an unknown
+    scope or check, and a selection with no (check, scope) pair in
+    ``CHECKS``, so no run passes having checked nothing.
     """
     if samples < 1:
         raise SelectionError(f"samples must be a positive integer, got {samples}")
@@ -376,6 +309,15 @@ def run_suite(
     unknown = [c for c in selected if c not in CHECKS]
     if unknown:
         raise SelectionError(f"unknown checks: {unknown}; available: {list(CHECK_NAMES)}")
+    pairs = [
+        (fn, s)
+        for name, (scopes, fn) in CHECKS.items()
+        if name in selected
+        for s in scopes
+        if scope in (None, s)
+    ]
+    if not pairs:
+        raise SelectionError(f"nothing to check: {','.join(selected)} has no report for scope {scope}")
     reports: list[CheckReport] = [
         CheckReport(
             "-",
@@ -384,9 +326,6 @@ def run_suite(
             f"seed={seed} samples={samples} scope={scope or 'all'} checks={','.join(selected)}",
         )
     ]
-    for name in CHECK_NAMES:
-        if name in selected:
-            reports.extend(CHECKS[name](scope, seed, samples))
-    if len(reports) == 1:
-        raise SelectionError(f"nothing to check: {','.join(selected)} has no report for scope {scope}")
+    for fn, s in pairs:
+        reports.extend(fn(s, seed, samples))
     return reports

@@ -101,7 +101,7 @@ def test_criterion_4_defining_relations_exact():
 
 
 def test_criterion_4_fold_anchor_value():
-    coeff = leaves.leaf_coefficient(get_model("fold", 3), (0, 0, 0, 1, 0, 1), 1)
+    coeff = leaves.leaf_coefficient(poisson.flaschka_ratiu(get_model("fold", 3), 1), (0, 0, 0, 1, 0, 1))
     assert coeff.value_sq == Fraction(1, 8)  # lambda = 1/(2 sqrt 2)
     announce(4, True, "hand-verified anchor q=(0,0,0,1,0,1): lambda = 1/(2*sqrt(2))")
 
@@ -140,7 +140,7 @@ def test_criterion_4_fold_formula_agreement_at_all_points():
     # a fixed counterexample, independent of the seed
     q = (0, 0, 0, 1, 1, 0)
     assert leaf_claim(model).value_sq(q) == Fraction(1, 4)
-    assert leaves.leaf_coefficient(model, q, 1).value_sq == Fraction(1, 8)
+    assert leaves.leaf_coefficient(poisson.flaschka_ratiu(model, 1), q).value_sq == Fraction(1, 8)
 
     announce(
         4,

@@ -23,7 +23,7 @@ from singfib.leaves import (
 from singfib.poisson import PoissonBivector, flaschka_ratiu
 from singfib.poly import CHART6
 from singfib.reference import LeafClaim, leaf_claim
-from singfib.suite import _leaf_models, run_suite
+from singfib.suite import leaf_model, run_suite
 
 ANCHOR = (0, 0, 0, 1, 0, 1)
 
@@ -80,7 +80,7 @@ def test_zero_bivector_has_empty_image():
 
 
 def test_anchor_coefficient_value():
-    coeff = leaf_coefficient(get_model("fold", 3), ANCHOR, 1)
+    coeff = leaf_coefficient(flaschka_ratiu(get_model("fold", 3), 1), ANCHOR)
     assert coeff.value_sq == Fraction(1, 8)  # |lambda| = 1/(2 sqrt 2)
     assert coeff.pairing_antisymmetric
 
@@ -88,15 +88,15 @@ def test_anchor_coefficient_value():
 def test_more_hand_computed_fold_values():
     model = get_model("fold", 3)
     # independently derived: |lambda| = 1 / (2 sqrt(x1^2 + x2^2 + x3^2))
-    assert leaf_coefficient(model, (0, 0, 0, 1, 1, 0), 1).value_sq == Fraction(1, 8)
-    assert leaf_coefficient(model, (0, 0, 0, 2, 0, 0), 1).value_sq == Fraction(1, 16)
+    assert leaf_coefficient(flaschka_ratiu(model, 1), (0, 0, 0, 1, 1, 0)).value_sq == Fraction(1, 8)
+    assert leaf_coefficient(flaschka_ratiu(model, 1), (0, 0, 0, 2, 0, 0)).value_sq == Fraction(1, 16)
 
 
 def test_k_scaling_halves_the_coefficient():
     model = get_model("cusp", 3)
     q = (0, 0, 0, 1, 1, 1)
-    one = leaf_coefficient(model, q, 1)
-    two = leaf_coefficient(model, q, 2)
+    one = leaf_coefficient(flaschka_ratiu(model, 1), q)
+    two = leaf_coefficient(flaschka_ratiu(model, 2), q)
     assert two.value_sq * 4 == one.value_sq
 
 
@@ -133,7 +133,7 @@ def test_leaf_coefficient_runs_one_elimination(monkeypatch, kind, n):
     monkeypatch.setattr(linalg, "_rref", counting_rref)
     for q in points:
         calls.clear()
-        leaf_coefficient(model, q, bivector=b)
+        leaf_coefficient(b, q)
         # the kernel of the gradient rows, on 2n columns; alpha and beta are closed forms
         assert calls == [model.dim]
 
@@ -164,7 +164,7 @@ def test_bivector_whose_image_is_not_the_leaf_plane_fails(monkeypatch, which):
     model = get_model("cusp", 3)
     bad = cusp_bivector(*WRONG_IMAGES[which])
     with pytest.raises(linalg.InconsistentSystem, match="leaf plane"):
-        leaf_coefficient(model, CUSP_POINT, bivector=bad)
+        leaf_coefficient(bad, CUSP_POINT)
     monkeypatch.setattr(leaves, "flaschka_ratiu", lambda m, k=1: bad)
     rep = defining_relations_check(model, 3, random.Random(5))
     assert rep.status == "fail"
@@ -175,7 +175,7 @@ def test_lambda_identity_checks_the_whole_bivector(monkeypatch):
     # e_t1^e_t2 kills the leaf plane, so rho and sigma stay; sum (pi^{ij})^2 grows
     bad = cusp_bivector(True, [(0, 1)])
     with pytest.raises(linalg.InconsistentSystem, match="lambda\\^2 differs"):
-        leaf_coefficient(bad.model, CUSP_POINT, bivector=bad)
+        leaf_coefficient(bad, CUSP_POINT)
     monkeypatch.setattr(leaves, "flaschka_ratiu", lambda m, k=1: bad)
     first = random_noncritical_point(bad.model, random.Random(5))
     rep = defining_relations_check(bad.model, 3, random.Random(5))
@@ -228,7 +228,7 @@ def test_cusp_audit_documents_value_pair():
     # catalogued formula and pipeline value at the catalogued sample point
     model = get_model("cusp", 3)
     q = (0, 0, 0, 1, 1, 1)
-    derived = leaf_coefficient(model, q, 1)
+    derived = leaf_coefficient(flaschka_ratiu(model, 1), q)
     assert derived.value_sq == Fraction(1, 17)  # 1 / (9(t1-x1^2)^2 + 4x2^2 + 4x3^2)
     from singfib.reference import leaf_claim
 
@@ -291,7 +291,7 @@ def test_interior_product_matches_leaf_pairing():
 # the leaf-audit and leaf-relations models (the dim-6 kinds are shared)
 TIE_MODELS = {
     f"{m.kind}-{m.n}": m
-    for m in (*_leaf_models(None, for_audit=True), *_leaf_models(None, for_audit=False))
+    for m in (leaf_model(kind, for_audit) for for_audit in (True, False) for kind in ALL_KINDS)
 }
 
 
@@ -305,7 +305,7 @@ def test_closed_form_pairings_equal_the_elimination(label):
     rng = random.Random(f"pairing:{label}")
     for _ in range(10):
         q = random_noncritical_point(model, rng)
-        coeff = leaf_coefficient(model, q, bivector=b)
+        coeff = leaf_coefficient(b, q)
         u, v = coeff.frame.u, coeff.frame.v
         assert coeff.pairing_uv == linalg.dot(solve_structure_covector(b, q, u), v), q
         assert coeff.pairing_vu == linalg.dot(solve_structure_covector(b, q, v), u), q
@@ -320,7 +320,7 @@ def test_frame_solve_agrees_with_the_closed_form_audit(label):
     assert len(rows) == 10
     scale_sq = model.claimed_scale**2
     for row in rows:
-        assert leaf_coefficient(model, row.point).value_sq * scale_sq == row.derived_sq, row.point
+        assert leaf_coefficient(flaschka_ratiu(model, 1), row.point).value_sq * scale_sq == row.derived_sq, row.point
 
 
 # -- one claim type for every kind -----------------------------------------------------
@@ -398,7 +398,7 @@ def _value_agrees(claim, q) -> bool:
     return False
 
 
-AUDIT_MODELS = list(_leaf_models(None, for_audit=True))
+AUDIT_MODELS = [leaf_model(kind, for_audit=True) for kind in ALL_KINDS]
 
 
 @pytest.mark.parametrize("model", AUDIT_MODELS, ids=[m.name for m in AUDIT_MODELS])

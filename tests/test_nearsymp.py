@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -290,17 +291,8 @@ def oracle_gradient_rows(omega, point, kernel):
             if factor != 0:
                 poly = poly + c.scale(factor)
         pair_polys.append(poly)
-    rows = []
-    for w in kernel:
-        row = []
-        for poly in pair_polys:
-            acc = Fraction(0)
-            for i, name in enumerate(names):
-                if w[i] != 0:
-                    acc += w[i] * poly.differentiate(name).evaluate(point)
-            row.append(acc)
-        rows.append(row)
-    return rows
+    partials = [[poly.differentiate(name).evaluate(point) for name in names] for poly in pair_polys]
+    return [[sum((wi * d for wi, d in zip(w, grad)), Fraction(0)) for grad in partials] for w in kernel]
 
 
 def _ns_candidates():
@@ -313,9 +305,37 @@ def _ns_candidates():
 
 NS_CANDIDATES = list(_ns_candidates())
 
+# a fixed unimodular change of (u, s, t, x, y, z), lower times upper unitriangular,
+# with eps fixed: it turns coordinate kernel vectors into mixed ones
+_LOWER = [
+    [1, 0, 0, 0, 0, 0],
+    [1, 1, 0, 0, 0, 0],
+    [0, -2, 1, 0, 0, 0],
+    [2, 0, 1, 1, 0, 0],
+    [0, 1, 0, -1, 1, 0],
+    [-1, 0, 2, 0, 1, 1],
+]
+_UPPER = [
+    [1, 1, 0, -1, 0, 2],
+    [0, 1, 2, 0, 1, 0],
+    [0, 0, 1, 1, 0, -1],
+    [0, 0, 0, 1, -2, 0],
+    [0, 0, 0, 0, 1, 1],
+    [0, 0, 0, 0, 0, 1],
+]
+MIXED = [[sum(_LOWER[i][k] * _UPPER[k][j] for k in range(6)) for j in range(6)] for i in range(6)]
+MIXING = PolyMap(
+    C, C, tuple(sum((a * C.var(x) for a, x in zip(row, "ustxyz")), C.zero()) for row in MIXED) + (EPS,)
+)
+
+
+@functools.cache
+def _compiled(omega):
+    return compile_degeneracy(omega)
+
 
 def _agree(omega, point):
-    kernel, rows = compile_degeneracy(omega)(point)
+    kernel, rows = _compiled(omega)(point)
     want = oracle_kernel(omega, point)
     assert len(kernel) == len(want)
     # each integer basis vector is a positive multiple of the rational one
@@ -342,13 +362,18 @@ def _agree(omega, point):
 @pytest.mark.parametrize("label, model, omega", NS_CANDIDATES, ids=[c[0] for c in NS_CANDIDATES])
 def test_compiled_degeneracy_matches_the_oracle(label, model, omega):
     rng = random.Random(f"degeneracy:{label}")
-    for point in model.critical_points(5, rng):
-        _agree(omega, point)
+    critical = model.critical_points(5, rng)
+    found = [_agree(omega, point) for point in critical]
     dims = set()
     for _ in range(5):
         point = [random_rational(rng) for _ in range(6)] + [DEGENERACY_EPS]
         dims.add(_agree(omega, point)[0])
     assert 4 not in dims
+    # pulled back by MIXING, omega degenerates at the preimages of its critical
+    # points, with the same kernel dimension and rank but a mixed kernel basis
+    mixed = pullback(omega, MIXING)
+    for point, want in zip(critical, found):
+        assert _agree(mixed, linalg.solve(MIXED, point[:6]) + point[6:]) == want
 
 
 @pytest.mark.parametrize("sign", (1, -1))

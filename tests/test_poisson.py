@@ -162,7 +162,7 @@ def test_jacobi_check_brackets_each_model_once(monkeypatch):
 
     poisson._self_bracket.cache_clear()
     monkeypatch.setattr(poisson, "schouten", counting_schouten)
-    reports = check_jacobi(None, 7, 1)
+    reports = [r for kind in ALL_KINDS for r in check_jacobi(kind, 7, 1)]
     assert len(reports) == len(ALL_KINDS) * len(JACOBI_SCALES) == 54
     assert all(r.status == "pass" for r in reports)
     # one bracket per distinct bivector: fold and fold-2n have equal Casimirs at
@@ -171,7 +171,8 @@ def test_jacobi_check_brackets_each_model_once(monkeypatch):
     assert bases[ALL_KINDS.index("fold")] == bases[ALL_KINDS.index("fold-2n")]
     assert calls == list(dict.fromkeys(bases))
     assert len(calls) == 17
-    check_jacobi(None, 7, 1)
+    for kind in ALL_KINDS:
+        check_jacobi(kind, 7, 1)
     assert len(calls) == 17
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from singfib.poly import CHART6, Chart, ChartMismatch, Poly, PolyParseError, chart_2n, format_poly, parse_poly
+from singfib.poly import CHART6, Chart, ChartMismatch, Poly, PolyParseError, format_poly, parse_poly
 
 
 def rand_poly(chart: Chart, rng: random.Random, terms: int = 4, deg: int = 3) -> Poly:
@@ -155,11 +155,3 @@ def test_substitute():
     p = x1**2 + t1
     assert p.substitute({"x1": t1}) == t1**2 + t1
     assert p.substitute({"x1": 2}) == t1 + 4
-
-
-def test_parameter_chart_total_degree():
-    chart = chart_2n(3, params=("s_par",))
-    s = chart.var("s_par")
-    x1 = chart.var("x1")
-    # parameters do not count toward geometric degree
-    assert (s**5 * x1).total_degree() == 1

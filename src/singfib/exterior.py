@@ -399,7 +399,7 @@ def poincare_homotopy(a: KForm, directions: Sequence[int] | None = None) -> KFor
     the factor 1/(m + r).  By default every geometric variable is radial;
     restricting ``directions`` to a sub-block gives the fibrewise operator,
     whose identity holds on forms all of whose terms carry positive
-    degree in the chosen block (a condition :func:`block_degree` exposes).
+    degree in the chosen block; a term of degree zero raises ``ValueError``.
     """
     k = a.degree
     if k < 1:
@@ -425,16 +425,3 @@ def poincare_homotopy(a: KForm, directions: Sequence[int] | None = None) -> KFor
                 piece = chart.var(chart.names[i]) * mono
                 add_term(out, idx[:pos] + idx[pos + 1 :], piece if pos % 2 == 0 else -piece)
     return KForm._make(chart, k - 1, out)
-
-
-def block_degree(a: KForm, directions: Sequence[int]) -> int:
-    """Smallest combined (differential + coefficient) degree of a's terms in the block."""
-    block = set(directions)
-    best: int | None = None
-    for idx, coeff in a.terms.items():
-        r = sum(1 for i in idx if i in block)
-        for exp, _ in coeff.terms.items():
-            m = sum(exp[i] for i in block)
-            d = r + m
-            best = d if best is None else min(best, d)
-    return 0 if best is None else best

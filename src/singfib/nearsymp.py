@@ -5,12 +5,14 @@ coefficient parameter.  The base 2-form follows the recipe
 
     omega0 = f* omega_X + star(du ^ ds ^ dt ^ df4),
 
-the rescaling multiplies the (dt^dx + dy^dz)-component and the residue
-(the du/ds-wedged leftovers of f* omega_X) by eps, and a correction
-2-form scaled by eps restores closedness.  When a catalogued correction
-fails, the repair path integrates the defect with the homotopy operator
-radial in the fibre directions (y, z), so the repaired correction
-vanishes on the critical locus and the kernel conditions survive.
+a form omega0 that is not closed is rescaled to
+eps omega0 + (1 - eps)(c_us du^ds + g b2 + h b3), which multiplies the
+(dt^dx + dy^dz)-component and the residue (the du/ds-wedged leftovers of
+f* omega_X) by eps, and a correction 2-form scaled by eps restores
+closedness.  When a catalogued correction fails, the repair path
+integrates the defect with the homotopy operator radial in the fibre
+directions (y, z), so the repaired correction vanishes on the critical
+locus and the kernel conditions survive.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .catalog import sample_locus
 from .exterior import (
     KForm,
     PolyMap,
-    block_degree,
     evaluate_form,
     ext_d,
     form_term,
@@ -41,7 +42,7 @@ from .exterior import (
     wedge_power,
 )
 from .interval import Box, certified_minimum, enclose, format_box, parse_box
-from .poly import Chart, IntegerKernel, Poly, Rational, integer_point
+from .poly import Chart, IntegerKernel, Poly, integer_point
 from .report import FAIL, MISMATCH, PASS, CheckReport
 from .reference import (
     NS_CHART_EPS,
@@ -64,11 +65,6 @@ DEGENERACY_EPS = Fraction(1, 8)
 class NSModel:
     kind: str
     f4: Poly
-    rescaled: bool  # the fold is already closed and is never rescaled
-
-    @property
-    def chart(self) -> Chart:
-        return NS_CHART_EPS
 
     def fibration(self) -> PolyMap:
         c = NS_CHART_EPS
@@ -89,13 +85,13 @@ def ns_model(kind: str) -> NSModel:
     u, s, t, x, y, z = (c.var(n) for n in ("u", "s", "t", "x", "y", "z"))
     if kind == "fold":
         f4 = (x * x + y * y).scale(Fraction(1, 2)) - z * z
-        return NSModel(kind, f4, rescaled=False)
+        return NSModel(kind, f4)
     if kind == "cusp":
-        return NSModel(kind, x**3 - 3 * t * x + y * y - z * z, rescaled=True)
+        return NSModel(kind, x**3 - 3 * t * x + y * y - z * z)
     if kind == "swallowtail":
-        return NSModel(kind, x**4 + s * x * x + t * x + y * y - z * z, rescaled=True)
+        return NSModel(kind, x**4 + s * x * x + t * x + y * y - z * z)
     if kind == "butterfly":
-        return NSModel(kind, x**5 - u * x**3 + s * x * x - t * x + y * y - z * z, rescaled=True)
+        return NSModel(kind, x**5 - u * x**3 + s * x * x - t * x + y * y - z * z)
     raise ValueError(f"no near-symplectic model for kind {kind!r}")
 
 
@@ -109,50 +105,30 @@ def build_omega0(model: NSModel) -> KForm:
     return f_star + hodge_star(wedge(dust, df4))
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """omega = c_us du^ds + F b1 + G b2 + H b3 + residue, b1 = dt^dx + dy^dz etc."""
+def _self_dual_part(omega: KForm, f: Poly) -> KForm:
+    """c_us du^ds + f b1 + g b2 + h b3, with omega's c_us, g and h.
 
-    c_us: Poly
-    f: Poly
-    g: Poly
-    h: Poly
-    residue: KForm
-
-    def reassemble(self, scale: Poly | Rational) -> KForm:
-        """The form with the b1 component and the residue multiplied by ``scale``."""
-        c = NS_CHART_EPS
-        b1 = form_term(c, 1, ("t", "x")) + form_term(c, 1, ("y", "z"))
-        b2 = form_term(c, 1, ("t", "y")) + form_term(c, 1, ("z", "x"))
-        b3 = form_term(c, 1, ("t", "z")) + form_term(c, 1, ("x", "y"))
-        out = form_term(c, self.c_us, ("u", "s"))
-        out = out + b1.scale(self.f).scale(scale)
-        out = out + b2.scale(self.g) + b3.scale(self.h)
-        out = out + self.residue.scale(scale)
-        return out
-
-
-def decompose(omega: KForm) -> Decomposition:
+    b1 = dt^dx + dy^dz, b2 = dt^dy + dz^dx, b3 = dt^dz + dx^dy.
+    """
     iu, isx, it, ix, iy, iz = (_IDX[n] for n in ("u", "s", "t", "x", "y", "z"))
-    c_us = omega.coeff((iu, isx))
-    f = omega.coeff((it, ix))
-    g = omega.coeff((it, iy))
-    h = omega.coeff((it, iz))
-    residue = omega - Decomposition(c_us, f, g, h, KForm(NS_CHART_EPS, 2, {})).reassemble(1)
-    return Decomposition(c_us, f, g, h, residue)
+    g, h = omega.coeff((it, iy)), omega.coeff((it, iz))
+    terms = {(iu, isx): omega.coeff((iu, isx)), (it, ix): f, (iy, iz): f}
+    terms.update({(it, iy): g, (ix, iz): -g, (it, iz): h, (ix, iy): h})
+    return KForm(NS_CHART_EPS, 2, terms)
 
 
 def rescale(omega: KForm) -> KForm:
-    """Scale the (dt^dx + dy^dz) component and the residue by eps.
+    """eps omega + (1 - eps)(c_us du^ds + g b2 + h b3).
 
-    The du^ds and the two remaining self-dual components are untouched.
+    This scales the (dt^dx + dy^dz) component and the residue by eps and
+    leaves the du^ds and the two remaining self-dual components untouched.
     Scaling the residue along with the leading component is what the
     catalogued assembled forms do, and it is what keeps the defect of the
     rescaled form divisible by eps (so a correction scaled by eps can
     close it).
     """
     eps = NS_CHART_EPS.var("eps")
-    return decompose(omega).reassemble(eps)
+    return omega.scale(eps) + _self_dual_part(omega, NS_CHART_EPS.zero()).scale(1 - eps)
 
 
 #: multinomial factor in the cube of a 2-form: 3!/(1!2!) choices times
@@ -166,22 +142,23 @@ def sos_top_power(omega0: KForm) -> tuple[tuple[Poly, Poly, Poly], CheckReport]:
     The catalogued statement drops the combinatorial factor; the sign
     content (a sum of squares, so nonnegative) is identical.
     """
-    dec = decompose(omega0)
+    it = _IDX["t"]
+    f, g, h = (omega0.coeff((it, _IDX[n])) for n in ("x", "y", "z"))
     cube = wedge_power(omega0, 3)
-    expected = volume_form(NS_CHART_EPS).scale((dec.f**2 + dec.g**2 + dec.h**2).scale(SOS_CUBE_FACTOR))
+    expected = volume_form(NS_CHART_EPS).scale((f**2 + g**2 + h**2).scale(SOS_CUBE_FACTOR))
     if cube == expected:
-        note = "" if dec.residue.is_zero() else "; residue terms wedge to zero"
+        note = "" if omega0 == _self_dual_part(omega0, f) else "; residue terms wedge to zero"
         rep = CheckReport(
             "-",
             "sos",
             PASS,
-            f"omega0^3 = 6*(({dec.f})^2 + ({dec.g})^2 + ({dec.h})^2) vol{note}",
+            f"omega0^3 = 6*(({f})^2 + ({g})^2 + ({h})^2) vol{note}",
         )
     else:
         rep = CheckReport(
             "-", "sos", FAIL, "omega0^3 is not the expected sum of squares", witness=str(cube - expected)
         )
-    return (dec.f, dec.g, dec.h), rep
+    return (f, g, h), rep
 
 
 # -- pointwise degeneracy checks ----------------------------------------------------
@@ -292,34 +269,29 @@ def repair_correction(omega_rescaled: KForm) -> KForm:
 
     The defect d(omega_rescaled) is eps times a closed eps-free 3-form
     gamma; the correction is the fibre-radial primitive of -gamma, which
-    by construction vanishes wherever y = z = 0.
+    by construction vanishes wherever y = z = 0.  A zero defect gives the
+    zero correction; a defect term of degree zero in (y, z) has no
+    fibre-radial primitive and raises ``ValueError``.
     """
     defect = ext_d(omega_rescaled)
     gamma = KForm(NS_CHART_EPS, 3, {idx: _divide_by_eps(c) for idx, c in defect.terms.items()})
     if not ext_d(gamma).is_zero():
         raise RepairFailure("defect of the rescaled form is not closed")
-    if block_degree(gamma, _FIBRE_BLOCK) < 1 and not gamma.is_zero():
-        # fall back to the full radial primitive; the kernel checks will
-        # then judge the outcome
-        return poincare_homotopy(-gamma)
-    if gamma.is_zero():
-        return KForm(NS_CHART_EPS, 2, {})
     return poincare_homotopy(-gamma, directions=_FIBRE_BLOCK)
 
 
 def assemble(kind: str, eta_source: str) -> NearSymplecticCandidate:
-    """omega = rescaled omega0 plus eps times the chosen correction."""
+    """omega0, rescaled unless it is already closed, plus eps times the chosen correction."""
     model = ns_model(kind)
     omega0 = build_omega0(model)
-    eps = NS_CHART_EPS.var("eps")
-    base = rescale(omega0) if model.rescaled else omega0
+    base = omega0 if ext_d(omega0).is_zero() else rescale(omega0)
     if eta_source == "claimed":
         eta = claimed_correction(kind)
     elif eta_source == "repair":
-        eta = repair_correction(base) if model.rescaled else KForm(NS_CHART_EPS, 2, {})
+        eta = repair_correction(base)
     else:
         raise ValueError(f"unknown eta source {eta_source!r}")
-    omega = base + eta.scale(eps)
+    omega = base + eta.scale(NS_CHART_EPS.var("eps"))
     return NearSymplecticCandidate(model, eta, eta_source, omega)
 
 

@@ -500,7 +500,10 @@ class _Parser:
 
 def parse_poly(text: str, chart: Chart) -> Poly:
     """Parse the canonical grammar produced by :func:`format_poly`."""
-    return _Parser(text, chart).parse()
+    try:
+        return _Parser(text, chart).parse()
+    except RecursionError:
+        raise PolyParseError("expression is nested too deeply") from None
 
 
 # -- common charts -------------------------------------------------------------

@@ -120,14 +120,22 @@ def check_darboux(scope: str, seed: int, samples: int) -> list[CheckReport]:
 # -- calculus property suite -------------------------------------------------------
 
 
-def _random_poly(chart: Chart, rng: random.Random, max_terms: int = 3, max_deg: int = 2) -> Poly:
-    p = chart.zero()
-    for _ in range(rng.randint(1, max_terms)):
-        term = chart.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        for _ in range(rng.randint(0, max_deg)):
-            term = term * chart.var(rng.choice(chart.geometric_names()))
-        p = p + term
-    return p
+#: a random polynomial has 1 to ``_POLY_TERMS`` terms, each of degree at most ``_POLY_DEGREE``
+_POLY_TERMS = 3
+_POLY_DEGREE = 2
+
+
+def _random_poly(chart: Chart, rng: random.Random) -> Poly:
+    """A nonzero random polynomial; a draw that sums to zero is drawn again."""
+    while True:
+        p = chart.zero()
+        for _ in range(rng.randint(1, _POLY_TERMS)):
+            term = chart.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, _POLY_DEGREE)):
+                term = term * chart.var(rng.choice(chart.geometric_names()))
+            p = p + term
+        if not p.is_zero():
+            return p
 
 
 def _random_form(chart: Chart, rng: random.Random, degree: int) -> KForm:

@@ -27,6 +27,16 @@ def _first_forms(count):
     return [suite._random_form(CHART6, rng, rng.randint(0, 4)) for _ in range(count)]
 
 
+def test_every_counted_trial_draws_nonzero_forms():
+    # each d2 trial draws one form, each leibniz trial two degrees and then two forms
+    assert not any(form.is_zero() for form in _first_forms(100))
+    rng = suite._rng(SEED, "calculus", "leibniz")
+    for _ in range(100):
+        ka, kb = rng.randint(0, 3), rng.randint(0, 3)
+        fa, fb = suite._random_form(CHART6, rng, ka), suite._random_form(CHART6, rng, kb)
+        assert not fa.is_zero() and not fb.is_zero()
+
+
 def test_calculus_passes_unpatched():
     by_check = {r.check: r for r in suite.check_calculus("calculus", SEED, SAMPLES)}
     assert list(by_check) == ["d2", "leibniz", "pullback-d", "hodge", "homotopy", "schouten"]

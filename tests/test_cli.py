@@ -177,6 +177,12 @@ def test_derive_rejects_definite_kind_above_dim6(capsys):
     assert "dim-6 model" in one_line_error(capsys, "derive", "--kind", "fold-def1", "--n", "4")
 
 
+def test_derive_rejects_deeply_nested_k(capsys):
+    k = "(" * 500 + "1" + ")" * 500
+    err = one_line_error(capsys, "derive", "--kind", "fold", "--k", k)
+    assert "cannot parse k: expression is nested too deeply" in err
+
+
 def test_catalog_rejects_small_n(capsys):
     assert "at least 3" in one_line_error(capsys, "catalog", "--kind", "cusp", "--n", "2")
 

@@ -25,7 +25,6 @@ from singfib.nearsymp import (
     darboux_normal_form,
     darboux_normal_form_check,
     darboux_normal_form_data,
-    decompose,
     epsilon_bound,
     fibre_decomposition,
     fibre_positivity,
@@ -44,6 +43,14 @@ U, S, T, X, Y, Z, EPS = (C.var(n) for n in ("u", "s", "t", "x", "y", "z", "eps")
 
 def f(coeff, *names):
     return form_term(C, coeff, names)
+
+
+#: the birth, merge and flip models in the (u, s, t, x, y, z) chart, base coordinate s
+WRINKLED_F4 = {
+    "birth": X**3 - 3 * X * (T * T - S) + Y * Y - Z * Z,
+    "merge": X**3 - 3 * X * (S - T * T) + Y * Y - Z * Z,
+    "flip": X**4 - S * X * X + T * X + Y * Y - Z * Z,
+}
 
 
 # -- omega0 recipes -----------------------------------------------------------------
@@ -75,13 +82,15 @@ def test_cusp_omega0_and_its_differential():
 
 def test_butterfly_omega0_extra_terms():
     w0 = build_omega0(ns_model("butterfly"))
-    dec = decompose(w0)
-    assert dec.residue == f(-(X**3), "t", "u") + f(X * X, "t", "s")
-    assert dec.f == 5 * X**4 - 3 * U * X * X + 2 * S * X - T
+    # the residue: dt^du and dt^ds, outside du^ds and the self-dual basis b1, b2, b3
+    assert w0.coeff((2, 0)) == -(X**3)
+    assert w0.coeff((2, 1)) == X * X
+    assert w0.coeff((2, 3)) == 5 * X**4 - 3 * U * X * X + 2 * S * X - T
+    assert set(w0.terms) == {(0, 1), (0, 2), (1, 2), (2, 3), (4, 5), (2, 4), (3, 5), (2, 5), (3, 4)}
 
 
 def test_synthetic_linear_component():
-    model = NSModel("cusp", C.var("x"), rescaled=True)
+    model = NSModel("cusp", C.var("x"))
     w0 = build_omega0(model)
     assert w0 == f(1, "u", "s") + f(1, "t", "x") + f(1, "y", "z")
 
@@ -131,8 +140,17 @@ def test_rescale_cusp():
 def test_rescale_scales_fold_leading_component():
     scaled = rescale(build_omega0(ns_model("fold")))
     assert scaled.coeff((2, 3)) == EPS * X
-    # the fold model itself is flagged as not rescaled during assembly
-    assert not ns_model("fold").rescaled
+    # the fold's omega0 is closed, so assembly leaves it unscaled
+    assert assemble("fold", "repair").omega == build_omega0(ns_model("fold"))
+
+
+def test_rescale_scales_butterfly_residue_only():
+    w0 = build_omega0(ns_model("butterfly"))
+    scaled = rescale(w0)
+    for idx in ((2, 0), (2, 1), (2, 3), (4, 5)):  # dt^du, dt^ds and b1
+        assert scaled.coeff(idx) == EPS * w0.coeff(idx)
+    for idx in ((0, 1), (2, 4), (3, 5), (2, 5), (3, 4)):  # du^ds, b2 and b3
+        assert scaled.coeff(idx) == w0.coeff(idx)
 
 
 # -- claimed corrections ----------------------------------------------------------------
@@ -188,6 +206,27 @@ def test_repaired_cusp_correction_matches_hand_computation():
         assert coeff.substitute({"y": 0, "z": 0}).is_zero()
 
 
+@pytest.mark.parametrize("label", ("fold", "cusp", "swallowtail", "butterfly", *WRINKLED_F4))
+def test_fibre_radial_repair_closes_every_rescaled_omega0(label):
+    model = NSModel(label, WRINKLED_F4[label]) if label in WRINKLED_F4 else ns_model(label)
+    omega0 = build_omega0(model)
+    # assembly rescales exactly the forms that are not already closed; the fold's
+    # rescaled omega0 has defect (eps - 1) dx^dy^dz, which eps eta cannot close
+    assert ext_d(omega0).is_zero() == (label == "fold")
+    base = omega0 if label == "fold" else rescale(omega0)
+    eta = repair_correction(base)
+    assert eta.is_zero() == (label == "fold")
+    assert ext_d(base + eta.scale(EPS)).is_zero()
+    for coeff in eta.terms.values():
+        assert coeff.substitute({"y": 0, "z": 0}).is_zero()
+
+
+def test_repair_rejects_a_defect_without_fibre_degree():
+    # d(eps u dt^dx) = eps du^dt^dx has no fibre-radial primitive
+    with pytest.raises(ValueError, match="degree zero in the radial block"):
+        repair_correction(f(EPS * U, "t", "x"))
+
+
 @pytest.mark.parametrize("kind", ("fold", "cusp", "swallowtail", "butterfly"))
 def test_assemble_and_verify_outcomes(kind):
     cand, reports = assemble_and_verify(kind, "claimed", 6, random.Random(f"ns:{kind}"))
@@ -241,15 +280,14 @@ def test_critical_points_keep_their_draws(kind):
 @pytest.mark.parametrize(
     "label, f4, solved",
     [
-        ("birth", X**3 - 3 * X * (T * T - S) + Y * Y - Z * Z, ("s", T * T - X * X)),
-        ("merge", X**3 - 3 * X * (S - T * T) + Y * Y - Z * Z, ("s", T * T + X * X)),
-        ("flip", X**4 - S * X * X + T * X + Y * Y - Z * Z, ("t", 2 * S * X - 4 * X**3)),
+        ("birth", WRINKLED_F4["birth"], ("s", T * T - X * X)),
+        ("merge", WRINKLED_F4["merge"], ("s", T * T + X * X)),
+        ("flip", WRINKLED_F4["flip"], ("t", 2 * S * X - 4 * X**3)),
     ],
 )
 def test_critical_points_of_the_wrinkled_models(label, f4, solved):
-    # the birth, merge and flip models in the (u, s, t, x, y, z) chart, base coordinate s
     name, value = solved
-    points = NSModel(label, f4, rescaled=True).critical_points(10, random.Random(f"wrinkled:{label}"))
+    points = NSModel(label, f4).critical_points(10, random.Random(f"wrinkled:{label}"))
     for point in points:
         assert all(f4.differentiate(v).evaluate(point) == 0 for v in ("x", "y", "z"))
         assert point[C.index(name)] == value.evaluate(point)

@@ -17,7 +17,8 @@ import random
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import combinations
+from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .exterior import KVector
@@ -52,6 +53,25 @@ class UnknownKind(ModelError):
     pass
 
 
+class CasimirSplit(NamedTuple):
+    """The Casimirs split into coordinate ones and the rest.
+
+    A coordinate Casimir C_k has the gradient row e_a, coefficient 1, for
+    an index a that no earlier coordinate Casimir takes.
+    """
+
+    #: per Casimir, its unit index a if it is a coordinate Casimir, else None
+    units: tuple[int | None, ...]
+    #: the indices k of the other Casimirs, whose r gradient rows stay
+    rows: tuple[int, ...]
+    #: N, the r + 2 geometric indices that no coordinate Casimir takes, ascending
+    free: tuple[int, ...]
+
+
+def _inversions(perm: Sequence[int]) -> int:
+    return sum(1 for b, y in enumerate(perm) for x in perm[:b] if x > y)
+
+
 @dataclass(frozen=True)
 class FibrationModel:
     name: str
@@ -81,19 +101,45 @@ class FibrationModel:
         return IntegerKernel(self.chart, [g for row in self.casimir_gradients for g in row])
 
     @cached_property
+    def casimir_split(self) -> CasimirSplit:
+        """The coordinate Casimirs and the free indices N, read from the gradient rows once per model."""
+        one = self.chart.one()
+        units: list[int | None] = []
+        for row in self.casimir_gradients:
+            support = [a for a, g in enumerate(row) if g]
+            unit = support[0] if len(support) == 1 and row[support[0]] == one else None
+            units.append(unit if unit not in units else None)
+        rows = tuple(k for k, a in enumerate(units) if a is None)
+        free = tuple(a for a in range(self.chart.n_geom) if a not in units)
+        return CasimirSplit(tuple(units), rows, free)
+
+    @cached_property
     def casimir_determinants(self) -> dict[tuple[int, int], Poly]:
-        """The nonzero det(e_i | e_j | grad C_1 | ... | grad C_{2n-2}), i < j, expanded once per model."""
-        ng = self.chart.n_geom
-        zero, one = self.chart.zero(), self.chart.one()
+        """The nonzero det(e_i | e_j | grad C_1 | ... | grad C_{2n-2}), i < j, expanded once per model.
+
+        A Laplace expansion along the unit columns of the coordinate
+        Casimirs (``casimir_split``) leaves, for i < j in N, the sign of the
+        row and column permutation times the r x r minor of the other
+        gradient rows on N minus {i, j}; a pair that meets a coordinate
+        index repeats a unit column, so its determinant is zero
+        (Damianou-Petalidou, Canad. J. Math. 2012; the every-n lemma of
+        ROADMAP.md item 3).  A model without coordinate Casimirs takes N as
+        every index.
+        """
+        units, rows, free = self.casimir_split
+        grads = self.casimir_gradients
         dets: dict[tuple[int, int], Poly] = {}
-        for i in range(ng):
-            for j in range(i + 1, ng):
-                unit_i = [one if r == i else zero for r in range(ng)]
-                unit_j = [one if r == j else zero for r in range(ng)]
-                cols = [unit_i, unit_j, *self.casimir_gradients]
-                det = linalg.poly_det([[col[r] for col in cols] for r in range(ng)])
-                if not det.is_zero():
-                    dets[(i, j)] = det
+        for i, j in combinations(free, 2):
+            others = [a for a in free if a != i and a != j]
+            minor = [[grads[k][a] for a in others] for k in rows]
+            det = linalg.poly_det(minor) if minor else self.chart.one()
+            # column 2 + k of the full matrix takes row a_k, or the next row of the minor
+            rest = iter(others)
+            perm = [i, j, *(next(rest) if a is None else a for a in units)]
+            if _inversions(perm) % 2:
+                det = -det
+            if not det.is_zero():
+                dets[(i, j)] = det
         return dets
 
     @cached_property

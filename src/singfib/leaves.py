@@ -15,13 +15,16 @@ Each point stays in integers from start to end.  The frame scales the
 point once to q = Q / D, and the Casimir gradient rows and the entries of pi
 are read from integer kernels compiled once per model and per bivector
 (``poly.IntegerKernel``), as positive integer multiples of their values.
-One fraction-free elimination gives the kernel of the gradient rows as
-primitive integer vectors u and w, and one integer Gram-Schmidt step gives
-v.  No second elimination is needed: a skew pi(q) of rank 2 whose image
-is span(u, v), with u orthogonal to v, sends v to rho * u and u to
-sigma * v (Damianou-Petalidou, Canad. J. Math. 2012).  With P = d * pi(q)
-the integer matrix the kernel gives, alpha = (d / rho) v and
-beta = (d / sigma) u; both proportionalities are checked in every
+A coordinate Casimir's row is a unit vector e_a, which only pins x_a = 0
+(``FibrationModel.casimir_split``).  So one fraction-free elimination runs
+on the other r rows, restricted to the r + 2 free columns N, and its two
+primitive integer kernel vectors, padded with zeros off N, are u and w:
+exactly the kernel basis of all the gradient rows.  One integer
+Gram-Schmidt step gives v.  No second elimination is needed: a skew pi(q)
+of rank 2 whose image is span(u, v), with u orthogonal to v, sends v to
+rho * u and u to sigma * v (Damianou-Petalidou, Canad. J. Math. 2012).
+With P = d * pi(q) the integer matrix the kernel gives, alpha = (d / rho) v
+and beta = (d / sigma) u; both proportionalities are checked in every
 component by cross-multiplication.
 
 The closed form (``audit_leaf_formulas``, run by ``leaf-audit``) uses
@@ -78,12 +81,18 @@ def leaf_frame(model: FibrationModel, q: Sequence[Rational]) -> LeafFrame:
     values, _ = model.gradient_kernel(num, den)
     cols = model.chart.n_geom
     rows = tuple(tuple(values[r : r + cols]) for r in range(0, len(values), cols))
-    kernel = linalg.integer_nullspace(rows)
+    # the coordinate rows e_a pin x_a = 0, so only the other rows on N are eliminated
+    # (one zero row when there are none)
+    _, kept, free = model.casimir_split
+    kernel = linalg.integer_nullspace([[rows[k][a] for a in free] for k in kept] or [[0] * len(free)])
     if len(kernel) != 2:
         raise SingularPoint(
             f"Casimir differentials drop rank at {q}: kernel dimension {len(kernel)}"
         )
-    u, w = kernel
+    u, w = [0] * cols, [0] * cols
+    for full, vec in zip((u, w), kernel):
+        for a, x in zip(free, vec):
+            full[a] = x
     # one integer Gram-Schmidt step: v is |u|^2 times w's component orthogonal to u
     uu = _dot(u, u)
     wu = _dot(w, u)

@@ -42,6 +42,15 @@ def add_term(out: dict, key, value) -> None:
         out.pop(key, None)
 
 
+def _exact(c: object) -> Fraction:
+    """An int or Fraction coefficient as a Fraction; a float, str or anything else raises TypeError."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+
+
 @dataclass(frozen=True)
 class Chart:
     """An ordered list of variable names, optionally with trailing parameters."""
@@ -74,7 +83,7 @@ class Chart:
         return Poly._make(self, {exp: Fraction(1)})
 
     def const(self, c: Rational) -> "Poly":
-        c = Fraction(c)
+        c = _exact(c)
         return Poly._make(self, {(0,) * self.dim: c} if c else {})
 
     def zero(self) -> "Poly":
@@ -111,7 +120,7 @@ class Poly:
         for exp, coeff in terms.items():
             if len(exp) != dim:
                 raise ValueError(f"exponent {exp} has wrong length for chart of dim {dim}")
-            c = Fraction(coeff)
+            c = _exact(coeff)
             if c != 0:
                 clean[exp] = c
         self.chart = chart
@@ -173,7 +182,7 @@ class Poly:
         return result
 
     def scale(self, c: Rational) -> "Poly":
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return self.chart.zero()
         return Poly._make(self.chart, {e: c * v for e, v in self.terms.items()})

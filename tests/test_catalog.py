@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from singfib import linalg
 from singfib.catalog import (
     ALL_KINDS,
     DEFORMATION_KINDS,
+    PARAMETRIC_KINDS,
     ModelError,
     UnknownKind,
     _shared_model,
@@ -126,6 +128,71 @@ def test_gradient_kernel_gives_the_gradient_rows_times_one_scale(kind, n):
         assert values == [scale * g.evaluate(q) for row in m.casimir_gradients for g in row]
 
 
+def full_determinants(m):
+    """Every det(e_i | e_j | grad C_1 | ... | grad C_{2n-2}), i < j, by ``linalg.poly_det`` on the full matrix."""
+    ng = m.chart.n_geom
+    zero, one = m.chart.zero(), m.chart.one()
+    dets = {}
+    for i in range(ng):
+        for j in range(i + 1, ng):
+            cols = [[one if r == c else zero for r in range(ng)] for c in (i, j)] + list(m.casimir_gradients)
+            dets[(i, j)] = linalg.poly_det([[col[r] for col in cols] for r in range(ng)])
+    return dets
+
+
+def assert_reduced_determinants_are_full(m):
+    full = full_determinants(m)
+    assert m.casimir_determinants == {ij: det for ij, det in full.items() if det}
+    free = set(m.casimir_split.free)
+    assert all(i in free and j in free for i, j in m.casimir_determinants)
+
+
+DETERMINANT_MODELS = [(kind, 3, None) for kind in ALL_KINDS] + [
+    (kind, n, param)
+    for kind in PARAMETRIC_KINDS
+    for n in range(3, 9)
+    for param in ((None, Fraction(1, 2)) if kind in DEFORMATION_KINDS else (None,))
+]
+
+
+@pytest.mark.parametrize("kind, n, param", DETERMINANT_MODELS)
+def test_reduced_determinants_equal_the_full_expansion(kind, n, param):
+    m = get_model(kind, n, param)
+    # the catalogue's coordinate Casimirs are t_1, t_2, ... and leave r + 2 free indices
+    units, rows, free = m.casimir_split
+    assert len(free) == len(rows) + 2 and len(rows) in (1, 2)
+    assert all(units[k] == k for k in range(len(units)) if k not in rows)
+    assert_reduced_determinants_are_full(m)
+
+
+@pytest.mark.parametrize("kind", ["cusp", "w_s", "lefschetz"])
+def test_reduced_determinants_read_the_casimirs_not_the_kind(kind):
+    m = get_model(kind, 3)
+    chart, casimirs = m.chart, m.casimirs
+    t1, x1 = chart.var("t1"), chart.var("x1")
+    base = len(casimirs) - len(m.casimir_split.rows)
+    variants = {
+        # coordinate Casimirs after the others and out of order: the column sign moves
+        "reversed": (tuple(reversed(casimirs)), base),
+        # a coefficient other than 1 is no coordinate Casimir
+        "scaled": ((t1.scale(2),) + casimirs[1:], base - 1),
+        "not a unit row": ((t1 + x1 * x1,) + casimirs[1:], base - 1),
+        # a constant term keeps the unit row
+        "shifted": ((t1 + 3,) + casimirs[1:], base),
+        # a repeated coordinate is one coordinate Casimir; the copy is a row of the minor
+        "repeated": ((t1, t1) + casimirs[2:], base - 1),
+        "none": (tuple(c.scale(2) for c in casimirs), 0),
+        # every Casimir a coordinate: r = 0, and the one pair left has determinant +-1
+        "projection": (tuple(chart.var(v) for v in chart.geometric_names()[: len(casimirs)]), len(casimirs)),
+    }
+    for name, (cs, coordinates) in variants.items():
+        v = dataclasses.replace(m, casimirs=cs)
+        units, rows, free = v.casimir_split
+        assert len(units) - len(rows) == coordinates, name
+        assert len(free) == m.chart.n_geom - coordinates, name
+        assert_reduced_determinants_are_full(v)
+
+
 @pytest.mark.parametrize("args", [(), (1, 1), (3, 7), (20, 2)])
 def test_random_rational_draws_the_same_stream(args):
     bound, den = args or (6, 4)
@@ -188,8 +255,9 @@ def test_casimir_determinants_are_expanded_once(monkeypatch, kind, n):
     flaschka_ratiu(m, 1)
     flaschka_ratiu(m, parse_poly("1 + x1^2", m.chart))
     match_claimed_bivector(m)
-    ng = m.chart.n_geom
-    assert len(calls) == ng * (ng - 1) // 2
+    # one r x r minor per pair i < j of the free indices N, none of the full 2n x 2n matrix
+    free = len(m.casimir_split.free)
+    assert len(calls) == free * (free - 1) // 2
     assert m.casimir_determinants is m.casimir_determinants
 
 

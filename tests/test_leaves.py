@@ -10,7 +10,15 @@ from fractions import Fraction
 import pytest
 
 from singfib import leaves, linalg, poly
-from singfib.catalog import ALL_KINDS, DEFORMATION_KINDS, DIM6_KINDS, get_model, random_noncritical_point
+from singfib.catalog import (
+    ALL_KINDS,
+    DEFORMATION_KINDS,
+    DIM6_KINDS,
+    PARAMETRIC_KINDS,
+    critical_points_sample,
+    get_model,
+    random_noncritical_point,
+)
 from singfib.exterior import KVector
 from singfib.leaves import (
     SingularPoint,
@@ -134,8 +142,8 @@ def test_leaf_coefficient_runs_one_elimination(monkeypatch, kind, n):
     for q in points:
         calls.clear()
         leaf_coefficient(b, q)
-        # the kernel of the gradient rows, on 2n columns; alpha and beta are closed forms
-        assert calls == [model.dim]
+        # the kernel of the non-coordinate gradient rows, on the free columns N; alpha and beta are closed forms
+        assert calls == [len(model.casimir_split.free)]
 
 
 # bivectors that are not of rank 2 with the leaf plane as image, at a cusp
@@ -202,6 +210,63 @@ def test_integer_frame_is_a_positive_multiple_of_the_fraction_frame(kind):
             ratio = got[i] / want[i]
             assert ratio > 0
             assert list(got) == [ratio * x for x in want]
+
+
+PADDED_MODELS = [(kind, 3) for kind in ALL_KINDS] + [(kind, 6) for kind in PARAMETRIC_KINDS]
+
+
+@pytest.mark.parametrize("kind, n", PADDED_MODELS)
+def test_padded_leaf_kernel_is_the_full_kernel(monkeypatch, kind, n):
+    model = get_model(kind, n, Fraction(1, 2) if kind in DEFORMATION_KINDS else None)
+    free = model.casimir_split.free
+    reduced = []
+    integer_nullspace = linalg.integer_nullspace
+
+    def spy(rows):
+        reduced.append(integer_nullspace(rows))
+        return reduced[-1]
+
+    monkeypatch.setattr(linalg, "integer_nullspace", spy)
+    rng = random.Random(f"padded:{kind}:{n}")
+    for _ in range(8):
+        q = random_noncritical_point(model, rng)
+        reduced.clear()
+        frame = leaf_frame(model, q)
+        (kernel,) = reduced
+        padded = [[0] * model.dim for _ in kernel]
+        for full, vec in zip(padded, kernel):
+            for a, x in zip(free, vec):
+                full[a] = x
+        # the frame keeps the full gradient rows, and their kernel is the padded one
+        assert len(frame.gradients) == len(model.casimirs)
+        assert all(len(row) == model.dim for row in frame.gradients)
+        assert padded == integer_nullspace(frame.gradients)
+        assert frame.u == tuple(padded[0])
+
+
+def test_leaf_frame_of_a_projection_eliminates_nothing():
+    # every Casimir a coordinate: no row is left, and the leaf plane is spanned by e_x2 and e_x3
+    model = get_model("cusp", 3)
+    projection = dataclasses.replace(model, casimirs=tuple(CHART6.var(v) for v in ("t1", "t2", "t3", "x1")))
+    assert projection.casimir_split.rows == ()
+    frame = leaf_frame(projection, ANCHOR)
+    assert (frame.u, frame.v) == ((0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+    assert [list(v) for v in (frame.u, frame.v)] == linalg.integer_nullspace(frame.gradients)
+
+
+@pytest.mark.parametrize("kind", ["fold", "cusp", "lefschetz", "w_s"])
+def test_reduced_kernel_is_singular_where_the_full_kernel_is(kind):
+    model = get_model(kind, 3)
+    for q in critical_points_sample(model, 10, random.Random(f"singular:{kind}")):
+        values, _ = model.gradient_kernel(*poly.integer_point(q))
+        rows = [values[r : r + model.dim] for r in range(0, len(values), model.dim)]
+        full = linalg.integer_nullspace(rows)
+        try:
+            frame = leaf_frame(model, q)
+        except SingularPoint:
+            assert len(full) != 2
+        else:
+            assert len(full) == 2 and frame.u == tuple(full[0])
 
 
 def test_frame_not_tangent_to_its_gradient_rows_fails(monkeypatch):

@@ -155,3 +155,31 @@ def test_substitute():
     p = x1**2 + t1
     assert p.substitute({"x1": t1}) == t1**2 + t1
     assert p.substitute({"x1": 2}) == t1 + 4
+
+
+INEXACT = (0.1, 0.5, "1/2", "3", None)
+
+
+@pytest.mark.parametrize("c", INEXACT)
+def test_const_accepts_only_exact_rationals(c):
+    with pytest.raises(TypeError):
+        CHART6.const(c)
+    # arithmetic with a bare coefficient goes through const
+    with pytest.raises(TypeError):
+        CHART6.var("x1") * c
+    assert CHART6.const(Fraction(1, 10)) == CHART6.const(1) * Fraction(1, 10)
+
+
+@pytest.mark.parametrize("c", INEXACT)
+def test_poly_constructor_accepts_only_exact_rationals(c):
+    with pytest.raises(TypeError):
+        Poly(CHART6, {(0, 0, 0, 1, 0, 0): c})
+    assert Poly(CHART6, {(0, 0, 0, 1, 0, 0): 2}) == CHART6.var("x1") * 2
+
+
+@pytest.mark.parametrize("c", INEXACT)
+def test_scale_accepts_only_exact_rationals(c):
+    x1 = CHART6.var("x1")
+    with pytest.raises(TypeError):
+        x1.scale(c)
+    assert x1.scale(Fraction(1, 2)).terms == {(0, 0, 0, 1, 0, 0): Fraction(1, 2)}

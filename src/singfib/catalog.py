@@ -69,6 +69,7 @@ class CasimirSplit(NamedTuple):
 
 
 def _inversions(perm: Sequence[int]) -> int:
+    """The number of pairs out of order; its parity is the permutation's sign."""
     return sum(1 for b, y in enumerate(perm) for x in perm[:b] if x > y)
 
 

@@ -16,11 +16,11 @@ import time
 from fractions import Fraction
 
 from . import nearsymp, poisson
-from .catalog import ALL_KINDS, DEFORMATION_KINDS, DIM6_KINDS, ModelError, get_model, manifest_text
+from .catalog import ALL_KINDS, DEFORMATION_KINDS, DIM6_KINDS, get_model, manifest_text
 from .interval import BoxParseError, CertificationFailure, parse_box
 from .poly import ChartMismatch, PolyParseError, parse_poly
 from .report import exit_code, render_records, render_table
-from .suite import CHECK_NAMES, SCOPES, SelectionError, run_suite
+from .suite import CHECK_NAMES, SCOPES, run_suite
 
 
 def _fraction(text: str) -> Fraction:
@@ -77,10 +77,10 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         sys.stdout.write(manifest_text())
         return 0
     kinds = [args.kind] if args.kind else list(ALL_KINDS)
-    # every model is built before the first line is printed, so a bad --n or
-    # --param leaves stdout empty; a named kind takes --n and --param as
-    # given, and the full listing shows dim-6 kinds at n = 3 and pins the
-    # parameter on the deformation kinds only
+    # all output is built before the first line is printed, so a bad --n or
+    # --param, or text too long to print, leaves stdout empty; a named kind
+    # takes --n and --param as given, and the full listing shows dim-6 kinds
+    # at n = 3 and pins the parameter on the deformation kinds only
     models = [
         get_model(
             kind,
@@ -89,14 +89,17 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         )
         for kind in kinds
     ]
+    lines = []
     for model in models:
-        comps = ", ".join(str(c) for c in model.casimirs)
-        print(f"{model.name}: R^{2 * model.n} -> R^{2 * model.n - 2}")
-        print(f"  chart: ({', '.join(model.chart.names)})")
-        print(f"  components: {comps}")
-        print(f"  critical locus: {', '.join(str(c) for c in model.critical_locus)}")
+        lines += [
+            f"{model.name}: R^{2 * model.n} -> R^{2 * model.n - 2}",
+            f"  chart: ({', '.join(model.chart.names)})",
+            f"  components: {', '.join(str(c) for c in model.casimirs)}",
+            f"  critical locus: {', '.join(str(c) for c in model.critical_locus)}",
+        ]
     if not args.kind:
-        print(f"{len(kinds)} kinds")
+        lines.append(f"{len(kinds)} kinds")
+    print("\n".join(lines))
     return 0
 
 
@@ -112,15 +115,15 @@ def cmd_derive(args: argparse.Namespace) -> int:
         return 2
     bivector = poisson.flaschka_ratiu(model, k)
     match = poisson.match_claimed_bivector(model)
-    print(f"model {model.name}")
-    print(f"  pi (k = {k}) = {bivector.pi}")
-    if model.claimed_scale != 1:
-        print(f"  catalogued normalization: raw construction = {model.claimed_scale} * catalogued")
     rep = match.report()
-    print(f"  {rep.status.upper()}: {rep.detail}")
+    lines = [f"model {model.name}", f"  pi (k = {k}) = {bivector.pi}"]
+    if model.claimed_scale != 1:
+        lines.append(f"  catalogued normalization: raw construction = {model.claimed_scale} * catalogued")
+    lines.append(f"  {rep.status.upper()}: {rep.detail}")
     if rep.witness:
-        print(f"  {rep.witness}")
-    print(f"  catalogued: {match.claimed}")
+        lines.append(f"  {rep.witness}")
+    lines.append(f"  catalogued: {match.claimed}")
+    print("\n".join(lines))
     return 0 if rep.status != "fail" else 1
 
 
@@ -177,9 +180,11 @@ def main(argv: list[str] | None = None) -> int:
         "verify": cmd_verify,
         "epsilon": cmd_epsilon,
     }[args.command]
+    # every input error is a ValueError: a model or selection the library rejects, or
+    # text past CPython's int-string limit (catalog and derive build it before printing)
     try:
         return handler(args)
-    except (ModelError, SelectionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping
 
-from .poly import Poly
+from .poly import IDENTIFIER, Poly
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ class BoxParseError(ValueError):
 
 
 def parse_box(spec: str) -> Box:
-    """Parse specs like ``|x|<=1,|u|<=1/10`` or ``0<=x<=1/2``; each variable is bounded once."""
+    """Parse specs like ``|x|<=1,|u|<=1/10`` or ``0<=x<=1/2``: each name an IDENTIFIER, bounded once."""
     box: Box = {}
     for piece in spec.split(","):
         piece = piece.strip()
@@ -183,7 +183,10 @@ def parse_box(spec: str) -> Box:
                 var_part, bound_part = piece.split("<=")
             except ValueError:
                 raise BoxParseError(f"cannot parse box clause {piece!r}") from None
-            name = var_part.strip().strip("|")
+            bars = var_part.strip()
+            if not bars.endswith("|"):
+                raise BoxParseError(f"cannot parse box clause {piece!r}")
+            name = bars[1:-1].strip()
             bound = _parse_fraction(bound_part)
             if bound < 0:
                 raise BoxParseError(f"negative bound in {piece!r}")
@@ -197,6 +200,8 @@ def parse_box(spec: str) -> Box:
             hi = _parse_fraction(parts[2])
             if lo > hi:
                 raise BoxParseError(f"empty interval in {piece!r}")
+        if not IDENTIFIER.fullmatch(name):
+            raise BoxParseError(f"bad variable name {name!r} in {piece!r}")
         if name in box:
             raise BoxParseError(f"variable {name!r} is bounded more than once in {spec!r}")
         box[name] = Interval(lo, hi)

@@ -36,6 +36,7 @@ from .exterior import (
     hodge_star,
     poincare_homotopy,
     pullback,
+    scalar_form,
     vector_term,
     volume_form,
     wedge,
@@ -424,20 +425,16 @@ def fibre_positivity(kind: str, omega: KForm | None = None) -> tuple[FibrePositi
     c = NS_CHART_EPS
     d_poly = model.denominator()
     y, z = c.var("y"), c.var("z")
-    zero = c.zero()
 
     # cleared frames D*v1, D*v2
     v1 = vector_term(c, 2 * z, ("x",)) + vector_term(c, d_poly, ("z",))
     v2 = vector_term(c, 2 * y, ("x",)) + vector_term(c, -d_poly, ("y",))
 
-    frame_ok = True
-    for comp in model.fibration().components:
-        for vec in (v1, v2):
-            acc = zero
-            for (i,), coeff in vec.terms.items():
-                acc = acc + comp.differentiate(c.names[i]) * coeff
-            if not acc.is_zero():
-                frame_ok = False
+    frame_ok = all(
+        evaluate_form(ext_d(scalar_form(comp)), [vec]).is_zero()
+        for comp in model.fibration().components
+        for vec in (v1, v2)
+    )
 
     numerator = fibre_numerator(omega, d_poly)
     identity_ok = evaluate_form(omega, [v1, v2]) == d_poly * numerator

@@ -21,6 +21,7 @@ one positive integer scale, with integer arithmetic only.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -398,46 +399,30 @@ class PolyParseError(ValueError):
     pass
 
 
+#: a variable name, in polynomial text and in ``interval.parse_box``
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# the ASCII tokens: decimal integers, identifiers and the operators +-*^()/;
+# the group catches any other non-space character
+_TOKEN = re.compile(rf"[0-9]+|{IDENTIFIER.pattern}|[-+*^()/]|(\S)", re.ASCII)
+
+
 class _Parser:
     """Recursive-descent parser for the canonical polynomial grammar.
 
     expr   := term (('+'|'-') term)*
     term   := factor ('*' factor)*
     factor := atom ('^' integer)?
-    atom   := rational | name | '(' expr ')' | '-' factor
+    atom   := integer ('/' integer)? | name | '(' expr ')' | ('+'|'-') factor
     """
 
     def __init__(self, text: str, chart: Chart):
-        self.tokens = self._tokenize(text)
+        self.tokens = []
+        for m in _TOKEN.finditer(text):
+            if m.group(1):
+                raise PolyParseError(f"unexpected character {m.group(1)!r} in polynomial text")
+            self.tokens.append(m.group())
         self.pos = 0
         self.chart = chart
-
-    @staticmethod
-    def _tokenize(text: str) -> list[str]:
-        tokens: list[str] = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch in "+-*^()/":
-                tokens.append(ch)
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                tokens.append(text[i:j])
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(text[i:j])
-                i = j
-            else:
-                raise PolyParseError(f"unexpected character {ch!r} in polynomial text")
-        return tokens
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -449,6 +434,16 @@ class _Parser:
         self.pos += 1
         return tok
 
+    @staticmethod
+    def integer(tok: str) -> int:
+        """A token read as a decimal integer: a numerator, denominator or exponent."""
+        if not tok.isdigit():
+            raise PolyParseError(f"expected an integer, got {tok!r}")
+        try:
+            return int(tok)
+        except ValueError:  # past CPython's limit on int-string conversion
+            raise PolyParseError(f"integer of {len(tok)} digits is too long") from None
+
     def parse(self) -> Poly:
         p = self.expr()
         if self.peek() is not None:
@@ -456,11 +451,7 @@ class _Parser:
         return p
 
     def expr(self) -> Poly:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        p = self.term().scale(sign)
+        p = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()
             q = self.term()
@@ -475,34 +466,33 @@ class _Parser:
         return p
 
     def factor(self) -> Poly:
+        # a signed atom took its power inside: -x^2 is -(x^2), and -x^2^3 fails as x^2^3 does
+        signed = self.peek() in ("+", "-")
         p = self.atom()
-        if self.peek() == "^":
+        if self.peek() == "^" and not signed:
             self.take()
-            tok = self.take()
-            if not tok.isdigit():
-                raise PolyParseError(f"expected integer exponent, got {tok!r}")
-            p = p ** int(tok)
+            p = p ** self.integer(self.take())
         return p
 
     def atom(self) -> Poly:
         tok = self.take()
-        if tok == "-":
-            return -self.factor()
+        if tok.isdigit():
+            num = self.integer(tok)
+            if self.peek() != "/":
+                return self.chart.const(num)
+            self.take()
+            den = self.integer(self.take())
+            if den == 0:
+                raise PolyParseError("zero rational denominator")
+            return self.chart.const(Fraction(num, den))
+        if tok in ("+", "-"):
+            return self.factor() if tok == "+" else -self.factor()
         if tok == "(":
             p = self.expr()
             if self.take() != ")":
                 raise PolyParseError("missing closing parenthesis")
             return p
-        if tok.isdigit():
-            num = int(tok)
-            if self.peek() == "/":
-                self.take()
-                den = self.take()
-                if not den.isdigit() or int(den) == 0:
-                    raise PolyParseError(f"bad rational denominator {den!r}")
-                return self.chart.const(Fraction(num, int(den)))
-            return self.chart.const(num)
-        if tok[0].isalpha() or tok[0] == "_":
+        if IDENTIFIER.fullmatch(tok):
             return self.chart.var(tok)
         raise PolyParseError(f"unexpected token {tok!r}")
 

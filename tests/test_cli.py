@@ -183,6 +183,25 @@ def test_derive_rejects_deeply_nested_k(capsys):
     assert "cannot parse k: expression is nested too deeply" in err
 
 
+@pytest.mark.parametrize(
+    "k", ["x1^\u00b2", "\u00b2", "\u0663*x1", "x1^" + "1" * 5000],
+    ids=["superscript-exponent", "superscript", "arabic-indic-digit", "long-exponent"],
+)
+def test_derive_rejects_k_outside_the_ascii_grammar(capsys, k):
+    assert "cannot parse k" in one_line_error(capsys, "derive", "--kind", "fold", "--k", k)
+
+
+def test_derive_reports_output_past_the_int_string_limit(capsys):
+    # (2*x1)^20000 parses, but its coefficient 2^20000 has 6021 digits
+    assert "integer string conversion" in one_line_error(capsys, "derive", "--kind", "fold", "--k", "(2*x1)^20000")
+
+
+@pytest.mark.parametrize("argv", [("--kind", "w_s"), ()], ids=["w_s", "listing"])
+def test_catalog_reports_output_past_the_int_string_limit(capsys, argv):
+    err = one_line_error(capsys, "catalog", *argv, "--param", "1e5000")
+    assert "integer string conversion" in err
+
+
 def test_catalog_rejects_small_n(capsys):
     assert "at least 3" in one_line_error(capsys, "catalog", "--kind", "cusp", "--n", "2")
 
@@ -216,6 +235,19 @@ def test_epsilon_rejects_a_variable_bounded_twice(capsys, box):
     with pytest.raises(BoxParseError, match="bounded more than once"):
         parse_box(box)
     assert "bounded more than once" in one_line_error(capsys, "epsilon", "--kind", "cusp", "--box", box)
+
+
+def test_box_names_are_identifiers_with_the_bars_stripped(capsys):
+    assert parse_box("| x |<=1, 0<= u <=1/2, |s|<=0.5") == parse_box("|x|<=1,0<=u<=1/2,|s|<=1/2")
+    code, out, _ = run(capsys, "epsilon", "--kind", "cusp", "--box", "| x |<=1")
+    assert code == 0 and "eps* = 1/3" in out
+
+
+@pytest.mark.parametrize("box", ["0<=|x|<=1", "|x<=1", "||<=1", "|x y|<=1", "0<=1x<=1", "|\u00e9|<=1"])
+def test_epsilon_rejects_a_box_name_that_is_not_an_identifier(capsys, box):
+    with pytest.raises(BoxParseError):
+        parse_box(box)
+    one_line_error(capsys, "epsilon", "--kind", "cusp", "--box", box)
 
 
 def test_epsilon_reports_an_uncertified_minimum_as_an_error(capsys):

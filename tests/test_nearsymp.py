@@ -480,6 +480,17 @@ def test_epsilon_bounds_default_boxes():
     assert epsilon_bound("butterfly").bound == Fraction(5, 104)
 
 
+def test_the_fibre_bound_is_not_a_near_symplectic_bound():
+    # the repaired cusp is closed and positive on the fibres for eps < 2/3, yet at
+    # eps = 33/50 omega^3 is negative at a point off Z (y != 0): ROADMAP item 1
+    omega = assemble("cusp", "repair").omega
+    assert ext_d(omega).is_zero()
+    assert epsilon_bound("cusp", omega=omega).bound == Fraction(2, 3)
+    (top,) = wedge_power(omega, 3).terms.values()
+    point = (0, 0, 1, 1, Fraction(-594, 25), Fraction(12, 25), Fraction(33, 50))  # (u, s, t, x, y, z, eps)
+    assert top.evaluate(point) == Fraction(-389016, 3125)
+
+
 def test_epsilon_bound_monotone_under_shrinking():
     big = epsilon_bound("cusp", parse_box("|x|<=1"))
     small = epsilon_bound("cusp", parse_box("|x|<=1/2"))

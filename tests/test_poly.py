@@ -143,6 +143,28 @@ def test_parse_errors():
         parse_poly("nosuchvar", CHART6)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["x1^\u00b2", "\u00b2", "\u0663*x1", "\u00e9", "1" * 5000, "x1^" + "1" * 5000, "1/" + "1" * 5000, "1/0", "x1^-1"],
+    ids=["superscript-exponent", "superscript", "arabic-indic-digit", "letter-e-acute", "long-literal",
+         "long-exponent", "long-denominator", "zero-denominator", "negative-exponent"],
+)
+def test_parse_rejects_text_outside_the_ascii_grammar(text):
+    with pytest.raises(PolyParseError):
+        parse_poly(text, CHART6)
+
+
+def test_parse_signs_by_one_rule():
+    x1, t1 = CHART6.var("x1"), CHART6.var("t1")
+    assert parse_poly("-x1^2", CHART6) == -(x1**2)
+    assert parse_poly("- -x1 + +t1", CHART6) == x1 + t1
+    assert parse_poly("2*-x1^3", CHART6) == -2 * x1**3
+    assert parse_poly("-(x1 + t1)^2", CHART6) == -((x1 + t1) ** 2)
+    for text in ("x1^2^3", "-x1^2^3"):  # one power per atom, signed or not
+        with pytest.raises(PolyParseError, match="trailing input"):
+            parse_poly(text, CHART6)
+
+
 def test_chart_mismatch_add():
     other = Chart(("a", "b", "c", "d", "e", "f"))
     with pytest.raises(ChartMismatch):

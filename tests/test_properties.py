@@ -20,6 +20,8 @@ from) against the Schouten bracket of k * base computed directly.
 
 from __future__ import annotations
 
+import re
+import string
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -51,6 +53,7 @@ from singfib.poly import (
     ChartMismatch,
     IntegerKernel,
     Poly,
+    PolyParseError,
     chart_2n,
     format_poly,
     integer_point,
@@ -104,6 +107,30 @@ def assert_clean(x: Poly | _Graded) -> None:
 def test_poly_operations_keep_clean_terms(p, q, c, name):
     for result in (p + q, p - q, p * q, p.scale(c), p.differentiate(name), p.substitute({name: q})):
         assert_clean(result)
+    assert parse_poly(format_poly(p), CHART6) == p
+
+
+# single characters (the grammar's, ASCII letters and digits, whitespace, and three
+# non-ASCII ones), with operators and spaced chart names weighted so that some texts parse
+TEXT_PIECES = (
+    list("+-*^()/_ \t\n" + string.ascii_letters + string.digits)
+    + ["\u00b2", "\u0663", "\u00e9"]
+    + 8 * list("+-* ^()")
+    + 8 * [f" {name} " for name in CHART6.names]
+)
+GRAMMAR_TEXT = st.lists(st.sampled_from(TEXT_PIECES), max_size=30).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GRAMMAR_TEXT)
+@example("x1^\u00b2")
+@example("\u0663*x1")
+def test_parse_poly_returns_a_poly_or_a_parse_error(text):
+    assume(not re.search(r"\^\s*[0-9]{3}", text))  # a large power is slow, not an error
+    try:
+        p = parse_poly(text, CHART6)
+    except (PolyParseError, ChartMismatch):
+        return
     assert parse_poly(format_poly(p), CHART6) == p
 
 

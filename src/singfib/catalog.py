@@ -13,6 +13,7 @@ named ``s_par`` and can be pinned to a rational instead.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -22,7 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .exterior import KVector
-from .poly import Chart, IntegerKernel, Poly, Rational, chart_2n, integer_point
+from .poly import Chart, IntegerKernel, IntegerPoint, Point, Poly, Rational, chart_2n, integer_point, lowest_terms_point
 
 PARAM_NAME = "s_par"
 
@@ -153,7 +154,7 @@ class FibrationModel:
         """``critical_locus``, compiled once per model for integer points."""
         return IntegerKernel(self.chart, list(self.critical_locus))
 
-    def is_critical(self, point: Sequence[Rational]) -> bool:
+    def is_critical(self, point: Point) -> bool:
         """Every critical equation vanishes at the point (read from the integer kernel)."""
         values, _ = self.critical_kernel(*integer_point(point))
         return not any(values)
@@ -269,26 +270,28 @@ def build_model(kind: str, n: int = 3, param: Rational | None = None) -> Fibrati
 _shared_model = cache(build_model)
 
 
-# -- critical point sampling -------------------------------------------------
+# -- point sampling ---------------------------------------------------------------
+
+#: a / b in lowest terms at [a + 6][b - 1], for the drawn numerator |a| <= 6 and denominator 1 <= b <= 4
+_LOWEST = tuple(tuple((a // math.gcd(a, b), b // math.gcd(a, b)) for b in range(1, 5)) for a in range(-6, 7))
 
 
-@cache
-def _rationals(bound: int, den: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Fraction(a, b) at [a + bound][b - 1], for |a| <= bound and 1 <= b <= den."""
-    return tuple(tuple(Fraction(a, b) for b in range(1, den + 1)) for a in range(-bound, bound + 1))
+def _draw(rng: random.Random, dim: int) -> list[tuple[int, int]]:
+    """dim coordinates in chart order, each a = randint(-6, 6) over b = randint(1, 4), as (a, b) in lowest terms.
+
+    ``rng.choice`` of a row of ``_LOWEST`` and then of an entry in it reads
+    the generator exactly as those two ``randint`` calls do (each comes down
+    to one draw below 13, then one below 4), in fewer steps.
+    """
+    choice = rng.choice
+    return [choice(_LOWEST[choice(range(13))]) for _ in range(dim)]
 
 
-def random_rational(rng: random.Random, bound: int = 6, den: int = 4) -> Fraction:
-    """Fraction(rng.randint(-bound, bound), rng.randint(1, den)), drawn in that order."""
-    a = rng.randint(-bound, bound)
-    return _rationals(bound, den)[a + bound][rng.randint(1, den) - 1]
+def random_point(model: FibrationModel, rng: random.Random) -> IntegerPoint:
+    return lowest_terms_point(_draw(rng, model.chart.dim))
 
 
-def random_point(model: FibrationModel, rng: random.Random) -> list[Fraction]:
-    return [random_rational(rng) for _ in range(model.chart.dim)]
-
-
-def random_noncritical_point(model: FibrationModel, rng: random.Random) -> list[Fraction]:
+def random_noncritical_point(model: FibrationModel, rng: random.Random) -> IntegerPoint:
     for _ in range(1000):
         p = random_point(model, rng)
         if not model.is_critical(p):
@@ -296,26 +299,33 @@ def random_noncritical_point(model: FibrationModel, rng: random.Random) -> list[
     raise RuntimeError("failed to sample a non-critical point")
 
 
-def critical_points_sample(model: FibrationModel, count: int, rng: random.Random) -> list[list[Fraction]]:
+def critical_points_sample(model: FibrationModel, count: int, rng: random.Random) -> list[IntegerPoint]:
     """Exact rational points on the critical locus, a symbolic deformation parameter pinned to 0."""
     pinned = {PARAM_NAME: Fraction(0)} if PARAM_NAME in model.chart.names else {}
     return sample_locus(model.chart, model.critical_locus, count, rng, pinned)
 
 
+def _lowest(a: int, b: int) -> tuple[int, int]:
+    """a / b (b != 0) as (numerator, denominator) in lowest terms."""
+    g = math.gcd(a, b) if b > 0 else -math.gcd(a, b)
+    return a // g, b // g
+
+
 def sample_locus(
     chart: Chart, equations: Sequence[Poly], count: int, rng: random.Random, pinned: Mapping[str, Rational]
-) -> list[list[Fraction]]:
+) -> list[IntegerPoint]:
     """Exact rational points where every equation vanishes, checked through one integer kernel.
 
-    Each point draws every chart coordinate with ``random_rational`` in chart
-    order, sets the pinned ones and solves the equations (pinned values
-    substituted) in turn.  c*v + r, c a nonzero constant and v the first such
-    variable, sets v = -r/c, with every nonzero r read from one integer
-    kernel at the drawn point.  a*v^2 + b*w^2 sets v = w = 0 when definite
-    and w = +-v (one ``rng.choice``) when a = -b.  Any other equation raises
-    ``NotImplementedError``.
+    Each point draws every chart coordinate as ``random_point`` does, in
+    chart order, sets the pinned ones and solves the equations (pinned
+    values substituted) in turn.  c*v + r, c a nonzero constant and v the
+    first such variable, sets v = -r/c, with every nonzero r read from one
+    integer kernel at the drawn point.  a*v^2 + b*w^2 sets v = w = 0 when
+    definite and w = +-v (one ``rng.choice``) when a = -b.  Any other
+    equation raises ``NotImplementedError``.  The point is handed on in the
+    form the locus check reads it, an IntegerPoint.
     """
-    pins = [(chart.index(name), Fraction(value)) for name, value in pinned.items()]
+    pins = [(chart.index(name), (v.numerator, v.denominator)) for name, v in pinned.items()]
     units = [tuple(int(j == i) for j in range(chart.dim)) for i in range(chart.dim)]
     steps: list[tuple[str, int, Fraction | int, int]] = []  # (op, i, c or j, slot of r)
     rests: list[Poly] = []
@@ -342,22 +352,24 @@ def sample_locus(
         else:
             raise NotImplementedError(f"no rational sampler for the equation {eq} = 0")
     kernel, check = IntegerKernel(chart, rests), IntegerKernel(chart, list(equations))
-    pts: list[list[Fraction]] = []
+    pts: list[IntegerPoint] = []
     while len(pts) < count:
-        p = [random_rational(rng) for _ in range(chart.dim)]
+        p = _draw(rng, chart.dim)
         for j, value in pins:
             p[j] = value
-        values, scale = kernel(*integer_point(p)) if rests else ([], 1)
+        values, scale = kernel(*lowest_terms_point(p)) if rests else ([], 1)
         for op, i, arg, k in steps:
             if op == "linear":
-                p[i] = Fraction(-values[k] * arg.denominator, scale * arg.numerator)
+                p[i] = _lowest(-values[k] * arg.denominator, scale * arg.numerator)
             elif op == "zero":
-                p[i] = p[arg] = Fraction(0)
+                p[i] = p[arg] = (0, 1)
             else:
-                p[arg] = p[i] * rng.choice((1, -1))
-        if any(check(*integer_point(p))[0]):
-            raise AssertionError(f"sampler missed the critical locus: {p}")
-        pts.append(p)
+                a, b = p[i]
+                p[arg] = (a * rng.choice((1, -1)), b)
+        q = lowest_terms_point(p)
+        if any(check(*q)[0]):
+            raise AssertionError(f"sampler missed the critical locus: {q.fractions()}")
+        pts.append(q)
     return pts
 
 

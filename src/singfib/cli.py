@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import re
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NoReturn
 
 from . import nearsymp, poisson
 from .catalog import ALL_KINDS, DEFORMATION_KINDS, DIM6_KINDS, get_model, manifest_text
@@ -23,21 +25,42 @@ from .report import exit_code, render_records, render_table
 from .suite import CHECK_NAMES, SCOPES, run_suite
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+def _ascii(pattern: str, convert: Callable[[str], object], what: str) -> Callable[[str], object]:
+    """An option type that reads text matching ``pattern`` in full, with ASCII digits only, and converts it.
+
+    Any other text, or text that ``convert`` rejects (a zero denominator, or
+    digits past the int-string limit), is "not ``what``": argparse prints
+    that as one ``error:`` line and exits 2.
+    """
+    compiled = re.compile(pattern, re.ASCII)
+
+    def read(text: str) -> object:
+        if compiled.fullmatch(text):
+            try:
+                return convert(text)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+
+    return read
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return int(text)
+# --n and --samples take no sign, --seed takes one, and --param is p/q or a decimal
+_natural = _ascii(r"\d+", int, "a non-negative integer")
+_positive_int = _ascii(r"0*[1-9]\d*", int, "a positive integer")
+_integer = _ascii(r"[-+]?\d+", int, "an integer")
+_fraction = _ascii(r"[-+]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)", Fraction, "a rational number")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with an input error reported like the domain errors: one ``error:`` line, exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="singfib",
         description="Exact derivation and audit of Poisson bivectors, leaf symplectic "
         "forms and near-symplectic forms for singular fibration local models.",
@@ -46,13 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cat = sub.add_parser("catalog", help="list the local models")
     p_cat.add_argument("--kind", choices=ALL_KINDS)
-    p_cat.add_argument("--n", type=int, default=3, help="half-dimension (default 3)")
+    p_cat.add_argument("--n", type=_natural, default=3, help="half-dimension (default 3)")
     p_cat.add_argument("--param", type=_fraction, default=None, help="pin the deformation parameter")
     p_cat.add_argument("--manifest", action="store_true", help="print the manifest file text")
 
     p_der = sub.add_parser("derive", help="derive a Poisson bivector and audit it")
     p_der.add_argument("--kind", required=True, choices=ALL_KINDS)
-    p_der.add_argument("--n", type=int, default=3)
+    p_der.add_argument("--n", type=_natural, default=3)
     p_der.add_argument("--k", default="1", help="scaling polynomial, e.g. '1 + x1^2'")
     p_der.add_argument("--param", type=_fraction, default=None)
 
@@ -61,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     scope.add_argument("--all", action="store_true", help="every model (default)")
     scope.add_argument("--model", choices=SCOPES, help="restrict to one model kind, or to darboux or calculus")
     p_ver.add_argument("--check", action="append", choices=CHECK_NAMES, help="restrict to named checks")
-    p_ver.add_argument("--seed", type=int, default=7)
+    p_ver.add_argument("--seed", type=_integer, default=7)
     p_ver.add_argument("--samples", type=_positive_int, default=100)
     p_ver.add_argument("--format", choices=("text", "records"), default="text")
     p_ver.add_argument("--out", help="also write the records to this file")

@@ -11,9 +11,11 @@ exactly, and reports lambda as an exact certificate: a sign together with
 the rational lambda^2.  Square roots never appear: frames stay
 unnormalized and carry their squared norms.
 
-Each point stays in integers from start to end.  The frame scales the
-point once to q = Q / D, and the Casimir gradient rows and the entries of pi
-are read from integer kernels compiled once per model and per bivector
+Each point stays in integers from start to end.  The sampler draws it
+as q = Q / D (``poly.IntegerPoint``; a point given as Fractions is scaled
+once by ``poly.integer_point``), Fractions of q are built only for a record
+that prints it, and the Casimir gradient rows and the entries of pi are
+read from integer kernels compiled once per model and per bivector
 (``poly.IntegerKernel``), as positive integer multiples of their values.
 A coordinate Casimir's row is a unit vector e_a, which only pins x_a = 0
 (``FibrationModel.casimir_split``).  So one fraction-free elimination runs
@@ -46,7 +48,7 @@ from typing import Sequence
 from . import linalg
 from .catalog import FibrationModel, random_noncritical_point
 from .poisson import PoissonBivector, flaschka_ratiu
-from .poly import Rational, integer_point
+from .poly import IntegerPoint, Point, Rational, integer_point
 from .report import FAIL, MISMATCH, PASS, CheckReport
 from .reference import leaf_claim
 
@@ -66,19 +68,18 @@ class LeafFrame:
     v_norm_sq: int
     #: the Casimir gradients at the point, one row per Casimir, all times one positive integer
     gradients: tuple[tuple[int, ...], ...]
-    #: the point as integer numerators over one positive denominator (``poly.integer_point``)
-    scaled_point: tuple[tuple[int, ...], int]
+    #: the point as integer numerators over one positive denominator
+    scaled_point: IntegerPoint
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
 
 
-def leaf_frame(model: FibrationModel, q: Sequence[Rational]) -> LeafFrame:
+def leaf_frame(model: FibrationModel, q: Point) -> LeafFrame:
     """Two orthogonal spanning vectors of the leaf tangent plane at q."""
-    q = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in q)
-    num, den = integer_point(q)
-    values, _ = model.gradient_kernel(num, den)
+    point = integer_point(q)
+    values, _ = model.gradient_kernel(*point)
     cols = model.chart.n_geom
     rows = tuple(tuple(values[r : r + cols]) for r in range(0, len(values), cols))
     # the coordinate rows e_a pin x_a = 0, so only the other rows on N are eliminated
@@ -87,7 +88,7 @@ def leaf_frame(model: FibrationModel, q: Sequence[Rational]) -> LeafFrame:
     kernel = linalg.integer_nullspace([[rows[k][a] for a in free] for k in kept] or [[0] * len(free)])
     if len(kernel) != 2:
         raise SingularPoint(
-            f"Casimir differentials drop rank at {q}: kernel dimension {len(kernel)}"
+            f"Casimir differentials drop rank at {tuple(point.fractions())}: kernel dimension {len(kernel)}"
         )
     u, w = [0] * cols, [0] * cols
     for full, vec in zip((u, w), kernel):
@@ -103,7 +104,7 @@ def leaf_frame(model: FibrationModel, q: Sequence[Rational]) -> LeafFrame:
     vv = _dot(v, v)
     if _dot(u, v) != 0 or uu == 0 or vv == 0:
         raise AssertionError("frame orthogonalization failed")
-    return LeafFrame(tuple(u), tuple(v), uu, vv, rows, (tuple(num), den))
+    return LeafFrame(tuple(u), tuple(v), uu, vv, rows, point)
 
 
 def solve_structure_covector(
@@ -153,7 +154,7 @@ def _multiplier(y: Sequence[int], x: Sequence[int], what: str) -> tuple[int, int
     return a, c
 
 
-def leaf_coefficient(b: PoissonBivector, q: Sequence[Rational]) -> LeafCoefficient:
+def leaf_coefficient(b: PoissonBivector, q: Point) -> LeafCoefficient:
     """lambda of b at q from the closed-form solutions of pi . alpha = u and pi . beta = v.
 
     The leaf frame is that of ``b.model``.  A rank-2 pi(q) whose image is
@@ -184,20 +185,20 @@ def defining_relations_check(model: FibrationModel, samples: int, rng: random.Ra
         try:
             coeff = leaf_coefficient(bivector, q)
         except (SingularPoint, linalg.InconsistentSystem) as exc:
-            return CheckReport(model.name, "leaf-relations", FAIL, str(exc), witness=str(q))
+            return CheckReport(model.name, "leaf-relations", FAIL, str(exc), witness=str(q.fractions()))
         if not coeff.pairing_antisymmetric:
             return CheckReport(
                 model.name,
                 "leaf-relations",
                 FAIL,
                 "<alpha,v> != -<beta,u>",
-                witness=str(q),
+                witness=str(q.fractions()),
             )
         frame = coeff.frame
         for grad in frame.gradients:
             if _dot(grad, frame.u) or _dot(grad, frame.v):
                 return CheckReport(
-                    model.name, "leaf-relations", FAIL, "frame not Casimir-tangent", witness=str(q)
+                    model.name, "leaf-relations", FAIL, "frame not Casimir-tangent", witness=str(q.fractions())
                 )
     return CheckReport(
         model.name,
@@ -209,7 +210,7 @@ def defining_relations_check(model: FibrationModel, samples: int, rng: random.Ra
 
 @dataclass(frozen=True)
 class LeafAuditRow:
-    point: tuple[Fraction, ...]
+    point: IntegerPoint
     derived_sq: Fraction
     claimed_sq: Fraction
 
@@ -229,6 +230,7 @@ def audit_leaf_formulas(
     squares (both sides are rational numbers), which is strictly finer
     than any floating-point tolerance; the floats in the witness are only
     renderings.  Points where either side divides by zero are skipped.
+    Each row keeps its point as drawn, an IntegerPoint.
     """
     rows: list[LeafAuditRow] = []
     claim = leaf_claim(model)
@@ -243,11 +245,11 @@ def audit_leaf_formulas(
         try:
             claimed_sq = claim.value_sq(q)
             # the kernel gives d * pi^{ij}(q), so sum (pi^{ij})^2 = sum (entries)^2 / d^2
-            entries, d = entry_kernel(*integer_point(q))
+            entries, d = entry_kernel(*q)
             derived_sq = Fraction(scale_sq.numerator * d * d, scale_sq.denominator * _dot(entries, entries))
         except ZeroDivisionError:
             continue
-        rows.append(LeafAuditRow(tuple(q), derived_sq, claimed_sq))
+        rows.append(LeafAuditRow(q, derived_sq, claimed_sq))
     matches = sum(1 for r in rows if r.match)
     if not rows:
         rep = CheckReport(
@@ -268,7 +270,7 @@ def audit_leaf_formulas(
             MISMATCH,
             f"{len(rows) - matches} of {len(rows)} points disagree with {claim.text}",
             witness=(
-                f"point {bad.point}: derived |lambda| = {math.sqrt(bad.derived_sq):.9g} "
+                f"point {tuple(bad.point.fractions())}: derived |lambda| = {math.sqrt(bad.derived_sq):.9g} "
                 f"(lambda^2 = {bad.derived_sq}), catalogued |lambda| = {math.sqrt(bad.claimed_sq):.9g} "
                 f"(lambda^2 = {bad.claimed_sq})"
             ),

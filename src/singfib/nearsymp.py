@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import linalg
 from .catalog import sample_locus
@@ -43,7 +43,7 @@ from .exterior import (
     wedge_power,
 )
 from .interval import Box, certified_minimum, enclose, format_box, parse_box
-from .poly import Chart, IntegerKernel, Poly, integer_point
+from .poly import Chart, IntegerKernel, IntegerPoint, Point, Poly, integer_point
 from .report import FAIL, MISMATCH, PASS, CheckReport
 from .reference import (
     NS_CHART_EPS,
@@ -75,7 +75,7 @@ class NSModel:
         """The x-derivative of f4; the fibre frames clear this factor."""
         return self.f4.differentiate("x")
 
-    def critical_points(self, count: int, rng: random.Random) -> list[list[Fraction]]:
+    def critical_points(self, count: int, rng: random.Random) -> list[IntegerPoint]:
         """Rational points where grad f4 = 0, at eps = ``DEGENERACY_EPS``."""
         grad = [self.f4.differentiate(name) for name in ("x", "y", "z")]
         return sample_locus(NS_CHART_EPS, grad, count, rng, {"eps": DEGENERACY_EPS})
@@ -165,7 +165,7 @@ def sos_top_power(omega0: KForm) -> tuple[tuple[Poly, Poly, Poly], CheckReport]:
 # -- pointwise degeneracy checks ----------------------------------------------------
 
 
-def compile_degeneracy(omega: KForm) -> Callable[[Sequence[Fraction]], tuple[list[list[int]], list[list[int]]]]:
+def compile_degeneracy(omega: KForm) -> Callable[[Point], tuple[list[list[int]], list[list[int]]]]:
     """omega's kernel basis and intrinsic-gradient rows at a point, from one integer kernel.
 
     The kernel is compiled once over omega's entries and their first
@@ -186,7 +186,7 @@ def compile_degeneracy(omega: KForm) -> Callable[[Sequence[Fraction]], tuple[lis
     partials = [c.differentiate(x) for x in chart.geometric_names() for c in coeffs]
     kernel = IntegerKernel(chart, coeffs + partials)
 
-    def at(point: Sequence[Fraction]) -> tuple[list[list[int]], list[list[int]]]:
+    def at(point: Point) -> tuple[list[list[int]], list[list[int]]]:
         values, _ = kernel(*integer_point(point))
         mat = [[0] * n for _ in range(n)]
         for (i, j), e in zip(pairs, values):
@@ -218,7 +218,7 @@ def degeneracy_checks(
                 label,
                 FAIL,
                 f"kernel dimension {len(kernel)} != 4 at a critical point (eps={DEGENERACY_EPS})",
-                witness=str(point),
+                witness=str(point.fractions()),
             )
         r = linalg.rank(rows)
         if r != 3:
@@ -227,7 +227,7 @@ def degeneracy_checks(
                 label,
                 FAIL,
                 f"intrinsic gradient rank {r} != 3 at a critical point (eps={DEGENERACY_EPS})",
-                witness=str(point),
+                witness=str(point.fractions()),
             )
     return CheckReport(
         model.kind,

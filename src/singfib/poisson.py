@@ -23,7 +23,7 @@ from typing import Sequence
 from . import linalg
 from .catalog import FibrationModel, critical_points_sample, random_noncritical_point
 from .exterior import KVector, schouten, wedge
-from .poly import IntegerKernel, Poly, Rational, integer_point
+from .poly import IntegerKernel, Point, Poly, Rational, integer_point
 from .report import FAIL, MISMATCH, PASS, CheckReport
 from .reference import claimed_bivector
 
@@ -87,17 +87,27 @@ def foreign_casimir_residual(b: PoissonBivector, h: Poly) -> list[Poly]:
 
 
 def _sharp(pi: KVector, h: Poly) -> list[Poly]:
-    """(pi^# dh)^i = sum_j pi^{ij} d_j h, over the geometric coordinates."""
+    """(pi^# dh)^i = sum_j pi^{ij} d_j h, over the geometric coordinates.
+
+    Each term c e_i ^ e_j of pi adds c d_j h to component i and -c d_i h to
+    component j; no entry of the skew matrix that is zero is multiplied.
+    """
     chart = pi.chart
     grad = [h.differentiate(v) for v in chart.geometric_names()]
-    return [sum((m * g for m, g in zip(row, grad)), chart.zero()) for row in pi.coefficient_matrix()]
+    out = [chart.zero()] * len(grad)
+    for (i, j), c in pi.terms.items():
+        if grad[j]:
+            out[i] = out[i] + c * grad[j]
+        if grad[i]:
+            out[j] = out[j] - c * grad[i]
+    return out
 
 
 def rank_at(b: PoissonBivector, point: Sequence[Rational]) -> int:
     return linalg.rank(b.matrix_at(point))
 
 
-def _decomposable_rank_at(b: PoissonBivector, point: Sequence[Rational]) -> int:
+def _decomposable_rank_at(b: PoissonBivector, point: Point) -> int:
     """``rank_at`` without elimination, for pi with pi^pi = 0 (rank <= 2).
 
     A skew matrix has even rank: 2 where some entry of pi is nonzero, 0
@@ -228,13 +238,13 @@ def rank_stratification(model: FibrationModel, samples: int, rng: random.Random)
         r = _decomposable_rank_at(b, p)
         if r != 2:
             return CheckReport(
-                model.name, "rank", FAIL, f"rank {r} != 2 at non-critical point", witness=str(p)
+                model.name, "rank", FAIL, f"rank {r} != 2 at non-critical point", witness=str(p.fractions())
             )
     for p in critical_points_sample(model, samples, rng):
         r = _decomposable_rank_at(b, p)
         if r != 0:
             return CheckReport(
-                model.name, "rank", FAIL, f"rank {r} != 0 at critical point", witness=str(p)
+                model.name, "rank", FAIL, f"rank {r} != 0 at critical point", witness=str(p.fractions())
             )
     return CheckReport(
         model.name,

@@ -15,7 +15,8 @@ coefficients only.
 
 A fixed list of polynomials that is evaluated at many points compiles
 once into an ``IntegerKernel``, which returns the values at q = Q / D times
-one positive integer scale, with integer arithmetic only.
+one positive integer scale, with integer arithmetic only; ``IntegerPoint``
+holds such a point as (Q, D).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 Exponent = tuple[int, ...]
 Rational = Union[int, Fraction]
@@ -335,10 +336,41 @@ def format_poly(p: Poly) -> str:
 # -- integer evaluation kernels ---------------------------------------------------
 
 
-def integer_point(point: Sequence[Rational]) -> tuple[list[int], int]:
-    """The point as integer numerators over one positive denominator: q = num / den."""
-    den = math.lcm(*(v.denominator for v in point))
-    return [v.numerator * (den // v.denominator) for v in point], den
+class IntegerPoint(NamedTuple):
+    """A rational point q = num / den, integer numerators over one positive denominator.
+
+    den is the lcm of the coordinates' denominators in lowest terms, so a
+    rational point has exactly one IntegerPoint.
+    """
+
+    num: tuple[int, ...]
+    den: int
+
+    def fractions(self) -> list[Fraction]:
+        """The coordinates as Fractions, for a record that prints the point."""
+        return [Fraction(a, self.den) for a in self.num]
+
+
+#: a point as an IntegerPoint, or as its int and Fraction coordinates
+Point = Union[IntegerPoint, Sequence[Rational]]
+
+
+def lowest_terms_point(pairs: Sequence[tuple[int, int]]) -> IntegerPoint:
+    """The IntegerPoint with coordinates a / b, for pairs (a, b) in lowest terms with b > 0."""
+    den = math.lcm(*[b for _, b in pairs])
+    return IntegerPoint(tuple([a * (den // b) for a, b in pairs]), den)
+
+
+def integer_point(point: Point) -> IntegerPoint:
+    """The point as an IntegerPoint; an IntegerPoint is returned as it is.
+
+    A function that reads kernels at a point its caller gives takes the point
+    through here, so a sampled IntegerPoint and coordinates given as ints and
+    Fractions run one integer path.
+    """
+    if isinstance(point, IntegerPoint):
+        return point
+    return lowest_terms_point([(v.numerator, v.denominator) for v in point])
 
 
 class IntegerKernel:

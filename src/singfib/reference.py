@@ -23,11 +23,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from .catalog import FibrationModel, deformation_symbol
 from .exterior import KForm, KVector, form_term, vector_term
-from .poly import Chart, IntegerKernel, Poly, Rational, integer_point
+from .poly import Chart, IntegerKernel, Point, Poly, Rational, integer_point
 
 # -- claimed Poisson bivectors ----------------------------------------------------
 
@@ -132,7 +131,7 @@ class LeafClaim:
     def kernel(self) -> IntegerKernel:
         return IntegerKernel(self.num.chart, [self.num, *self.den])
 
-    def value_sq(self, point: Sequence[Rational]) -> Fraction:
+    def value_sq(self, point: Point) -> Fraction:
         """lambda^2 at the point; ZeroDivisionError where a factor of den vanishes."""
         (v0, *factors), scale = self.kernel(*integer_point(point))
         # each value is scale times its polynomial's: num^2 / prod(den) = v0^2 scale^(m-2) / prod(factors)
@@ -201,7 +200,7 @@ def leaf_claim(model: FibrationModel) -> LeafClaim:
 
 
 # the benchmark's per-layer trace still names this function
-def ws_leaf_claim_sq(claim: LeafClaim, point: Sequence[Rational]) -> Fraction:
+def ws_leaf_claim_sq(claim: LeafClaim, point: Point) -> Fraction:
     return claim.value_sq(point)
 
 

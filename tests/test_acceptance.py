@@ -123,7 +123,7 @@ def test_criterion_4_fold_formula_agreement_at_all_points():
     assert len(rows) == 100, "the audit skipped seeded points"
 
     for row in rows:
-        x1, x2, x3 = row.point[3:]
+        x1, x2, x3 = row.point.fractions()[3:]
         derived = 1 / (4 * (x1 * x1 + x2 * x2 + x3 * x3))
         claimed = x1**4 / (4 * (x1 * x1 + x3 * x3))
         assert row.derived_sq == derived, row.point
@@ -135,7 +135,7 @@ def test_criterion_4_fold_formula_agreement_at_all_points():
 
     assert rep.status == "mismatch", rep.detail
     assert rep.detail.startswith(f"{len(disagreeing)} of 100 points disagree"), rep.detail
-    assert f"point {disagreeing[0].point}:" in rep.witness, rep.witness
+    assert f"point {tuple(disagreeing[0].point.fractions())}:" in rep.witness, rep.witness
 
     # a fixed counterexample, independent of the seed
     q = (0, 0, 0, 1, 1, 0)

@@ -23,7 +23,6 @@ from singfib.catalog import (
     get_model,
     manifest_text,
     random_noncritical_point,
-    random_rational,
     sample_locus,
 )
 from singfib.poisson import flaschka_ratiu, match_claimed_bivector
@@ -123,9 +122,9 @@ def test_gradient_kernel_gives_the_gradient_rows_times_one_scale(kind, n):
     rng = random.Random(f"kernel:{kind}")
     for _ in range(5):
         q = random_noncritical_point(m, rng)
-        values, scale = m.gradient_kernel(*integer_point(q))
+        values, scale = m.gradient_kernel(*q)
         assert scale > 0
-        assert values == [scale * g.evaluate(q) for row in m.casimir_gradients for g in row]
+        assert values == [scale * g.evaluate(q.fractions()) for row in m.casimir_gradients for g in row]
 
 
 def full_determinants(m):
@@ -193,17 +192,6 @@ def test_reduced_determinants_read_the_casimirs_not_the_kind(kind):
         assert_reduced_determinants_are_full(v)
 
 
-@pytest.mark.parametrize("args", [(), (1, 1), (3, 7), (20, 2)])
-def test_random_rational_draws_the_same_stream(args):
-    bound, den = args or (6, 4)
-    for seed in range(5):
-        table, direct = random.Random(seed), random.Random(seed)
-        for _ in range(200):
-            got = random_rational(table, *args)
-            assert got == Fraction(direct.randint(-bound, bound), direct.randint(1, den))
-        assert table.getstate() == direct.getstate()
-
-
 @pytest.mark.parametrize("kind, n, param", [("cusp", 3, None), ("w_s", 4, Fraction(1, 2)), ("b_s", 3, None)])
 def test_get_model_builds_each_model_once(kind, n, param):
     assert get_model(kind, n, param) is get_model(kind, n, param)
@@ -269,6 +257,23 @@ def test_jacobian_identity_block():
             assert jac[i][j] == (m.chart.one() if i == j else m.chart.zero())
 
 
+# -- the Fraction sampler, the oracle of the integer one ---------------------------
+
+
+def fraction_rational(rng):
+    """Fraction(randint(-6, 6), randint(1, 4)), drawn in that order: one sampled coordinate."""
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def fraction_noncritical_point(model, rng):
+    """The first point drawn as Fractions, coordinate by coordinate, where some critical equation is nonzero."""
+    for _ in range(1000):
+        p = [fraction_rational(rng) for _ in range(model.chart.dim)]
+        if any(eq.evaluate(p) for eq in model.critical_locus):
+            return p
+    raise RuntimeError("no non-critical point in 1000 draws")
+
+
 def per_kind_critical_points(model, count, rng):
     """The hand-solved critical-point sampler, one branch per kind: the oracle for ``sample_locus``."""
     pts = []
@@ -277,7 +282,7 @@ def per_kind_critical_points(model, count, rng):
     has_param = chart.dim > chart.n_geom
 
     def base_point():
-        p = [random_rational(rng) for _ in range(chart.dim)]
+        p = [fraction_rational(rng) for _ in range(chart.dim)]
         if has_param:
             p[chart.index("s_par")] = Fraction(0)
         return p
@@ -338,8 +343,26 @@ def test_critical_points_equal_the_per_kind_sampler(row):
         with pytest.raises(NotImplementedError):
             critical_points_sample(m, 12, rng)
         return
-    assert critical_points_sample(m, 12, rng) == want
+    assert critical_points_sample(m, 12, rng) == [integer_point(p) for p in want]
     assert rng.getstate() == oracle.getstate()
+
+
+@pytest.mark.parametrize("row", MODEL_TABLE, ids=lambda r: f"{r['kind']}-{r['n']}-{r['param']}")
+def test_sampled_points_are_the_fraction_samplers_draws(row):
+    # the integer samplers draw exactly the points the Fraction sampler drew,
+    # in integer_point's form, and leave the generator in the same state
+    m = build_model(row["kind"], row["n"], _table_param(row))
+    for seed in range(3):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            assert random_noncritical_point(m, rng) == integer_point(fraction_noncritical_point(m, oracle))
+        assert rng.getstate() == oracle.getstate()
+        try:
+            want = per_kind_critical_points(m, 12, oracle)
+        except NotImplementedError:
+            continue
+        assert critical_points_sample(m, 12, rng) == [integer_point(p) for p in want]
+        assert rng.getstate() == oracle.getstate()
 
 
 def test_sample_locus_raises_on_equations_it_does_not_solve():
@@ -364,7 +387,7 @@ def test_critical_samples_and_rank(kind):
     expected = 2 * m.n - 4 if kind in ("lefschetz", "w_s") else 2 * m.n - 3
 
     def jacobian_rank_at(p):
-        return linalg.rank([[g.evaluate(p) for g in row] for row in m.casimir_gradients])
+        return linalg.rank([[g.evaluate(p.fractions()) for g in row] for row in m.casimir_gradients])
 
     for p in critical_points_sample(m, 8, rng):
         assert m.is_critical(p)
@@ -380,11 +403,11 @@ def test_critical_samples_and_rank(kind):
 def test_is_critical_is_every_equation_vanishing(kind, param):
     m = get_model(kind, 3, param)
     rng = random.Random(f"is-critical:{kind}")
-    points = [[random_rational(rng) for _ in range(m.chart.dim)] for _ in range(20)]
+    points = [[fraction_rational(rng) for _ in range(m.chart.dim)] for _ in range(20)]
     points.append([0] * m.chart.dim)
     if param is None:
         # sampled on the locus at s = 0, with the parameter coordinate pinned there
-        points += critical_points_sample(m, 20, rng)
+        points += [p.fractions() for p in critical_points_sample(m, 20, rng)]
     verdicts = [m.is_critical(p) for p in points]
     assert verdicts == [all(eq.evaluate(p) == 0 for eq in m.critical_locus) for p in points]
     assert False in verdicts and (param is not None or True in verdicts)

@@ -130,6 +130,55 @@ def test_verify_rejects_non_positive_samples(capsys, samples):
     assert "positive integer" in capsys.readouterr().err
 
 
+def usage_error(capsys, *argv) -> str:
+    """The one stderr line of an option argparse rejects (exit 2, nothing on stdout)."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("error: argument ") and err.count("\n") == 1
+    return err
+
+
+VERIFY_RANK = ("verify", "--model", "fold", "--check", "rank")
+
+
+BAD_NUMBERS = [
+    (("catalog", "--kind", "cusp", "--n", "\u0663"), "not a non-negative integer"),
+    (("derive", "--kind", "cusp", "--n", "\u0663"), "not a non-negative integer"),
+    (("catalog", "--kind", "cusp", "--n", "+3"), "not a non-negative integer"),
+    (("catalog", "--kind", "cusp", "--n", "3_0"), "not a non-negative integer"),
+    (("catalog", "--kind", "cusp", "--n", " 3"), "not a non-negative integer"),
+    (("catalog", "--kind", "b_s", "--param", "\u0663"), "not a rational number"),
+    (("catalog", "--kind", "b_s", "--param", "1/\u0662"), "not a rational number"),
+    (("catalog", "--kind", "b_s", "--param", "1_0/3"), "not a rational number"),
+    (("derive", "--kind", "b_s", "--param", "\uff11/2"), "not a rational number"),
+    ((*VERIFY_RANK, "--seed", "\u0663"), "not an integer"),
+    ((*VERIFY_RANK, "--seed", "7.0"), "not an integer"),
+    ((*VERIFY_RANK, "--seed", "1" * 5000), "not an integer"),
+    ((*VERIFY_RANK, "--samples", "\u0663"), "not a positive integer"),
+    ((*VERIFY_RANK, "--samples", "+3"), "not a positive integer"),
+    ((*VERIFY_RANK, "--samples", "000"), "not a positive integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", BAD_NUMBERS, ids=[f"{argv[0]}{argv[-2]}={ascii(argv[-1][:8])}" for argv, _ in BAD_NUMBERS]
+)
+def test_numeric_options_take_ascii_digits_only(capsys, argv, message):
+    assert message in usage_error(capsys, *argv)
+
+
+def test_numeric_options_take_signs_and_fractions_where_allowed(capsys):
+    code, out, _ = run(capsys, "catalog", "--kind", "b_s", "--param=-3/4")
+    assert code == 0 and "- 9/4*x1" in out
+    code, out, _ = run(capsys, "catalog", "--kind", "b_s", "--param", "+0.25", "--n", "04")
+    assert code == 0 and "b_s(n=4)" in out and "3/4*x1" in out
+    for seed in ("-3", "+3"):
+        code, out, _ = run(capsys, *VERIFY_RANK, "--seed", seed, "--samples", "02", "--format", "records")
+        assert code == 0 and f"seed={int(seed)} samples=2" in out
+
+
 def test_verify_rejects_unknown_model(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--model", "nosuch"])

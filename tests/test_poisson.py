@@ -12,6 +12,7 @@ from singfib.catalog import (
     ALL_KINDS,
     DEFORMATION_KINDS,
     DIM6_KINDS,
+    PARAMETRIC_KINDS,
     FibrationModel,
     critical_points_sample,
     get_model,
@@ -106,6 +107,30 @@ def test_foreign_casimir_fails():
     b = flaschka_ratiu(model, 1)
     residual = foreign_casimir_residual(b, model.chart.var("x1"))
     assert any(not r.is_zero() for r in residual)
+
+
+def dense_sharp(pi, h):
+    """(pi^# dh)^i as the full skew matrix of Polys times the gradient of h: the oracle of ``poisson._sharp``."""
+    chart = pi.chart
+    grad = [h.differentiate(v) for v in chart.geometric_names()]
+    return [sum((m * g for m, g in zip(row, grad)), chart.zero()) for row in pi.coefficient_matrix()]
+
+
+@pytest.mark.parametrize("kind, n", [(kind, 3) for kind in ALL_KINDS] + [(kind, 5) for kind in PARAMETRIC_KINDS])
+def test_sparse_sharp_equals_the_dense_matrix_product(kind, n):
+    model = get_model(kind, n)
+    chart = model.chart
+    k = parse_poly("1 + x1^2 - 3*x2", chart)
+    # the Casimirs (sharp 0), a scaling function k as self_bracket reads it, and functions that are not Casimirs
+    foreign = [parse_poly(text, chart) for text in ("x1", "t1*x2 - x3^2", "x1^2*x2*x3 + 2*t1 - 1")]
+    # the model's bivectors hold only pairs of free indices; the last has a term at every pair
+    ng = chart.n_geom
+    pairs = [(i, j) for i in range(ng) for j in range(i + 1, ng)]
+    every_pair = KVector(chart, 2, {(i, j): chart.var(chart.names[(i + j) % ng]) + (i - j) for i, j in pairs})
+    for pi in (flaschka_ratiu(model, 1).pi, flaschka_ratiu(model, k).pi, every_pair):
+        for h in (*model.casimirs, k, *foreign):
+            assert poisson._sharp(pi, h) == dense_sharp(pi, h), (pi, h)
+        assert any(any(poisson._sharp(pi, h)) for h in foreign)
 
 
 def test_zero_bivector_annihilates_everything():
@@ -255,11 +280,11 @@ def test_rank_stratification_insensitive_to_k():
             for _ in range(5):
                 from singfib.catalog import random_noncritical_point
 
-                assert rank_at(b, random_noncritical_point(model, rng)) == 2
+                assert rank_at(b, random_noncritical_point(model, rng).fractions()) == 2
             from singfib.catalog import critical_points_sample
 
             for p in critical_points_sample(model, 5, rng):
-                assert rank_at(b, p) == 0
+                assert rank_at(b, p.fractions()) == 0
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -271,7 +296,7 @@ def test_rank_read_from_entries_equals_the_elimination(kind):
     points = [random_noncritical_point(model, rng) for _ in range(20)]
     points += critical_points_sample(model, 20, rng)
     for p in points:
-        assert _decomposable_rank_at(b, p) == rank_at(b, p)
+        assert _decomposable_rank_at(b, p) == rank_at(b, p.fractions())
 
 
 def test_rank_check_fails_when_pi_wedge_pi_is_not_zero(monkeypatch):

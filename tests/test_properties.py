@@ -24,7 +24,7 @@ import re
 import string
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -367,9 +367,11 @@ def test_integer_kernel_is_the_scaled_value(case):
     # one positive integer scale for the whole list, including the parameter
     # coordinate s_par, zero and constant polynomials, and int/Fraction points
     chart, ps, point = case
-    num, den = integer_point(point)
+    num, den = scaled = integer_point(point)
     assert den > 0 and all(type(x) is int for x in num)
-    assert [Fraction(x, den) for x in num] == [Fraction(v) for v in point]
+    assert [Fraction(x, den) for x in num] == scaled.fractions() == [Fraction(v) for v in point]
+    # the least common denominator, so equal points scale to equal IntegerPoints
+    assert gcd(den, *num) == 1 and integer_point(scaled) is scaled
     values, scale = IntegerKernel(chart, ps)(num, den)
     assert type(scale) is int and scale > 0
     assert all(type(v) is int for v in values)

@@ -44,6 +44,8 @@ DIM6_KINDS = (
 PARAMETRIC_KINDS = ("lefschetz", "fold-2n", "b_s", "m_s", "f_s", "w_s")
 DEFORMATION_KINDS = ("b_s", "m_s", "f_s", "w_s")
 ALL_KINDS = DIM6_KINDS + PARAMETRIC_KINDS
+#: the largest half-dimension built, refused above before any chart: derive takes about 2 s at n = 256
+MAX_N = 256
 
 
 class ModelError(ValueError):
@@ -186,6 +188,8 @@ def build_model(kind: str, n: int = 3, param: Rational | None = None) -> Fibrati
         raise UnknownKind(f"unknown model kind {kind!r}")
     if n < 3:
         raise ModelError("half-dimension n must be at least 3")
+    if n > MAX_N:
+        raise ModelError(f"half-dimension n must be at most {MAX_N}")
     # the indefinite fold/cusp/swallowtail/butterfly are the type-2n family;
     # the definite variants are catalogued in dimension 6 only
     if "-def" in kind and n != 3:

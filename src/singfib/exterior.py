@@ -331,14 +331,16 @@ def hodge_star(a: KForm) -> KForm:
     return KForm._make(a.chart, n - a.degree, out)
 
 
-def interior(v: KVector, a: KForm) -> KForm:
-    """Contraction i_v a for a degree-1 multivector v."""
+def interior(v: _Graded, a: _Graded) -> _Graded:
+    """Contraction i_v a into the first slot: a vector field into a form, or a 1-form into a multivector field."""
+    if type(v) is type(a):
+        raise ValueError("interior product needs a vector field and a form")
     if v.degree != 1:
-        raise ValueError("interior product needs a degree-1 vector field")
+        raise ValueError("interior product needs a degree-1 element to contract")
     if v.chart != a.chart:
         raise ChartMismatch("chart mismatch in interior product")
     if a.degree == 0:
-        return KForm._make(a.chart, 0, {})
+        return a._make(a.chart, 0, {})
     out: dict[Index, Poly] = {}
     for idx, coeff in a.terms.items():
         for pos, i in enumerate(idx):
@@ -347,7 +349,7 @@ def interior(v: KVector, a: KForm) -> KForm:
                 continue
             c = vi * coeff
             add_term(out, idx[:pos] + idx[pos + 1 :], c if pos % 2 == 0 else -c)
-    return KForm._make(a.chart, a.degree - 1, out)
+    return a._make(a.chart, a.degree - 1, out)
 
 
 def evaluate_form(a: KForm, vectors: Sequence[KVector]) -> Poly:

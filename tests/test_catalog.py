@@ -14,6 +14,7 @@ from singfib import linalg
 from singfib.catalog import (
     ALL_KINDS,
     DEFORMATION_KINDS,
+    MAX_N,
     PARAMETRIC_KINDS,
     ModelError,
     UnknownKind,
@@ -214,7 +215,7 @@ def test_model_checks_build_each_model_once():
     assert _shared_model.cache_info().currsize == 12 + 6 * 3 + 4 * 3
 
 
-@pytest.mark.parametrize("args", [("saddle", 3), ("cusp-def1", 4), ("b_s", 2), ("cusp", 3, 1)])
+@pytest.mark.parametrize("args", [("saddle", 3), ("cusp-def1", 4), ("b_s", 2), ("cusp", 3, 1), ("fold", MAX_N + 1)])
 def test_bad_models_raise_on_every_call(args):
     for _ in range(3):
         with pytest.raises(ModelError):

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from singfib.catalog import get_model
+from singfib import catalog
+from singfib.catalog import MAX_N, get_model
 from singfib.cli import main
 from singfib.interval import BoxParseError, parse_box
 from singfib.leaves import audit_leaf_formulas
@@ -179,6 +180,15 @@ def test_numeric_options_take_signs_and_fractions_where_allowed(capsys):
         assert code == 0 and f"seed={int(seed)} samples=2" in out
 
 
+@pytest.mark.parametrize("command", ["catalog", "derive"])
+@pytest.mark.parametrize("value", ["-3/4", "-0.75", "-3e-1"])
+def test_negative_param_reads_the_same_as_its_own_argument(capsys, command, value):
+    # argparse on its own reads "-3/4" after --param as an option name
+    joined = run(capsys, command, "--kind", "b_s", f"--param={value}")
+    assert joined[0] == 0 and joined[1]
+    assert run(capsys, command, "--kind", "b_s", "--param", value) == joined
+
+
 def test_verify_rejects_unknown_model(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--model", "nosuch"])
@@ -220,6 +230,17 @@ def one_line_error(capsys, *argv) -> str:
 
 def test_derive_rejects_parameter_on_fixed_kind(capsys):
     assert "no deformation parameter" in one_line_error(capsys, "derive", "--kind", "fold", "--param", "1")
+
+
+@pytest.mark.parametrize("command", ["catalog", "derive"])
+@pytest.mark.parametrize("n", [MAX_N + 1, 10**8])
+def test_half_dimension_above_the_maximum_is_refused_before_any_chart(capsys, monkeypatch, command, n):
+    def no_chart(*args):
+        raise AssertionError("a chart was built")
+
+    monkeypatch.setattr(catalog, "chart_2n", no_chart)
+    err = one_line_error(capsys, command, "--kind", "fold", "--n", str(n))
+    assert err == f"error: half-dimension n must be at most {MAX_N}\n"
 
 
 def test_derive_rejects_definite_kind_above_dim6(capsys):

@@ -18,6 +18,7 @@ from singfib.exterior import (
     interior,
     poincare_homotopy,
     pullback,
+    scalar_form,
     schouten,
     vector_term,
     volume_form,
@@ -219,6 +220,36 @@ def test_interior_antiderivation():
         lhs = interior(v, wedge(a, b))
         rhs = wedge(interior(v, a), b) + wedge(a, interior(v, b)).scale(Fraction((-1) ** ka))
         assert lhs == rhs
+
+
+def test_interior_of_a_one_form_into_multivectors_examples():
+    c = CHART6
+    e12 = vector_term(c, 1, ("x1", "x2"))
+    assert interior(form_term(c, 1, ("x1",)), e12) == vector_term(c, 1, ("x2",))
+    assert interior(form_term(c, 1, ("x2",)), e12) == vector_term(c, -1, ("x1",))
+    assert interior(form_term(c, 1, ("x3",)), e12).is_zero()
+    # i_{dk} on a vector field is its derivative of k
+    dk = ext_d(scalar_form(c.var("x1") ** 2))
+    assert interior(dk, vector_term(c, 3, ("x1",))) == vector_term(c, 6 * c.var("x1"), ())
+
+
+def test_interior_of_a_one_form_is_an_antiderivation_on_multivectors():
+    rng = random.Random(43)
+    for _ in range(20):
+        alpha = KForm(CHART6, 1, {(rng.randint(0, 5),): rand_poly(CHART6, rng, terms=1, deg=1)})
+        ka, kb = rng.randint(1, 3), rng.randint(1, 2)
+        a, b = (KVector(CHART6, k, rand_form(CHART6, rng, k).terms) for k in (ka, kb))
+        lhs = interior(alpha, wedge(a, b))
+        rhs = wedge(interior(alpha, a), b) + wedge(a, interior(alpha, b)).scale(Fraction((-1) ** ka))
+        assert lhs == rhs
+
+
+def test_interior_needs_a_vector_field_and_a_form():
+    c = CHART6
+    with pytest.raises(ValueError, match="a vector field and a form"):
+        interior(vector_term(c, 1, ("x1",)), vector_term(c, 1, ("x1", "x2")))
+    with pytest.raises(ValueError, match="a vector field and a form"):
+        interior(form_term(c, 1, ("x1",)), form_term(c, 1, ("x1", "x2")))
 
 
 def test_evaluate_form_orientation():

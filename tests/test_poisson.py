@@ -30,6 +30,7 @@ from singfib.poisson import (
     match_claimed_bivector,
     rank_at,
     rank_stratification,
+    self_bracket,
 )
 from singfib.poly import CHART6, parse_poly
 
@@ -102,6 +103,20 @@ def test_casimir_annihilation_catalogue():
         assert casimir_annihilation(flaschka_ratiu(model, k)).status == "pass"
 
 
+def test_casimir_failure_reports_the_first_component_of_pi_sharp():
+    # casimir_annihilation contracts dC into base; its witness is still (k base)^# dC
+    c = CHART6
+    model = get_model("fold", 3)
+    pi = vector_term(c, c.var("x3"), ("t1", "x1")) + vector_term(c, c.var("t1"), ("x2", "x3"))
+    fake = PoissonBivector(model, parse_poly("1 + x1^2", c), pi)
+    residual = foreign_casimir_residual(fake, model.casimirs[0])
+    first = next(i for i, r in enumerate(residual) if r)
+    rep = casimir_annihilation(fake)
+    assert rep.status == "fail"
+    assert rep.detail == f"pi^# dC_1 has nonzero component {c.names[first]}"
+    assert rep.witness == str(residual[first])
+
+
 def test_foreign_casimir_fails():
     model = get_model("fold", 3)
     b = flaschka_ratiu(model, 1)
@@ -121,7 +136,7 @@ def test_sparse_sharp_equals_the_dense_matrix_product(kind, n):
     model = get_model(kind, n)
     chart = model.chart
     k = parse_poly("1 + x1^2 - 3*x2", chart)
-    # the Casimirs (sharp 0), a scaling function k as self_bracket reads it, and functions that are not Casimirs
+    # the Casimirs (sharp 0), a scaling function k, and functions that are not Casimirs
     foreign = [parse_poly(text, chart) for text in ("x1", "t1*x2 - x3^2", "x1^2*x2*x3 + 2*t1 - 1")]
     # the model's bivectors hold only pairs of free indices; the last has a term at every pair
     ng = chart.n_geom
@@ -153,6 +168,17 @@ def test_jacobi_catalogue_and_scales():
         for text in ("1", "1 + x1^2", "7"):
             k = parse_poly(text, model.chart)
             assert jacobi(flaschka_ratiu(model, k)).status == "pass", (kind, text)
+
+
+@pytest.mark.parametrize("kind, n", [(kind, 3) for kind in ALL_KINDS] + [(kind, 5) for kind in PARAMETRIC_KINDS])
+def test_every_k_brackets_as_k_squared_times_base(kind, n):
+    # base ^ base = 0, and contraction is a derivation, so for every k
+    # [k base, k base] = k^2 [base, base]: Jacobi for base is Jacobi for every k
+    model = get_model(kind, n)
+    k = parse_poly("1 + x1^2 - 3*t1*x2 + x3^5", model.chart)
+    b = flaschka_ratiu(model, k)
+    assert wedge(b.base, b.base).is_zero()
+    assert self_bracket(b) == schouten(b.pi, b.pi) == schouten(b.base, b.base).scale(k * k)
 
 
 def test_non_poisson_bivector_detected():

@@ -43,6 +43,7 @@ from singfib.exterior import (
     interior,
     poincare_homotopy,
     pullback,
+    scalar_form,
     schouten,
     vector_term,
     wedge,
@@ -82,6 +83,7 @@ forms = st.integers(0, NG).flatmap(lambda k: graded(KForm, k))
 positive_forms = st.integers(1, NG).flatmap(lambda k: graded(KForm, k))
 same_degree_pairs = st.integers(0, NG).flatmap(lambda k: st.tuples(graded(KForm, k), graded(KForm, k)))
 vector_fields = graded(KVector, 1)
+multivectors = st.integers(0, NG).flatmap(lambda k: graded(KVector, k))
 maps = st.tuples(*[polys(2, 1)] * CHART6.dim).map(lambda comps: PolyMap(CHART6, CHART6, comps))
 
 
@@ -135,10 +137,11 @@ def test_parse_poly_returns_a_poly_or_a_parse_error(text):
 
 
 @SETTINGS
-@given(same_degree_pairs, forms, vector_fields, maps, polys())
-def test_form_operations_keep_clean_terms(pair, c, v, f, g):
+@given(same_degree_pairs, forms, vector_fields, maps, polys(), multivectors)
+def test_form_operations_keep_clean_terms(pair, c, v, f, g, m):
     a, b = pair
     results = [a + b, a - b, a.scale(g), wedge(a, c), ext_d(a), pullback(a, f), hodge_star(a), interior(v, a)]
+    results.append(interior(ext_d(scalar_form(g)), m))
     if a.degree >= 1:
         results.append(poincare_homotopy(a))
     for result in results:
@@ -510,8 +513,9 @@ def test_scaled_bracket_is_the_direct_bracket(kind, data):
 
 
 def test_scaled_bracket_sign_convention():
-    # pi = e_t1^e_t2 + e_x1^e_x2 is constant, so [pi, pi] = 0, and with k = x1
-    # pi^#(dk) = pi^{i,x1} e_i = -e_x2; the identity gives 2k pi^(-e_x2)
+    # pi = e_t1^e_t2 + e_x1^e_x2 is constant, so [pi, pi] = 0, and pi^pi = 2 e_t1^e_t2^e_x1^e_x2;
+    # with k = x1, i_{dk} contracts e_x1, the third slot, so i_{dk}(pi^pi) = 2 e_t1^e_t2^e_x2
+    # and the identity gives -k i_{dk}(pi^pi) = -2 x1 e_t1^e_t2^e_x2
     c = CHART6
     base = vector_term(c, 1, ("t1", "t2")) + vector_term(c, 1, ("x1", "x2"))
     b = PoissonBivector(CHART_MODELS[c], c.var("x1"), base)

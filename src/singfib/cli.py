@@ -58,7 +58,9 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # argparse's own pattern reads "-3" and "-0.5" as values but "-3/4" as an option name
+        # argparse's own pattern reads "-3" and "-0.5" as values but "-3/4" as an option name.
+        # _negative_number_matcher is a private argparse attribute that argparse reads with
+        # .match; test_negative_param_reads_the_same_as_its_own_argument fails if that changes.
         self._negative_number_matcher = re.compile(rf"-{_RATIONAL}\Z")
 
     def error(self, message: str) -> NoReturn:

@@ -88,20 +88,10 @@ def foreign_casimir_residual(b: PoissonBivector, h: Poly) -> list[Poly]:
 
 
 def _sharp(pi: KVector, h: Poly) -> list[Poly]:
-    """(pi^# dh)^i = sum_j pi^{ij} d_j h, over the geometric coordinates.
-
-    Each term c e_i ^ e_j of pi adds c d_j h to component i and -c d_i h to
-    component j; no entry of the skew matrix that is zero is multiplied.
-    """
-    chart = pi.chart
-    grad = [h.differentiate(v) for v in chart.geometric_names()]
-    out = [chart.zero()] * len(grad)
-    for (i, j), c in pi.terms.items():
-        if grad[j]:
-            out[i] = out[i] + c * grad[j]
-        if grad[i]:
-            out[j] = out[j] - c * grad[i]
-    return out
+    """(pi^# dh)^i = sum_j pi^{ij} d_j h = -(i_{dh} pi)^i, over the geometric coordinates."""
+    contracted = interior(ext_d(scalar_form(h)), pi)
+    zero = pi.chart.zero()
+    return [-contracted.terms.get((i,), zero) for i in range(pi.chart.n_geom)]
 
 
 def rank_at(b: PoissonBivector, point: Sequence[Rational]) -> int:

@@ -80,14 +80,24 @@ def claimed_bivector(model: FibrationModel) -> KVector:
         )
 
     s = deformation_symbol(chart, model.param)
-    if kind in ("b_s", "m_s", "f_s"):
-        if kind == "b_s":
-            third = -3 * (s - t * t + x1 * x1)
-        elif kind == "m_s":
-            third = -3 * (s - t * t - x1 * x1)
-        else:
-            third = -(t - 2 * s * x1 + 4 * x1**3)
-        return v(2 * x3, "x1", "x2") + v(2 * x2, "x1", "x3") + v(third, "x2", "x3")
+    if kind == "b_s":
+        return (
+            v(2 * x3, "x1", "x2")
+            + v(2 * x2, "x1", "x3")
+            + v(-3 * (s - t * t + x1 * x1), "x2", "x3")
+        )
+    if kind == "m_s":
+        return (
+            v(2 * x3, "x1", "x2")
+            + v(2 * x2, "x1", "x3")
+            + v(-3 * (s - t * t - x1 * x1), "x2", "x3")
+        )
+    if kind == "f_s":
+        return (
+            v(2 * x3, "x1", "x2")
+            + v(2 * x2, "x1", "x3")
+            + v(-(t - 2 * s * x1 + 4 * x1**3), "x2", "x3")
+        )
     if kind == "w_s":
         tn = f"t{2 * n - 3}"
         return (

@@ -125,7 +125,11 @@ def test_foreign_casimir_fails():
 
 
 def dense_sharp(pi, h):
-    """(pi^# dh)^i as the full skew matrix of Polys times the gradient of h: the oracle of ``poisson._sharp``."""
+    """(pi^# dh)^i as the full skew matrix of Polys times the gradient of h.
+
+    The oracle of ``poisson._sharp``, which is the contraction ``interior(dh, pi)`` that
+    ``casimir_annihilation`` runs, negated.
+    """
     chart = pi.chart
     grad = [h.differentiate(v) for v in chart.geometric_names()]
     return [sum((m * g for m, g in zip(row, grad)), chart.zero()) for row in pi.coefficient_matrix()]

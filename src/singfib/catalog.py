@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
-from .exterior import KVector
+from .exterior import KVector, permutation_sign
 from .poly import Chart, IntegerKernel, IntegerPoint, Point, Poly, Rational, chart_2n, integer_point, lowest_terms_point
 
 PARAM_NAME = "s_par"
@@ -69,11 +69,6 @@ class CasimirSplit(NamedTuple):
     rows: tuple[int, ...]
     #: N, the r + 2 geometric indices that no coordinate Casimir takes, ascending
     free: tuple[int, ...]
-
-
-def _inversions(perm: Sequence[int]) -> int:
-    """The number of pairs out of order; its parity is the permutation's sign."""
-    return sum(1 for b, y in enumerate(perm) for x in perm[:b] if x > y)
 
 
 @dataclass(frozen=True)
@@ -140,7 +135,7 @@ class FibrationModel:
             # column 2 + k of the full matrix takes row a_k, or the next row of the minor
             rest = iter(others)
             perm = [i, j, *(next(rest) if a is None else a for a in units)]
-            if _inversions(perm) % 2:
+            if permutation_sign(perm) == -1:
                 det = -det
             if not det.is_zero():
                 dets[(i, j)] = det

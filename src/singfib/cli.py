@@ -20,7 +20,7 @@ from typing import Callable, NoReturn
 from . import nearsymp, poisson
 from .catalog import ALL_KINDS, DEFORMATION_KINDS, DIM6_KINDS, get_model, manifest_text
 from .interval import CertificationFailure, parse_box
-from .poly import ChartMismatch, PolyParseError, parse_poly
+from .poly import RATIONAL, ChartMismatch, PolyParseError, parse_poly
 from .report import exit_code, render_records, render_table
 from .suite import CHECK_NAMES, SCOPES, run_suite
 
@@ -46,11 +46,10 @@ def _ascii(pattern: str, convert: Callable[[str], object], what: str) -> Callabl
 
 
 # --n and --samples take no sign, --seed takes one, and --param is p/q or a decimal
-_RATIONAL = r"(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)"
 _natural = _ascii(r"\d+", int, "a non-negative integer")
 _positive_int = _ascii(r"0*[1-9]\d*", int, "a positive integer")
 _integer = _ascii(r"[-+]?\d+", int, "an integer")
-_fraction = _ascii(rf"[-+]?{_RATIONAL}", Fraction, "a rational number")
+_fraction = _ascii(RATIONAL.pattern, Fraction, "a rational number")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,10 +57,10 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # argparse's own pattern reads "-3" and "-0.5" as values but "-3/4" as an option name.
-        # _negative_number_matcher is a private argparse attribute that argparse reads with
-        # .match; test_negative_param_reads_the_same_as_its_own_argument fails if that changes.
-        self._negative_number_matcher = re.compile(rf"-{_RATIONAL}\Z")
+        # argparse's own pattern reads "-3/4", "-x1" and "-1<=x<=1" as option names.  Every option here is
+        # spelled --... and -h is matched before this pattern, so one - not followed by another is a value.
+        # The attribute is private, read with .match: test_negative_param_reads_the_same_as_its_own_argument guards it.
+        self._negative_number_matcher = re.compile(r"-(?!-)")
 
     def error(self, message: str) -> NoReturn:
         self.exit(2, f"error: {message}\n")
@@ -181,7 +180,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_epsilon(args: argparse.Namespace) -> int:
-    box = parse_box(args.box) if args.box else None
+    box = parse_box(args.box) if args.box is not None else None
     try:
         bound = nearsymp.epsilon_bound(args.kind, box)
     except nearsymp.RejectedBox as exc:

@@ -138,7 +138,7 @@ class _Graded:
         if len(set(order)) != len(order):
             return self.chart.zero()
         sorted_idx = tuple(sorted(order))
-        sign = _permutation_sign_of(order)
+        sign = permutation_sign(order)
         base = self.terms.get(sorted_idx)
         if base is None:
             return self.chart.zero()
@@ -167,7 +167,7 @@ class _Graded:
         return f"{type(self).__name__}({format_graded(self)!r})"
 
 
-def _permutation_sign_of(order: Sequence[int]) -> int:
+def permutation_sign(order: Sequence[int]) -> int:
     sign = 1
     order = list(order)
     for i in range(len(order)):
@@ -223,7 +223,7 @@ def _term(cls, chart: Chart, coeff: Poly | Rational, names: Sequence[str]):
     order = tuple(chart.index(n) for n in names)
     if len(set(order)) != len(order):
         return cls(chart, len(order), {})
-    sign = _permutation_sign_of(order)
+    sign = permutation_sign(order)
     return cls(chart, len(order), {tuple(sorted(order)): coeff if sign == 1 else -coeff})
 
 
@@ -299,9 +299,6 @@ class PolyMap:
             if comp.chart != self.source:
                 raise ChartMismatch("map components must live on the source chart")
 
-    def __call__(self, point: Sequence[Rational]) -> list[Fraction]:
-        return [comp.evaluate(point) for comp in self.components]
-
 
 def pullback(a: KForm, f: PolyMap) -> KForm:
     """Pullback f*(a); sends each target covector dy_j to d(f_j)."""
@@ -327,7 +324,7 @@ def hodge_star(a: KForm) -> KForm:
     for idx, coeff in a.terms.items():
         # complements of distinct index tuples are distinct: nothing to add up
         comp = tuple(i for i in everything if i not in idx)
-        out[comp] = coeff if _permutation_sign_of(idx + comp) == 1 else -coeff
+        out[comp] = coeff if permutation_sign(idx + comp) == 1 else -coeff
     return KForm._make(a.chart, n - a.degree, out)
 
 

@@ -15,12 +15,13 @@ rational evaluation settles it).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Mapping
 
-from .poly import IDENTIFIER, Poly
+from .poly import IDENTIFIER, RATIONAL, Poly
 
 
 @dataclass(frozen=True)
@@ -211,10 +212,10 @@ def parse_box(spec: str) -> Box:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise BoxParseError(f"bad rational {text!r}") from None
+    if RATIONAL.fullmatch(text.strip()):
+        with contextlib.suppress(ValueError, ZeroDivisionError):
+            return Fraction(text.strip())
+    raise BoxParseError(f"bad rational {text!r}")
 
 
 def format_box(box: Mapping[str, Interval]) -> str:

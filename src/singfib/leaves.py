@@ -97,10 +97,7 @@ def leaf_frame(model: FibrationModel, q: Point) -> LeafFrame:
     # one integer Gram-Schmidt step: v is |u|^2 times w's component orthogonal to u
     uu = _dot(u, u)
     wu = _dot(w, u)
-    v = [uu * wi - wu * ui for wi, ui in zip(w, u)]
-    g = math.gcd(*v)
-    if g > 1:
-        v = [x // g for x in v]
+    v = linalg.primitive([uu * wi - wu * ui for wi, ui in zip(w, u)])
     vv = _dot(v, v)
     if _dot(u, v) != 0 or uu == 0 or vv == 0:
         raise AssertionError("frame orthogonalization failed")

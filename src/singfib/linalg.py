@@ -20,12 +20,16 @@ from typing import Sequence
 from .poly import Poly
 
 
+def primitive(vec: list[int]) -> list[int]:
+    """``vec`` divided by the gcd of its entries when that gcd exceeds 1, else ``vec`` itself."""
+    g = math.gcd(*vec)
+    return [x // g for x in vec] if g > 1 else vec
+
+
 def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
     """The row times the lcm of its denominators, divided by the gcd of the result."""
     den = math.lcm(*(v.denominator for v in row))
-    out = [v.numerator * (den // v.denominator) for v in row]
-    g = math.gcd(*out)
-    return [v // g for v in out] if g > 1 else out
+    return primitive([v.numerator * (den // v.denominator) for v in row])
 
 
 def _rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
@@ -54,9 +58,7 @@ def _rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], li
                 continue
             g = math.gcd(p, f)
             a, b = p // g, f // g
-            new = [a * x - b * y for x, y in zip(m[i], top)]
-            h = math.gcd(*new)
-            m[i] = [x // h for x in new] if h > 1 else new
+            m[i] = primitive([a * x - b * y for x, y in zip(m[i], top)])
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -105,11 +107,7 @@ def integer_nullspace(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int
     Each vector is a positive multiple of its ``nullspace`` counterpart, so
     signs and orientations carry over; no Fraction is built.
     """
-    basis = []
-    for _, vec in _kernel_vectors(rows):
-        g = math.gcd(*vec)
-        basis.append([x // g for x in vec])
-    return basis
+    return [primitive(vec) for _, vec in _kernel_vectors(rows)]
 
 
 class InconsistentSystem(ValueError):

@@ -82,18 +82,6 @@ def casimir_annihilation(b: PoissonBivector) -> CheckReport:
     return CheckReport(b.model.name, "casimir", PASS, f"{len(b.model.casimirs)} Casimirs annihilated exactly")
 
 
-def foreign_casimir_residual(b: PoissonBivector, h: Poly) -> list[Poly]:
-    """pi^# dh as a vector of polynomials (nonzero when h is not a Casimir)."""
-    return _sharp(b.pi, h)
-
-
-def _sharp(pi: KVector, h: Poly) -> list[Poly]:
-    """(pi^# dh)^i = sum_j pi^{ij} d_j h = -(i_{dh} pi)^i, over the geometric coordinates."""
-    contracted = interior(ext_d(scalar_form(h)), pi)
-    zero = pi.chart.zero()
-    return [-contracted.terms.get((i,), zero) for i in range(pi.chart.n_geom)]
-
-
 def rank_at(b: PoissonBivector, point: Sequence[Rational]) -> int:
     return linalg.rank(b.matrix_at(point))
 

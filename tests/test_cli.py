@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 
@@ -9,7 +10,7 @@ import pytest
 
 from singfib import catalog
 from singfib.catalog import MAX_N, get_model
-from singfib.cli import main
+from singfib.cli import build_parser, main
 from singfib.interval import BoxParseError, parse_box
 from singfib.leaves import audit_leaf_formulas
 from singfib.nearsymp import RejectedBox, epsilon_bound
@@ -180,13 +181,49 @@ def test_numeric_options_take_signs_and_fractions_where_allowed(capsys):
         assert code == 0 and f"seed={int(seed)} samples=2" in out
 
 
-@pytest.mark.parametrize("command", ["catalog", "derive"])
-@pytest.mark.parametrize("value", ["-3/4", "-0.75", "-3e-1"])
-def test_negative_param_reads_the_same_as_its_own_argument(capsys, command, value):
-    # argparse on its own reads "-3/4" after --param as an option name
-    joined = run(capsys, command, "--kind", "b_s", f"--param={value}")
+LEADING_MINUS = [
+    *(
+        pytest.param((command, "--kind", "b_s"), "--param", value, id=f"{value}-{command}")
+        for value in ("-3/4", "-0.75", "-3e-1")
+        for command in ("catalog", "derive")
+    ),
+    pytest.param(("derive", "--kind", "fold"), "--k", "-x1", id="-x1-derive"),
+    pytest.param(("epsilon", "--kind", "cusp"), "--box", "-1<=x<=1", id="-1<=x<=1-epsilon"),
+    pytest.param(("epsilon", "--kind", "cusp"), "--box", "-1/2<=x<=1", id="-1/2<=x<=1-epsilon"),
+]
+
+
+@pytest.mark.parametrize("argv, option, value", LEADING_MINUS)
+def test_negative_param_reads_the_same_as_its_own_argument(capsys, argv, option, value):
+    # argparse on its own reads "-3/4", "-x1" and "-1<=x<=1" after an option as an option name
+    joined = run(capsys, *argv, f"{option}={value}")
     assert joined[0] == 0 and joined[1]
-    assert run(capsys, command, "--kind", "b_s", "--param", value) == joined
+    assert run(capsys, *argv, option, value) == joined
+
+
+def test_every_option_but_help_is_spelled_with_two_dashes():
+    # cli._Parser reads a word with one leading - as a value, which holds while no option has one -
+    top = build_parser()
+    (subparsers,) = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    for parser in (top, *subparsers.choices.values()):
+        for action in parser._actions:
+            assert all(s == "-h" or s.startswith("--") for s in action.option_strings), action
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("derive", "--kind", "fold", "--k", "-h"), "argument --k: expected one argument"),
+        (("derive", "-kind", "fold"), "the following arguments are required: --kind"),
+    ],
+    ids=["k-then-h", "single-dash-kind"],
+)
+def test_an_option_where_a_value_belongs_is_still_an_error(capsys, argv, message):
+    # -h is matched as an option before the leading-minus pattern; -kind is a stray value
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_verify_rejects_unknown_model(capsys):
@@ -292,7 +329,17 @@ def test_catalog_rejects_param_on_named_fixed_kind(capsys):
     assert "no deformation parameter" in err
 
 
-@pytest.mark.parametrize("box, message", [("1<=x<=0", "empty interval"), ("0<=x<=1/0", "bad rational")])
+BAD_BOXES = [
+    ("1<=x<=0", "empty interval"),
+    ("0<=x<=1/0", "bad rational"),
+    ("|x|<=1_0", "bad rational"),
+    # an empty --box is an error, not the default box
+    ("", "empty box specification"),
+    (" , ", "empty box specification"),
+]
+
+
+@pytest.mark.parametrize("box, message", BAD_BOXES)
 def test_epsilon_rejects_bad_box(capsys, box, message):
     with pytest.raises(BoxParseError):
         parse_box(box)

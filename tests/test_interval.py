@@ -120,3 +120,16 @@ def test_box_parsing_round_trip():
         parse_box("x <")
     with pytest.raises(BoxParseError):
         parse_box("")
+
+
+@pytest.mark.parametrize("bound", ["\u0661", "1_0", "\u00bd", "\uff11", "1/\u0662"])
+def test_box_bounds_are_ascii_rationals_only(bound):
+    # Fraction alone reads the Arabic-Indic one as 1 and, from CPython 3.11 on, 1_0 as 10
+    with pytest.raises(BoxParseError, match="bad rational"):
+        parse_box(f"|x|<={bound}")
+
+
+@pytest.mark.parametrize("bound, value", [("1/2", Fraction(1, 2)), ("0.5", Fraction(1, 2)), ("1e-1", Fraction(1, 10))])
+def test_box_bounds_read_fractions_and_decimals(bound, value):
+    assert parse_box(f"|x|<={bound}")["x"] == Interval(-value, value)
+    assert parse_box(f"-3/4<=x<={bound}")["x"] == Interval(Fraction(-3, 4), value)

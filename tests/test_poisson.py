@@ -18,14 +18,13 @@ from singfib.catalog import (
     get_model,
     random_noncritical_point,
 )
-from singfib.exterior import KVector, schouten, vector_term, wedge
+from singfib.exterior import KVector, ext_d, interior, scalar_form, schouten, vector_term, wedge
 from singfib.poisson import (
     PoissonBivector,
     _decomposable_rank_at,
     casimir_annihilation,
     decomposability,
     flaschka_ratiu,
-    foreign_casimir_residual,
     jacobi,
     match_claimed_bivector,
     rank_at,
@@ -109,8 +108,9 @@ def test_casimir_failure_reports_the_first_component_of_pi_sharp():
     model = get_model("fold", 3)
     pi = vector_term(c, c.var("x3"), ("t1", "x1")) + vector_term(c, c.var("t1"), ("x2", "x3"))
     fake = PoissonBivector(model, parse_poly("1 + x1^2", c), pi)
-    residual = foreign_casimir_residual(fake, model.casimirs[0])
+    residual = dense_sharp(fake.pi, model.casimirs[0])
     first = next(i for i, r in enumerate(residual) if r)
+    assert interior(ext_d(scalar_form(model.casimirs[0])), fake.pi).terms == sparse_oracle(residual)
     rep = casimir_annihilation(fake)
     assert rep.status == "fail"
     assert rep.detail == f"pi^# dC_1 has nonzero component {c.names[first]}"
@@ -120,19 +120,25 @@ def test_casimir_failure_reports_the_first_component_of_pi_sharp():
 def test_foreign_casimir_fails():
     model = get_model("fold", 3)
     b = flaschka_ratiu(model, 1)
-    residual = foreign_casimir_residual(b, model.chart.var("x1"))
-    assert any(not r.is_zero() for r in residual)
+    h = model.chart.var("x1")
+    contracted = interior(ext_d(scalar_form(h)), b.pi).terms
+    assert contracted and contracted == sparse_oracle(dense_sharp(b.pi, h))
 
 
 def dense_sharp(pi, h):
     """(pi^# dh)^i as the full skew matrix of Polys times the gradient of h.
 
-    The oracle of ``poisson._sharp``, which is the contraction ``interior(dh, pi)`` that
-    ``casimir_annihilation`` runs, negated.
+    The oracle of the contraction ``interior(dh, pi)`` that ``casimir_annihilation`` runs;
+    that contraction is -pi^# dh.
     """
     chart = pi.chart
     grad = [h.differentiate(v) for v in chart.geometric_names()]
     return [sum((m * g for m, g in zip(row, grad)), chart.zero()) for row in pi.coefficient_matrix()]
+
+
+def sparse_oracle(sharp):
+    """The terms ``interior(dh, pi)`` should hold, read off the dense pi^# dh: -(pi^# dh)^i at (i,), zeros left out."""
+    return {(i,): -r for i, r in enumerate(sharp) if r}
 
 
 @pytest.mark.parametrize("kind, n", [(kind, 3) for kind in ALL_KINDS] + [(kind, 5) for kind in PARAMETRIC_KINDS])
@@ -148,8 +154,8 @@ def test_sparse_sharp_equals_the_dense_matrix_product(kind, n):
     every_pair = KVector(chart, 2, {(i, j): chart.var(chart.names[(i + j) % ng]) + (i - j) for i, j in pairs})
     for pi in (flaschka_ratiu(model, 1).pi, flaschka_ratiu(model, k).pi, every_pair):
         for h in (*model.casimirs, k, *foreign):
-            assert poisson._sharp(pi, h) == dense_sharp(pi, h), (pi, h)
-        assert any(any(poisson._sharp(pi, h)) for h in foreign)
+            assert interior(ext_d(scalar_form(h)), pi).terms == sparse_oracle(dense_sharp(pi, h)), (pi, h)
+        assert any(interior(ext_d(scalar_form(h)), pi).terms for h in foreign)
 
 
 def test_zero_bivector_annihilates_everything():

@@ -12,6 +12,8 @@ with one or several right-hand sides) is checked against a plain
 Gauss-Jordan elimination over Fractions kept here as the oracle;
 ``Poly.evaluate`` against a term-by-term sum and the ring axioms;
 ``poly.IntegerKernel`` against ``Poly.evaluate`` times its scale;
+``linalg.primitive`` against division by the gcd of the entries and
+``exterior.permutation_sign`` against the parity of the cycle count;
 ``interval.enclose`` against exact values at points of the box;
 ``interval.certified_minimum`` against its witness and exact values; and
 ``poisson.self_bracket`` (the Leibniz identity that ``jacobi`` decides
@@ -41,6 +43,7 @@ from singfib.exterior import (
     ext_d,
     hodge_star,
     interior,
+    permutation_sign,
     poincare_homotopy,
     pullback,
     scalar_form,
@@ -407,6 +410,40 @@ def test_dot_of_integers_is_a_fraction(pairs):
     value = linalg.dot(a, b)
     assert type(value) is Fraction
     assert value == sum(Fraction(x) * Fraction(y) for x, y in pairs)
+
+
+@SETTINGS
+@given(st.lists(st.integers(-60, 60), max_size=7))
+def test_primitive_divides_by_the_gcd_of_the_entries(vec):
+    out = linalg.primitive(list(vec))
+    g = gcd(*vec)
+    if g == 0:
+        assert out == vec  # the zero vector, and the empty one, come back unchanged
+        return
+    assert [x * g for x in out] == vec  # so every sign is kept
+    assert gcd(*out) == 1
+
+
+def cycle_parity_sign(order) -> int:
+    """(-1)^(length - number of cycles) of the permutation that sorts ``order``."""
+    rank = {x: r for r, x in enumerate(sorted(order))}
+    perm = [rank[x] for x in order]
+    seen: set[int] = set()
+    cycles = 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return (-1) ** (len(perm) - cycles)
+
+
+@SETTINGS
+@given(st.lists(st.integers(-20, 20), unique=True, max_size=8))
+def test_permutation_sign_is_the_parity_of_the_cycle_count(order):
+    assert permutation_sign(order) == permutation_sign(tuple(order)) == cycle_parity_sign(order)
 
 
 # -- interval enclosures contain the exact values -------------------------------------

@@ -101,8 +101,8 @@ def build_omega0(model: NSModel) -> KForm:
     c = NS_CHART_EPS
     omega_x = form_term(TARGET4, 1, ("w1", "w2")) + form_term(TARGET4, 1, ("w3", "w4"))
     f_star = pullback(omega_x, model.fibration())
-    df4 = ext_d(KForm(c, 0, {(): model.f4}))
-    dust = wedge(wedge(form_term(c, 1, ("u",)), form_term(c, 1, ("s",))), form_term(c, 1, ("t",)))
+    df4 = ext_d(scalar_form(model.f4))
+    dust = form_term(c, 1, ("u", "s", "t"))
     return f_star + hodge_star(wedge(dust, df4))
 
 

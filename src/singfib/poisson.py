@@ -188,13 +188,8 @@ def match_claimed_bivector(model: FibrationModel) -> BivectorMatch:
     """
     claimed = claimed_bivector(model)
     normalized = model.determinant_bivector.scale(Fraction(1) / model.claimed_scale)
-
-    def mismatches(candidate: KVector) -> list[tuple[int, int]]:
-        keys = set(candidate.terms) | set(claimed.terms)
-        return sorted(k for k in keys if candidate.coeff(k) != claimed.coeff(k))
-
-    plus = mismatches(normalized)
-    minus = mismatches(-normalized)
+    plus = sorted((normalized - claimed).terms)
+    minus = sorted((normalized + claimed).terms)
     if len(minus) < len(plus):
         sign, picked, bad = -1, -normalized, minus
     else:

@@ -433,8 +433,9 @@ class PolyParseError(ValueError):
 
 #: a variable name, in polynomial text and in ``interval.parse_box``
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-#: a signed rational, p/q or a decimal, in ASCII digits on every interpreter: CLI options and box bounds
-RATIONAL = re.compile(r"[-+]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)", re.ASCII)
+#: a signed rational, p/q or a decimal, in ASCII digits on every interpreter: CLI options and box bounds.
+#: The exponent has at most 4 digits, since Fraction builds 10**exponent before any other check runs.
+RATIONAL = re.compile(r"[-+]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d{1,4})?)", re.ASCII)
 # the ASCII tokens: decimal integers, identifiers and the operators +-*^()/;
 # the group catches any other non-space character
 _TOKEN = re.compile(rf"[0-9]+|{IDENTIFIER.pattern}|[-+*^()/]|(\S)", re.ASCII)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .catalog import FibrationModel, deformation_symbol
+from .catalog import DIM6_KINDS, FibrationModel, deformation_symbol
 from .exterior import KForm, KVector, form_term, vector_term
 from .poly import Chart, IntegerKernel, Point, Poly, Rational, integer_point
 
@@ -42,9 +42,7 @@ def claimed_bivector(model: FibrationModel) -> KVector:
     def v(coeff: Poly | Rational, *names: str) -> KVector:
         return vector_term(chart, coeff, names)
 
-    if kind in ("fold", "fold-def1", "fold-def2", "cusp", "cusp-def1", "cusp-def2",
-                "swallowtail", "swallowtail-def1", "swallowtail-def2",
-                "butterfly", "butterfly-def1", "butterfly-def2"):
+    if kind in DIM6_KINDS:
         t1 = chart.var("t1")
         variant = kind.split("-")[1] if "-" in kind else "indef"
         if kind.startswith("fold"):
@@ -80,24 +78,14 @@ def claimed_bivector(model: FibrationModel) -> KVector:
         )
 
     s = deformation_symbol(chart, model.param)
-    if kind == "b_s":
-        return (
-            v(2 * x3, "x1", "x2")
-            + v(2 * x2, "x1", "x3")
-            + v(-3 * (s - t * t + x1 * x1), "x2", "x3")
-        )
-    if kind == "m_s":
-        return (
-            v(2 * x3, "x1", "x2")
-            + v(2 * x2, "x1", "x3")
-            + v(-3 * (s - t * t - x1 * x1), "x2", "x3")
-        )
-    if kind == "f_s":
-        return (
-            v(2 * x3, "x1", "x2")
-            + v(2 * x2, "x1", "x3")
-            + v(-(t - 2 * s * x1 + 4 * x1**3), "x2", "x3")
-        )
+    if kind in ("b_s", "m_s", "f_s"):
+        if kind == "b_s":
+            third = -3 * (s - t * t + x1 * x1)
+        elif kind == "m_s":
+            third = -3 * (s - t * t - x1 * x1)
+        else:
+            third = -(t - 2 * s * x1 + 4 * x1**3)
+        return v(2 * x3, "x1", "x2") + v(2 * x2, "x1", "x3") + v(third, "x2", "x3")
     if kind == "w_s":
         tn = f"t{2 * n - 3}"
         return (
@@ -173,15 +161,14 @@ def leaf_claim(model: FibrationModel) -> LeafClaim:
         return _claim(chart.one(), r * r)
 
     s = deformation_symbol(chart, model.param)
-    if kind == "b_s":
-        a = s - t * t + x1 * x1
-        return _claim(a, a * a * (9 * a * a + 4 * (x2 * x2 + x3 * x3)))
-    if kind == "m_s":
-        a = s - t * t - x1 * x1
-        return _claim(-a, a * a * (9 * a * a + 4 * (x2 * x2 + x3 * x3)))
-    if kind == "f_s":
-        a = t - 2 * s * x1 + 4 * x1**3
-        return _claim(a, a * a * (a * a + 4 * (x2 * x2 + x3 * x3)))
+    if kind in ("b_s", "m_s", "f_s"):
+        if kind == "b_s":
+            a, sign, c = s - t * t + x1 * x1, 1, 9
+        elif kind == "m_s":
+            a, sign, c = s - t * t - x1 * x1, -1, 9
+        else:
+            a, sign, c = t - 2 * s * x1 + 4 * x1**3, 1, 1
+        return _claim(sign * a, a * a * (c * a * a + 4 * (x2 * x2 + x3 * x3)))
     if kind == "w_s":
         # lambda = (b * S) / (2 mu sqrt(s_den)) with S = s_num / s_den, and
         # mu^2 given as the product b^2 * mu_a * mu_b
@@ -279,15 +266,7 @@ def claimed_assembled_form(kind: str) -> KForm:
             + _f(-2 * z, "t", "z") + _f(-2 * z, "x", "y")
         )
     if kind == "cusp":
-        return (
-            _f(1, "u", "s")
-            + _f(3 * eps * (x * x - t), "t", "x")
-            + _f(3 * eps * (x * x - t), "y", "z")
-            + _f(2 * y, "t", "y")
-            + _f(2 * y - 6 * eps * x * y, "z", "x")
-            + _f(-(2 * z + 3 * eps * y), "t", "z")
-            + _f(-2 * z, "x", "y")
-        )
+        return base(3 * eps * (x * x - t)) + _f(-6 * eps * x * y, "z", "x") + _f(-3 * eps * y, "t", "z")
     if kind == "swallowtail":
         w = 4 * x**3 + 2 * s * x + t
         return base(eps * w) + claimed_correction(kind).scale(eps)

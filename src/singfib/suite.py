@@ -138,22 +138,16 @@ def _random_poly(chart: Chart, rng: random.Random) -> Poly:
             return p
 
 
-def _random_form(chart: Chart, rng: random.Random, degree: int) -> KForm:
+def _random_form(
+    chart: Chart, rng: random.Random, degree: int, element: type[KForm | KVector] = KForm, max_terms: int = 2
+) -> KForm | KVector:
+    """A random ``element`` of ``degree`` with 1 to ``max_terms`` terms (a repeated index keeps the last draw)."""
     terms = {}
     ng = chart.n_geom
-    for _ in range(rng.randint(1, 2)):
+    for _ in range(rng.randint(1, max_terms)):
         idx = tuple(sorted(rng.sample(range(ng), degree)))
         terms[idx] = _random_poly(chart, rng)
-    return KForm(chart, degree, terms)
-
-
-def _random_bivector(chart: Chart, rng: random.Random) -> KVector:
-    terms = {}
-    ng = chart.n_geom
-    for _ in range(rng.randint(1, 3)):
-        idx = tuple(sorted(rng.sample(range(ng), 2)))
-        terms[idx] = _random_poly(chart, rng)
-    return KVector(chart, 2, terms)
+    return element(chart, degree, terms)
 
 
 def _jacobiator_oracle(a: KVector) -> KVector:
@@ -209,7 +203,6 @@ def _trials(check: str, label: str, seed: int, count: int, trial: Callable, pass
 
 def check_calculus(scope: str, seed: int, samples: int) -> list[CheckReport]:
     chart = CHART6
-    target = Chart(("w1", "w2", "w3", "w4"))
     ng = chart.n_geom
 
     def d2(rng: random.Random):
@@ -227,8 +220,8 @@ def check_calculus(scope: str, seed: int, samples: int) -> list[CheckReport]:
 
     def pullback_d(rng: random.Random):
         comps = tuple(_random_poly(chart, rng) for _ in range(4))
-        fmap = PolyMap(chart, target, comps)
-        form = _random_form(target, rng, rng.randint(0, 3))
+        fmap = PolyMap(chart, nearsymp.TARGET4, comps)
+        form = _random_form(nearsymp.TARGET4, rng, rng.randint(0, 3))
         if pullback(ext_d(form), fmap) != ext_d(pullback(form, fmap)):
             return "pullback/d failed", None
 
@@ -252,7 +245,7 @@ def check_calculus(scope: str, seed: int, samples: int) -> list[CheckReport]:
             return "dK + Kd != id", None
 
     def bracket(rng: random.Random):
-        biv = _random_bivector(chart, rng)
+        biv = _random_form(chart, rng, 2, KVector, 3)
         if schouten(biv, biv) != _jacobiator_oracle(biv).scale(2):
             return "bracket disagrees with the Jacobiator", None
 

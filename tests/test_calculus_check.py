@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from singfib import exterior, suite
+from singfib.nearsymp import TARGET4
 from singfib.poly import CHART6
 from singfib.report import FAIL, PASS
 
@@ -56,6 +57,48 @@ def test_calculus_draws_from_the_labels_it_always_had(monkeypatch):
     # the pullback-d check keeps the generator label "pullback"
     assert [name for _, name in labels] == ["d2", "leibniz", "pullback", "hodge", "homotopy", "schouten"]
     assert {scope for scope, _ in labels} == {"calculus"}
+
+
+def test_calculus_draws_the_examples_it_always_drew(monkeypatch):
+    # A PASS record does not show what a trial drew, so the draws are pinned as text: the ten
+    # bivectors of the schouten trial at 100 samples, and the first six pullback-d forms (the
+    # first three alone read the same generator bits under a term cap of 2 or 3).
+    bivectors, pulled = [], []
+
+    def schouten(a, b):
+        bivectors.append(str(a))
+        return exterior.schouten(a, b)
+
+    def pullback(form, fmap):
+        pulled.append(form)
+        return exterior.pullback(form, fmap)
+
+    monkeypatch.setattr(suite, "schouten", schouten)
+    monkeypatch.setattr(suite, "pullback", pullback)
+    suite.check_calculus("calculus", SEED, 100)
+    assert bivectors == [
+        "3*t2*ex1^ex2",
+        "(2*x1 - x3 - 2/3)*et3^ex1 + (t3*x2 + t2)*et3^ex3",
+        "(1/3*t1*x3 - 2/3*t2)*et1^et3",
+        "(4*t3*x1 + 3*t2)*et1^et2",
+        "(-4)*et1^ex1 + (-2)*et1^ex2",
+        "(-2*t1*x2 + 1/3*t3^2 - 3/2*x1)*et1^ex1",
+        "(-14/3)*et1^et3 + (-2*t1*t2 - 3/2*t1 - 3)*et3^ex2",
+        "(3*x2^2 - 1/2*t2)*et1^et3 + (-3*t2 + 1/2*t3)*ex1^ex2",
+        "(-2*t1*x2 - x1 + 2*x2)*et1^ex3 + (-t2 - t3 - 3/2)*et2^et3",
+        "(t2*x2 - 4/3*t3*x2)*et3^ex1 + (2*t3*x2 - 2*t1)*ex1^ex3",
+    ]
+    # each pullback-d trial pulls back d(form) first, then the drawn form
+    forms = pulled[1::2][:6]
+    assert all(form.chart == TARGET4 for form in forms)
+    assert [str(form) for form in forms] == [
+        "2*w4*dw1^dw3^dw4",
+        "1/3*w3^2*dw1^dw2 + 4/3*w4^2*dw1^dw4",
+        "(-w3 + 2/3)*dw1^dw2",
+        "-dw1^dw2",
+        "(w2*w3 + 2/3*w3^2 + 2)*dw1^dw2 + (-4*w3)*dw1^dw3",
+        "w3*dw1^dw3^dw4",
+    ]
 
 
 def test_d2_failure_names_the_form(monkeypatch):

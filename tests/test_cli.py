@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import singfib
 from singfib import catalog
 from singfib.catalog import MAX_N, get_model
 from singfib.cli import build_parser, main
@@ -307,6 +312,27 @@ def test_derive_reports_output_past_the_int_string_limit(capsys):
 def test_catalog_reports_output_past_the_int_string_limit(capsys, argv):
     err = one_line_error(capsys, "catalog", *argv, "--param", "1e5000")
     assert "integer string conversion" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("catalog", "--kind", "w_s", "--param", "1e99999999"), ("epsilon", "--kind", "cusp", "--box", "|x|<=1e99999999")],
+    ids=["param", "box"],
+)
+def test_a_long_decimal_exponent_is_refused_before_it_is_expanded(argv):
+    # in a child process with a timeout, so that expanding 10**99999999 fails the test instead of hanging it
+    src = str(Path(singfib.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "singfib.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "1e99999999" in done.stderr
 
 
 def test_catalog_rejects_small_n(capsys):

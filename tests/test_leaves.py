@@ -426,6 +426,34 @@ def _ws_factors(model):
     return b, square_sum + 4 * b, square_sum + 4 * b * b, mu_a, mu_b
 
 
+def _wrinkled_claim(model):
+    """The b_s, m_s and f_s claims' num and den, written out here as the oracle."""
+    chart = model.chart
+    t = chart.var(f"t{2 * model.n - 3}")
+    x1, x2, x3 = chart.var("x1"), chart.var("x2"), chart.var("x3")
+    s = chart.var("s_par") if model.param is None else chart.const(model.param)
+    r = x2 * x2 + x3 * x3
+    if model.kind == "b_s":
+        a = s - t * t + x1 * x1
+        return a, 9 * a**4 + 4 * a * a * r
+    if model.kind == "m_s":
+        a = s - t * t - x1 * x1
+        return -a, 9 * a**4 + 4 * a * a * r
+    a = t - 2 * s * x1 + 4 * x1**3
+    return a, a**4 + 4 * a * a * r
+
+
+@pytest.mark.parametrize("param", [None, Fraction(0), Fraction(1, 2)], ids=["symbolic", "s=0", "half"])
+@pytest.mark.parametrize("kind", ("b_s", "m_s", "f_s"))
+@pytest.mark.parametrize("n", (3, 4))
+def test_wrinkled_claims_are_the_written_formulas(n, kind, param):
+    model = get_model(kind, n, param)
+    claim = leaf_claim(model)
+    num, den = _wrinkled_claim(model)
+    assert (claim.num, claim.den) == (num, (den,))
+    assert claim.text == f"({num}) / sqrt({den})"
+
+
 WS_PARAMS = pytest.mark.parametrize("param", [None, Fraction(1, 2)], ids=["symbolic", "half"])
 
 

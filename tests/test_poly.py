@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from singfib.poly import CHART6, Chart, ChartMismatch, Poly, PolyParseError, format_poly, parse_poly
+from singfib.poly import CHART6, RATIONAL, Chart, ChartMismatch, Poly, PolyParseError, format_poly, parse_poly
 
 
 def rand_poly(chart: Chart, rng: random.Random, terms: int = 4, deg: int = 3) -> Poly:
@@ -205,3 +205,14 @@ def test_scale_accepts_only_exact_rationals(c):
     with pytest.raises(TypeError):
         x1.scale(c)
     assert x1.scale(Fraction(1, 2)).terms == {(0, 0, 0, 1, 0, 0): Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("text", ["1e-1", "2.5E+3", "1e9999", "-3/4", ".5e2"])
+def test_rational_pattern_takes_exponents_of_up_to_four_digits(text):
+    assert RATIONAL.fullmatch(text)
+
+
+@pytest.mark.parametrize("text", ["1e99999999", "1e-10000", "1e+10000"])
+def test_rational_pattern_refuses_longer_exponents(text):
+    # Fraction would build 10**exponent before any other check
+    assert RATIONAL.fullmatch(text) is None

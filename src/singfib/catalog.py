@@ -278,12 +278,22 @@ _LOWEST = tuple(tuple((a // math.gcd(a, b), b // math.gcd(a, b)) for b in range(
 def _draw(rng: random.Random, dim: int) -> list[tuple[int, int]]:
     """dim coordinates in chart order, each a = randint(-6, 6) over b = randint(1, 4), as (a, b) in lowest terms.
 
-    ``rng.choice`` of a row of ``_LOWEST`` and then of an entry in it reads
-    the generator exactly as those two ``randint`` calls do (each comes down
-    to one draw below 13, then one below 4), in fewer steps.
+    The two rejection loops read the generator's bits as CPython's
+    ``_randbelow`` does for those two ``randint`` calls: 4 bits until they
+    fall below 13, then 3 bits until they fall below 4.  So every point,
+    and the generator's state after it, is the one the calls would give.
     """
-    choice = rng.choice
-    return [choice(_LOWEST[choice(range(13))]) for _ in range(dim)]
+    bits = rng.getrandbits
+    out = []
+    for _ in range(dim):
+        a = bits(4)
+        while a >= 13:
+            a = bits(4)
+        b = bits(3)
+        while b >= 4:
+            b = bits(3)
+        out.append(_LOWEST[a][b])
+    return out
 
 
 def random_point(model: FibrationModel, rng: random.Random) -> IntegerPoint:

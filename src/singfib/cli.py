@@ -10,7 +10,7 @@ formulas are mismatch records and do not fail the run).
 from __future__ import annotations
 
 import argparse
-import contextlib
+import os
 import re
 import sys
 import time
@@ -154,22 +154,28 @@ def cmd_derive(args: argparse.Namespace) -> int:
     return 0 if rep.status != "fail" else 1
 
 
+def _write(path: str, mode: str, text: str) -> bool:
+    """Write text to path, opened in mode; on an OSError print one ``error:`` line and return False."""
+    try:
+        with open(path, mode) as fh:  # a full device fails at the close, which the with makes here
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     scope = None if (args.all or not args.model) else args.model
     started = time.monotonic()
-    # opened before the run, so a bad path costs no run, and emptied only
-    # after it, so a run that raises leaves an earlier report in place
-    try:
-        out = open(args.out, "a") if args.out else contextlib.nullcontext()
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+    # the file is opened before the run, so a bad path costs no run, and
+    # rewritten only after it, so a run that raises leaves an earlier report in place
+    if args.out and not _write(args.out, "a", ""):
         return 2
-    with out as fh:
-        reports = run_suite(scope=scope, checks=args.check, seed=args.seed, samples=args.samples)
-        records = render_records(reports)
-        if fh is not None:
-            fh.truncate(0)
-            fh.write(records)
+    reports = run_suite(scope=scope, checks=args.check, seed=args.seed, samples=args.samples)
+    records = render_records(reports)
+    if args.out and not _write(args.out, "w", records):
+        return 2
     if args.format == "records":
         sys.stdout.write(records)
     else:
@@ -206,9 +212,16 @@ def main(argv: list[str] | None = None) -> int:
     # every input error is a ValueError: a model or selection the library rejects, or
     # text past CPython's int-string limit (catalog and derive build it before printing)
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # stdout is a full disk or a closed pipe
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        # what is still buffered would fail again when the interpreter flushes stdout at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

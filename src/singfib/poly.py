@@ -439,6 +439,22 @@ RATIONAL = re.compile(r"[-+]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d{1,4})?
 # the ASCII tokens: decimal integers, identifiers and the operators +-*^()/;
 # the group catches any other non-space character
 _TOKEN = re.compile(rf"[0-9]+|{IDENTIFIER.pattern}|[-+*^()/]|(\S)", re.ASCII)
+#: the term products one parse may spend, charged before each product (|p|*|q|) and power (its largest step)
+#: runs: (x1+x2+x3+t1+t2+t3)^12 spends 213444 of them, and (x1+1)^998, about 2 s, spends them all
+MAX_TERM_PRODUCTS = 250_000
+
+
+def _power_step_products(m: int, e: int) -> int:
+    """The most term products one step of ``p ** e`` takes for an m-term p.
+
+    p^a has at most C(m + a - 1, a) terms, which is log-concave in a.  So a
+    step that multiplies p^a by p^b, a + b <= e, takes at most the square of
+    that count at a = ceil(e / 2), and the square also bounds the terms of p^e.
+    """
+    if m < 2 or e < 2:
+        return m
+    c = (e + 1) // 2
+    return math.comb(m + c - 1, c) ** 2
 
 
 class _Parser:
@@ -458,6 +474,7 @@ class _Parser:
             self.tokens.append(m.group())
         self.pos = 0
         self.chart = chart
+        self.budget = MAX_TERM_PRODUCTS
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -479,6 +496,12 @@ class _Parser:
         except ValueError:  # past CPython's limit on int-string conversion
             raise PolyParseError(f"integer of {len(tok)} digits is too long") from None
 
+    def spend(self, products: int) -> None:
+        """Charge a product's or power's term products to the parse, refusing before any of them runs."""
+        self.budget -= products
+        if self.budget < 0:
+            raise PolyParseError(f"expanding the text takes more than {MAX_TERM_PRODUCTS} term products")
+
     def parse(self) -> Poly:
         p = self.expr()
         if self.peek() is not None:
@@ -497,7 +520,9 @@ class _Parser:
         p = self.factor()
         while self.peek() == "*":
             self.take()
-            p = p * self.factor()
+            q = self.factor()
+            self.spend(len(p.terms) * len(q.terms))
+            p = p * q
         return p
 
     def factor(self) -> Poly:
@@ -506,7 +531,9 @@ class _Parser:
         p = self.atom()
         if self.peek() == "^" and not signed:
             self.take()
-            p = p ** self.integer(self.take())
+            e = self.integer(self.take())
+            self.spend(_power_step_products(len(p.terms), e))
+            p = p**e
         return p
 
     def atom(self) -> Poly:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -19,6 +20,7 @@ from singfib.cli import build_parser, main
 from singfib.interval import BoxParseError, parse_box
 from singfib.leaves import audit_leaf_formulas
 from singfib.nearsymp import RejectedBox, epsilon_bound
+from singfib.poly import MAX_TERM_PRODUCTS, Poly
 from singfib.suite import run_suite
 
 
@@ -295,6 +297,24 @@ def test_derive_rejects_deeply_nested_k(capsys):
     assert "cannot parse k: expression is nested too deeply" in err
 
 
+SUM6 = "(x1+x2+x3+t1+t2+t3)"
+
+
+@pytest.mark.parametrize(
+    "k",
+    [f"{SUM6}^60", f"{SUM6}^20*{SUM6}^20", "(x1+1)^3000"],
+    ids=["power-of-a-sum", "product-of-powers", "big-coefficients"],
+)
+def test_derive_refuses_an_expansion_past_the_cap_before_it_multiplies(capsys, monkeypatch, k):
+    def no_product(*args):
+        raise AssertionError("a product ran")
+
+    get_model("fold")  # the model is built, and shared, before any product is forbidden
+    monkeypatch.setattr(Poly, "__mul__", no_product)
+    err = one_line_error(capsys, "derive", "--kind", "fold", "--k", k)
+    assert err == f"error: cannot parse k: expanding the text takes more than {MAX_TERM_PRODUCTS} term products\n"
+
+
 @pytest.mark.parametrize(
     "k", ["x1^\u00b2", "\u00b2", "\u0663*x1", "x1^" + "1" * 5000],
     ids=["superscript-exponent", "superscript", "arabic-indic-digit", "long-exponent"],
@@ -314,21 +334,27 @@ def test_catalog_reports_output_past_the_int_string_limit(capsys, argv):
     assert "integer string conversion" in err
 
 
+def child(*argv, stdout=subprocess.PIPE, **env) -> subprocess.CompletedProcess:
+    """``python -m singfib.cli argv`` in a child process, with a timeout, so that a run without end fails the test."""
+    src = str(Path(singfib.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "singfib.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src, **env},
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [("catalog", "--kind", "w_s", "--param", "1e99999999"), ("epsilon", "--kind", "cusp", "--box", "|x|<=1e99999999")],
     ids=["param", "box"],
 )
 def test_a_long_decimal_exponent_is_refused_before_it_is_expanded(argv):
-    # in a child process with a timeout, so that expanding 10**99999999 fails the test instead of hanging it
-    src = str(Path(singfib.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "singfib.cli", *argv],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    # in a child process, so that expanding 10**99999999 fails the test instead of hanging it
+    done = child(*argv)
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
@@ -448,6 +474,22 @@ def test_verify_out_to_a_bad_path_fails_before_the_run(capsys, tmp_path, monkeyp
     monkeypatch.setattr("singfib.cli.run_suite", no_run)
     err = one_line_error(capsys, "verify", "--check", "rank", "--out", str(tmp_path / "missing" / "x.jsonl"))
     assert "cannot write" in err and "x.jsonl" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    ("argv", "to_full", "target"),
+    [(("verify", "--model", "fold", "--check", "casimir", "--out", "/dev/full"), False, "/dev/full"),
+     (("catalog", "--kind", "fold"), True, "standard output")],
+    ids=["verify-out", "catalog-stdout"],
+)
+def test_output_that_opens_but_cannot_be_written_is_one_error_line(argv, to_full, target, unbuffered):
+    with open("/dev/full", "w") if to_full else contextlib.nullcontext(subprocess.PIPE) as stdout:
+        done = child(*argv, stdout=stdout, PYTHONUNBUFFERED=unbuffered)
+    assert done.returncode == 2
+    assert not done.stdout
+    assert done.stderr.startswith(f"error: cannot write {target}: ") and done.stderr.count("\n") == 1
 
 
 def test_verify_out_keeps_an_earlier_report_when_the_run_fails(capsys, tmp_path):

@@ -7,7 +7,19 @@ from fractions import Fraction
 
 import pytest
 
-from singfib.poly import CHART6, RATIONAL, Chart, ChartMismatch, Poly, PolyParseError, format_poly, parse_poly
+from singfib import poly
+from singfib.poly import (
+    CHART6,
+    RATIONAL,
+    Chart,
+    ChartMismatch,
+    MAX_TERM_PRODUCTS,
+    Poly,
+    PolyParseError,
+    _power_step_products,
+    format_poly,
+    parse_poly,
+)
 
 
 def rand_poly(chart: Chart, rng: random.Random, terms: int = 4, deg: int = 3) -> Poly:
@@ -152,6 +164,49 @@ def test_parse_errors():
 def test_parse_rejects_text_outside_the_ascii_grammar(text):
     with pytest.raises(PolyParseError):
         parse_poly(text, CHART6)
+
+
+def test_parse_expands_what_the_cap_admits():
+    assert len(parse_poly("(x1+x2+x3+t1+t2+t3)^12", CHART6).terms) == 6188
+    assert parse_poly("x1^99999999", CHART6) == Poly(CHART6, {(0, 0, 0, 99999999, 0, 0): 1})
+
+
+def test_parse_refuses_a_product_past_the_cap_before_it_multiplies(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("a product ran")
+
+    chart = Chart(tuple(f"a{i}" for i in range(501)))
+    total = "(" + "+".join(chart.names) + ")"
+    monkeypatch.setattr(Poly, "__mul__", no_product)
+    with pytest.raises(PolyParseError, match=f"more than {MAX_TERM_PRODUCTS} term products"):
+        parse_poly(f"{total}*{total}", chart)
+
+
+def test_parse_charges_every_product_to_one_budget(monkeypatch):
+    monkeypatch.setattr(poly, "MAX_TERM_PRODUCTS", 10)
+    assert len(parse_poly("(x1+x2+x3)*(x1-x2)", CHART6).terms) == 4
+    # each product takes 6 term products, within the cap, but the two together are not
+    with pytest.raises(PolyParseError, match="more than 10 term products"):
+        parse_poly("(x1+x2+x3)*(x1-x2) + (x1+x2)*(t1+t2+t3)", CHART6)
+
+
+def test_every_step_of_a_power_takes_at_most_its_charge(monkeypatch):
+    steps = []
+    product = Poly.__mul__
+
+    def counted(p, q):
+        steps.append(len(p.terms) * len(q.terms))
+        return product(p, q)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    # the zero polynomial, then 1, 1 + x1, 1 + x1 + x2, 1 + x1 + x2 + x3: m terms
+    sums = [sum(map(CHART6.var, ("x1", "x2", "x3")[:k]), CHART6.one()) for k in range(4)]
+    for m, p in enumerate([CHART6.zero()] + sums):
+        for e in range(14):
+            steps.clear()
+            power = p**e
+            assert max(steps, default=0) <= _power_step_products(m, e)
+            assert len(power.terms) <= max(_power_step_products(m, e), 1)
 
 
 def test_parse_signs_by_one_rule():

@@ -118,11 +118,23 @@ def solve_structure_covector(
 
 @dataclass(frozen=True)
 class LeafCoefficient:
-    """lambda with omega_leaf = lambda * omega_area, for the oriented frame (u, v)."""
+    """lambda with omega_leaf = lambda * omega_area, for the oriented frame (u, v).
+
+    The two pairings are held as integers (numerator, nonzero denominator);
+    a Fraction is built only when a property reads one.
+    """
 
     frame: LeafFrame
-    pairing_uv: Fraction  # <alpha_raw, v_raw>
-    pairing_vu: Fraction  # <beta_raw, u_raw>
+    uv: tuple[int, int]  # <alpha_raw, v_raw>
+    vu: tuple[int, int]  # <beta_raw, u_raw>
+
+    @property
+    def pairing_uv(self) -> Fraction:
+        return Fraction(*self.uv)
+
+    @property
+    def pairing_vu(self) -> Fraction:
+        return Fraction(*self.vu)
 
     @property
     def value_sq(self) -> Fraction:
@@ -130,7 +142,8 @@ class LeafCoefficient:
 
     @property
     def pairing_antisymmetric(self) -> bool:
-        return self.pairing_uv == -self.pairing_vu
+        (a, b), (c, d) = self.uv, self.vu
+        return a * d == -c * b
 
 
 def _skew_apply(b: PoissonBivector, entries: Sequence[int], x: Sequence[int]) -> list[int]:
@@ -166,12 +179,11 @@ def leaf_coefficient(b: PoissonBivector, q: Point) -> LeafCoefficient:
     # P = d * pi(q): P.v = rho * u and P.u = sigma * v, rho = a / c and sigma = e / f
     a, c = _multiplier(_skew_apply(b, entries, v), u, "pi.v is not a nonzero multiple of u")
     e, f = _multiplier(_skew_apply(b, entries, u), v, "pi.u is not a nonzero multiple of v")
-    # alpha = (d / rho) v and beta = (d / sigma) u, so <alpha, v> = d |v|^2 / rho
-    pairing_uv = Fraction(d * vv * c, a)
+    # alpha = (d / rho) v and beta = (d / sigma) u, so <alpha, v> = d |v|^2 / rho and <beta, u> = d |u|^2 / sigma
     # lambda^2 = <alpha, v>^2 / (|u|^2 |v|^2) = 1 / sum_{i<j} (pi^{ij})^2, with P = d * pi
     if vv * c * c * _dot(entries, entries) != uu * a * a:
         raise linalg.InconsistentSystem("lambda^2 differs from 1 / sum_{i<j} (pi^{ij})^2")
-    return LeafCoefficient(frame, pairing_uv, Fraction(d * uu * f, e))
+    return LeafCoefficient(frame, (d * vv * c, a), (d * uu * f, e))
 
 
 def defining_relations_check(model: FibrationModel, samples: int, rng: random.Random) -> CheckReport:
@@ -207,13 +219,24 @@ def defining_relations_check(model: FibrationModel, samples: int, rng: random.Ra
 
 @dataclass(frozen=True)
 class LeafAuditRow:
+    """lambda^2 derived and claimed at one point, each as integers (numerator, nonzero denominator)."""
+
     point: IntegerPoint
-    derived_sq: Fraction
-    claimed_sq: Fraction
+    derived: tuple[int, int]
+    claimed: tuple[int, int]
+
+    @property
+    def derived_sq(self) -> Fraction:
+        return Fraction(*self.derived)
+
+    @property
+    def claimed_sq(self) -> Fraction:
+        return Fraction(*self.claimed)
 
     @property
     def match(self) -> bool:
-        return self.derived_sq == self.claimed_sq
+        (a, b), (c, d) = self.derived, self.claimed
+        return a * d == c * b
 
 
 def audit_leaf_formulas(
@@ -224,9 +247,11 @@ def audit_leaf_formulas(
     Each row takes lambda^2 = 1 / sum_{i<j} (pi^{ij}(q))^2 from the
     bivector's entry kernel at the point (no frame; ``leaf_coefficient``
     checks this identity wherever it runs).  The comparison is exact on
-    squares (both sides are rational numbers), which is strictly finer
-    than any floating-point tolerance; the floats in the witness are only
-    renderings.  Points where either side divides by zero are skipped.
+    squares (both sides are rational numbers, held as integer numerator
+    and denominator and compared by cross-multiplication), which is
+    strictly finer than any floating-point tolerance; the floats in the
+    witness are only renderings.  Points where either side has a zero
+    denominator are skipped.
     Each row keeps its point as drawn, an IntegerPoint.
     """
     rows: list[LeafAuditRow] = []
@@ -239,14 +264,15 @@ def audit_leaf_formulas(
     while len(rows) < samples and attempts < samples * 50:
         attempts += 1
         q = random_noncritical_point(model, rng)
-        try:
-            claimed_sq = claim.value_sq(q)
-            # the kernel gives d * pi^{ij}(q), so sum (pi^{ij})^2 = sum (entries)^2 / d^2
-            entries, d = entry_kernel(*q)
-            derived_sq = Fraction(scale_sq.numerator * d * d, scale_sq.denominator * _dot(entries, entries))
-        except ZeroDivisionError:
+        claimed = claim.value_sq_ratio(q)
+        if not claimed[1]:
             continue
-        rows.append(LeafAuditRow(q, derived_sq, claimed_sq))
+        # the kernel gives d * pi^{ij}(q), so sum (pi^{ij})^2 = sum (entries)^2 / d^2
+        entries, d = entry_kernel(*q)
+        norm_sq = _dot(entries, entries)
+        if not norm_sq:
+            continue
+        rows.append(LeafAuditRow(q, (scale_sq.numerator * d * d, scale_sq.denominator * norm_sq), claimed))
     matches = sum(1 for r in rows if r.match)
     if not rows:
         rep = CheckReport(

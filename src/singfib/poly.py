@@ -442,6 +442,10 @@ _TOKEN = re.compile(rf"[0-9]+|{IDENTIFIER.pattern}|[-+*^()/]|(\S)", re.ASCII)
 #: the term products one parse may spend, charged before each product (|p|*|q|) and power (its largest step)
 #: runs: (x1+x2+x3+t1+t2+t3)^12 spends 213444 of them, and (x1+1)^998, about 2 s, spends them all
 MAX_TERM_PRODUCTS = 250_000
+#: the most bits a power's coefficients may take, bounded before it runs: 2^15 bits is about 9900 digits, past
+#: CPython's 4300-digit limit on printing an int, so (2*x1)^20000 still parses and reaches the print check,
+#: while (3*x1)^99999999 is refused at once
+MAX_COEFFICIENT_BITS = 1 << 15
 
 
 def _power_step_products(m: int, e: int) -> int:
@@ -455,6 +459,20 @@ def _power_step_products(m: int, e: int) -> int:
         return m
     c = (e + 1) // 2
     return math.comb(m + c - 1, c) ** 2
+
+
+def _power_coefficient_bits(p: Poly, e: int) -> int:
+    """A bound on the bits of every numerator and denominator of ``p ** e``'s coefficients.
+
+    Over the lcm L of p's coefficient denominators, p is a sum of integer
+    numerators n_i, and S = sum |n_i| bounds every coefficient of the
+    numerator of p^e by S^e; every denominator divides L^e.  So e times
+    ceil(log2 max(S, L)) bounds both sides.
+    """
+    coeffs = p.terms.values()
+    den = math.lcm(*(c.denominator for c in coeffs))
+    total = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
+    return e * (max(total, den) - 1).bit_length()
 
 
 class _Parser:
@@ -533,6 +551,8 @@ class _Parser:
             self.take()
             e = self.integer(self.take())
             self.spend(_power_step_products(len(p.terms), e))
+            if _power_coefficient_bits(p, e) > MAX_COEFFICIENT_BITS:
+                raise PolyParseError(f"a power's coefficients take more than {MAX_COEFFICIENT_BITS} bits")
             p = p**e
         return p
 

@@ -119,12 +119,16 @@ class LeafClaim:
     def kernel(self) -> IntegerKernel:
         return IntegerKernel(self.num.chart, [self.num, *self.den])
 
-    def value_sq(self, point: Point) -> Fraction:
-        """lambda^2 at the point; ZeroDivisionError where a factor of den vanishes."""
+    def value_sq_ratio(self, point: Point) -> tuple[int, int]:
+        """lambda^2 at the point as integers (numerator, denominator); 0 denominator where a factor of den vanishes."""
         (v0, *factors), scale = self.kernel(*integer_point(point))
         # each value is scale times its polynomial's: num^2 / prod(den) = v0^2 scale^(m-2) / prod(factors)
         m = len(factors)
-        return Fraction(v0 * v0 * scale ** max(m - 2, 0), math.prod(factors) * scale ** max(2 - m, 0))
+        return v0 * v0 * scale ** max(m - 2, 0), math.prod(factors) * scale ** max(2 - m, 0)
+
+    def value_sq(self, point: Point) -> Fraction:
+        """lambda^2 at the point; ZeroDivisionError where a factor of den vanishes."""
+        return Fraction(*self.value_sq_ratio(point))
 
 
 def _claim(num: Poly, den: Poly) -> LeafClaim:

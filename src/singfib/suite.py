@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Sequence
 
 from . import leaves, nearsymp, poisson
@@ -27,7 +28,7 @@ from .exterior import (
     volume_form,
     wedge,
 )
-from .poly import CHART6, Chart, Poly, parse_poly
+from .poly import CHART6, Chart, Poly, add_term, parse_poly
 from .report import FAIL, MISMATCH, PASS, CheckReport
 
 #: parametric kinds are matched against the catalogue at these half-dimensions
@@ -126,16 +127,23 @@ _POLY_DEGREE = 2
 
 
 def _random_poly(chart: Chart, rng: random.Random) -> Poly:
-    """A nonzero random polynomial; a draw that sums to zero is drawn again."""
+    """A nonzero random polynomial; a draw that sums to zero is drawn again.
+
+    Each term is a coefficient times one geometric coordinate per unit of
+    degree, counted straight into its exponent; ``choice`` of a range draws
+    what ``choice`` of the names would, so a zero coefficient still draws them.
+    """
+    coords = range(chart.n_geom)
     while True:
-        p = chart.zero()
+        terms: dict = {}
         for _ in range(rng.randint(1, _POLY_TERMS)):
-            term = chart.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            exp = [0] * chart.dim
             for _ in range(rng.randint(0, _POLY_DEGREE)):
-                term = term * chart.var(rng.choice(chart.geometric_names()))
-            p = p + term
-        if not p.is_zero():
-            return p
+                exp[rng.choice(coords)] += 1
+            add_term(terms, tuple(exp), c)
+        if terms:
+            return Poly._make(chart, terms)
 
 
 def _random_form(
@@ -171,17 +179,17 @@ def _jacobiator_oracle(a: KVector) -> KVector:
         return total
 
     coords = [chart.var(n) for n in names]
+    # each coordinate bracket {x_j, x_k}, j < k, once; {x_k, x_i} is -{x_i, x_k}
+    inner = {(j, k): bracket(coords[j], coords[k]) for j, k in combinations(range(ng), 2)}
     out = {}
-    for i in range(ng):
-        for j in range(i + 1, ng):
-            for k in range(j + 1, ng):
-                val = (
-                    bracket(coords[i], bracket(coords[j], coords[k]))
-                    + bracket(coords[j], bracket(coords[k], coords[i]))
-                    + bracket(coords[k], bracket(coords[i], coords[j]))
-                )
-                if not val.is_zero():
-                    out[(i, j, k)] = val
+    for i, j, k in combinations(range(ng), 3):
+        val = (
+            bracket(coords[i], inner[j, k])
+            + bracket(coords[j], -inner[i, k])
+            + bracket(coords[k], inner[i, j])
+        )
+        if not val.is_zero():
+            out[(i, j, k)] = val
     return KVector(chart, 3, out)
 
 

@@ -7,6 +7,9 @@ its own detail text (and, for d^2, the offending form as witness).
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from singfib import exterior, suite
@@ -99,6 +102,29 @@ def test_calculus_draws_the_examples_it_always_drew(monkeypatch):
         "(w2*w3 + 2/3*w3^2 + 2)*dw1^dw2 + (-4*w3)*dw1^dw3",
         "w3*dw1^dw3^dw4",
     ]
+
+
+def _poly_by_products(chart, rng):
+    """The random polynomial as a sum of constant-times-coordinate products: the oracle for ``_random_poly``."""
+    while True:
+        p = chart.zero()
+        for _ in range(rng.randint(1, suite._POLY_TERMS)):
+            term = chart.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, suite._POLY_DEGREE)):
+                term = term * chart.var(rng.choice(chart.geometric_names()))
+            p = p + term
+        if not p.is_zero():
+            return p
+
+
+@pytest.mark.parametrize("chart", [CHART6, TARGET4], ids=["chart6", "target4"])
+def test_random_poly_draws_the_sum_of_products(chart):
+    # the same polynomial, and the generator in the same state after it, draw by draw
+    for seed in range(300):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert suite._random_poly(chart, fast) == _poly_by_products(chart, slow), seed
+            assert fast.getstate() == slow.getstate(), seed
 
 
 def test_d2_failure_names_the_form(monkeypatch):

@@ -20,7 +20,7 @@ from singfib.cli import build_parser, main
 from singfib.interval import BoxParseError, parse_box
 from singfib.leaves import audit_leaf_formulas
 from singfib.nearsymp import RejectedBox, epsilon_bound
-from singfib.poly import MAX_TERM_PRODUCTS, Poly
+from singfib.poly import MAX_COEFFICIENT_BITS, MAX_TERM_PRODUCTS, Poly
 from singfib.suite import run_suite
 
 
@@ -313,6 +313,26 @@ def test_derive_refuses_an_expansion_past_the_cap_before_it_multiplies(capsys, m
     monkeypatch.setattr(Poly, "__mul__", no_product)
     err = one_line_error(capsys, "derive", "--kind", "fold", "--k", k)
     assert err == f"error: cannot parse k: expanding the text takes more than {MAX_TERM_PRODUCTS} term products\n"
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        ("(3*x1)^99999999", f"a power's coefficients take more than {MAX_COEFFICIENT_BITS} bits"),
+        ("(3*x1)^9999999", f"a power's coefficients take more than {MAX_COEFFICIENT_BITS} bits"),
+        ("(1/3*x1)^99999999", f"a power's coefficients take more than {MAX_COEFFICIENT_BITS} bits"),
+        # a name over an integer is outside the grammar, so this one is refused before any power too
+        ("(x1/3)^99999999", "missing closing parenthesis"),
+    ],
+    ids=["big-numerator", "big-numerator-7-digits", "big-denominator", "name-over-integer"],
+)
+def test_derive_refuses_a_power_with_big_coefficients_before_it_runs(capsys, monkeypatch, k, message):
+    def no_power(*args):
+        raise AssertionError("a power ran")
+
+    get_model("fold")
+    monkeypatch.setattr(Poly, "__pow__", no_power)
+    assert one_line_error(capsys, "derive", "--kind", "fold", "--k", k) == f"error: cannot parse k: {message}\n"
 
 
 @pytest.mark.parametrize(

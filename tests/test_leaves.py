@@ -93,6 +93,18 @@ def test_anchor_coefficient_value():
     assert coeff.pairing_antisymmetric
 
 
+@pytest.mark.parametrize(
+    "uv, vu, antisymmetric",
+    [((1, 2), (-2, 4), True), ((1, 2), (1, 2), False), ((1, -2), (3, 6), True), ((0, 5), (0, -7), True)],
+)
+def test_pairings_are_read_as_the_fractions_they_hold(uv, vu, antisymmetric):
+    frame = leaf_frame(get_model("fold", 3), ANCHOR)
+    coeff = leaves.LeafCoefficient(frame, uv, vu)
+    assert (coeff.pairing_uv, coeff.pairing_vu) == (Fraction(*uv), Fraction(*vu))
+    assert coeff.pairing_antisymmetric == (Fraction(*uv) == -Fraction(*vu)) == antisymmetric
+    assert coeff.value_sq == Fraction(*uv) ** 2 / (frame.u_norm_sq * frame.v_norm_sq)
+
+
 def test_more_hand_computed_fold_values():
     model = get_model("fold", 3)
     # independently derived: |lambda| = 1 / (2 sqrt(x1^2 + x2^2 + x3^2))
@@ -514,6 +526,51 @@ def test_claim_value_raises_where_the_fold_denominator_vanishes():
         q[chart.index("x1")] = q[chart.index("x3")] = Fraction(0)
         q[chart.index("x2")] = x2
         assert _value_agrees(claim, q)
+
+
+def _audit_row_by_fractions(model, point):
+    """(derived, claimed) lambda^2 from Poly.evaluate in Fractions; None where either side divides by zero."""
+    q = point.fractions()
+    try:
+        norm_sq = sum(c.evaluate(q) ** 2 for c in flaschka_ratiu(model, 1).pi.terms.values())
+        return model.claimed_scale**2 / norm_sq, _claim_by_evaluation(leaf_claim(model), q)
+    except ZeroDivisionError:
+        return None
+
+
+@pytest.mark.parametrize("model", AUDIT_MODELS, ids=[m.name for m in AUDIT_MODELS])
+def test_audit_rows_equal_the_fraction_computation(model, monkeypatch):
+    drawn = []
+
+    def recording_sampler(m, rng):
+        drawn.append(random_noncritical_point(m, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(leaves, "random_noncritical_point", recording_sampler)
+    _, rows = audit_leaf_formulas(model, 20, random.Random(f"audit-rows:{model.name}"))
+    expected = [(q, values) for q in drawn if (values := _audit_row_by_fractions(model, q)) is not None]
+    assert [row.point for row in rows] == [q for q, _ in expected]
+    for row, (_, (derived, claimed)) in zip(rows, expected):
+        assert (row.derived_sq, row.claimed_sq, row.match) == (derived, claimed, derived == claimed), row.point
+
+
+def test_audit_skips_the_points_where_a_claim_factor_vanishes(monkeypatch):
+    # the fold claim's den 4(x1^2 + x3^2) vanishes at x1 = x3 = 0, off the critical locus where x2 != 0
+    model = get_model("fold", 3)
+    drawn = [(1, 1, 1, 0, 1, 0), ANCHOR, (0, 0, 0, 0, Fraction(-2, 3), 0), (0, 0, 0, 1, 1, 0)]
+    points = iter(poly.integer_point(q) for q in drawn)
+    monkeypatch.setattr(leaves, "random_noncritical_point", lambda m, rng: next(points))
+    rep, rows = audit_leaf_formulas(model, 2, random.Random(0))
+    for q in drawn[0], drawn[2]:
+        assert _audit_row_by_fractions(model, poly.integer_point(q)) is None
+        with pytest.raises(ZeroDivisionError):
+            leaf_claim(model).value_sq(q)
+    assert [tuple(row.point.fractions()) for row in rows] == [ANCHOR, drawn[3]]
+    assert [(row.derived_sq, row.claimed_sq, row.match) for row in rows] == [
+        (Fraction(1, 8), Fraction(1, 8), True),
+        (Fraction(1, 8), Fraction(1, 4), False),
+    ]
+    assert (rep.status, rep.detail) == ("mismatch", f"1 of 2 points disagree with {leaf_claim(model).text}")
 
 
 def test_audit_and_near_symplectic_evaluate_no_polynomial(monkeypatch):

@@ -13,9 +13,11 @@ from singfib.poly import (
     RATIONAL,
     Chart,
     ChartMismatch,
+    MAX_COEFFICIENT_BITS,
     MAX_TERM_PRODUCTS,
     Poly,
     PolyParseError,
+    _power_coefficient_bits,
     _power_step_products,
     format_poly,
     parse_poly,
@@ -207,6 +209,36 @@ def test_every_step_of_a_power_takes_at_most_its_charge(monkeypatch):
             power = p**e
             assert max(steps, default=0) <= _power_step_products(m, e)
             assert len(power.terms) <= max(_power_step_products(m, e), 1)
+
+
+def _no_power(*args):
+    raise AssertionError("a power ran")
+
+
+@pytest.mark.parametrize("text", ["(3*x1)^99999999", "(3*x1)^9999999", "(1/3*x1)^99999999", "(5/7*x1*x2)^12000"])
+def test_parse_refuses_a_power_with_coefficients_past_the_cap_before_it_runs(monkeypatch, text):
+    monkeypatch.setattr(Poly, "__pow__", _no_power)
+    with pytest.raises(PolyParseError, match=f"more than {MAX_COEFFICIENT_BITS} bits"):
+        parse_poly(text, CHART6)
+
+
+def test_parse_admits_the_powers_under_both_caps(monkeypatch):
+    assert parse_poly("x1^99999999", CHART6) == Poly(CHART6, {(0, 0, 0, 99999999, 0, 0): 1})
+    assert parse_poly("(2*x1)^20000", CHART6) == Poly(CHART6, {(0, 0, 0, 20000, 0, 0): 2**20000})
+    # (x1+1)^998 takes about 2 s to expand, so the power only records that it was reached
+    reached = []
+    monkeypatch.setattr(Poly, "__pow__", lambda p, e: reached.append((p, e)) or p)
+    parse_poly("(x1+1)^998", CHART6)
+    assert reached == [(CHART6.var("x1") + 1, 998)]
+
+
+@pytest.mark.parametrize(
+    "text, e", [("x1+1", 9), ("3*x1 - 2*x2", 7), ("1/3*x1 + 1/2", 8), ("-5/6*x1*x2 + 7/4*x3 - 1", 6), ("0", 5)]
+)
+def test_power_coefficient_bits_bound_the_expanded_coefficients(text, e):
+    p = parse_poly(text, CHART6)
+    bits = max((max(abs(c.numerator), c.denominator) - 1).bit_length() for c in (p**e).terms.values()) if p else 0
+    assert bits <= _power_coefficient_bits(p, e)
 
 
 def test_parse_signs_by_one_rule():

@@ -95,11 +95,6 @@ class FibrationModel:
         return tuple(tuple(c.differentiate(v) for v in names) for c in self.casimirs)
 
     @cached_property
-    def gradient_kernel(self) -> IntegerKernel:
-        """``casimir_gradients`` row after row, compiled once per model for integer points."""
-        return IntegerKernel(self.chart, [g for row in self.casimir_gradients for g in row])
-
-    @cached_property
     def casimir_split(self) -> CasimirSplit:
         """The coordinate Casimirs and the free indices N, read from the gradient rows once per model."""
         one = self.chart.one()
@@ -111,6 +106,12 @@ class FibrationModel:
         rows = tuple(k for k, a in enumerate(units) if a is None)
         free = tuple(a for a in range(self.chart.n_geom) if a not in units)
         return CasimirSplit(tuple(units), rows, free)
+
+    @cached_property
+    def frame_kernel(self) -> IntegerKernel:
+        """The non-coordinate gradient rows on the free columns N, row after row: all the leaf frame eliminates on."""
+        _, rows, free = self.casimir_split
+        return IntegerKernel(self.chart, [self.casimir_gradients[k][a] for k in rows for a in free])
 
     @cached_property
     def casimir_determinants(self) -> dict[tuple[int, int], Poly]:

@@ -14,14 +14,15 @@ unnormalized and carry their squared norms.
 Each point stays in integers from start to end.  The sampler draws it
 as q = Q / D (``poly.IntegerPoint``; a point given as Fractions is scaled
 once by ``poly.integer_point``), Fractions of q are built only for a record
-that prints it, and the Casimir gradient rows and the entries of pi are
-read from integer kernels compiled once per model and per bivector
+that prints it, and the gradient entries and the entries of pi are read
+from integer kernels compiled once per model and per bivector
 (``poly.IntegerKernel``), as positive integer multiples of their values.
 A coordinate Casimir's row is a unit vector e_a, which only pins x_a = 0
-(``FibrationModel.casimir_split``).  So one fraction-free elimination runs
-on the other r rows, restricted to the r + 2 free columns N, and its two
-primitive integer kernel vectors, padded with zeros off N, are u and w:
-exactly the kernel basis of all the gradient rows.  One integer
+(``FibrationModel.casimir_split``).  So the frame keeps only the other r
+rows on the r + 2 free columns N (``FibrationModel.frame_kernel``), one
+fraction-free elimination runs on them, and its two primitive integer
+kernel vectors, padded with zeros off N, are u and w: exactly the kernel
+basis of all the gradient rows.  One integer
 Gram-Schmidt step gives v.  No second elimination is needed: a skew pi(q)
 of rank 2 whose image is span(u, v), with u orthogonal to v, sends v to
 rho * u and u to sigma * v (Damianou-Petalidou, Canad. J. Math. 2012).
@@ -66,7 +67,8 @@ class LeafFrame:
     v: tuple[int, ...]
     u_norm_sq: int
     v_norm_sq: int
-    #: the Casimir gradients at the point, one row per Casimir, all times one positive integer
+    #: the kept (non-coordinate) Casimir gradients at the point on the free columns N
+    #: (``FibrationModel.casimir_split``), one row per kept Casimir, all times one positive integer
     gradients: tuple[tuple[int, ...], ...]
     #: the point as integer numerators over one positive denominator
     scaled_point: IntegerPoint
@@ -79,17 +81,18 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
 def leaf_frame(model: FibrationModel, q: Point) -> LeafFrame:
     """Two orthogonal spanning vectors of the leaf tangent plane at q."""
     point = integer_point(q)
-    values, _ = model.gradient_kernel(*point)
-    cols = model.chart.n_geom
-    rows = tuple(tuple(values[r : r + cols]) for r in range(0, len(values), cols))
+    values, _ = model.frame_kernel(*point)
     # the coordinate rows e_a pin x_a = 0, so only the other rows on N are eliminated
     # (one zero row when there are none)
-    _, kept, free = model.casimir_split
-    kernel = linalg.integer_nullspace([[rows[k][a] for a in free] for k in kept] or [[0] * len(free)])
+    free = model.casimir_split.free
+    width = len(free)
+    rows = tuple(tuple(values[r : r + width]) for r in range(0, len(values), width))
+    kernel = linalg.integer_nullspace(list(rows) or [[0] * width])
     if len(kernel) != 2:
         raise SingularPoint(
             f"Casimir differentials drop rank at {tuple(point.fractions())}: kernel dimension {len(kernel)}"
         )
+    cols = model.chart.n_geom
     u, w = [0] * cols, [0] * cols
     for full, vec in zip((u, w), kernel):
         for a, x in zip(free, vec):
@@ -189,6 +192,7 @@ def leaf_coefficient(b: PoissonBivector, q: Point) -> LeafCoefficient:
 def defining_relations_check(model: FibrationModel, samples: int, rng: random.Random) -> CheckReport:
     """pi.alpha = u, pi.beta = v and <alpha,v> + <beta,u> = 0, exactly, at random points (k = 1)."""
     bivector = flaschka_ratiu(model, 1)
+    free = model.casimir_split.free
     for _ in range(samples):
         q = random_noncritical_point(model, rng)
         try:
@@ -204,8 +208,11 @@ def defining_relations_check(model: FibrationModel, samples: int, rng: random.Ra
                 witness=str(q.fractions()),
             )
         frame = coeff.frame
+        # u and v vanish off N and every coordinate row is a unit e_a with a not in N,
+        # so the kept rows on N decide tangency to every Casimir
+        u, v = ([x[a] for a in free] for x in (frame.u, frame.v))
         for grad in frame.gradients:
-            if _dot(grad, frame.u) or _dot(grad, frame.v):
+            if _dot(grad, u) or _dot(grad, v):
                 return CheckReport(
                     model.name, "leaf-relations", FAIL, "frame not Casimir-tangent", witness=str(q.fractions())
                 )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -59,9 +59,12 @@ class Chart:
 
     names: tuple[str, ...]
     n_geom: int = -1
+    #: name -> position, built once; not part of equality, hash or repr
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
+        object.__setattr__(self, "_positions", {name: i for i, name in enumerate(self.names)})
+        if len(self._positions) != len(self.names):
             raise ValueError(f"duplicate variable names in chart {self.names}")
         if self.n_geom < 0:
             object.__setattr__(self, "n_geom", len(self.names))
@@ -74,8 +77,8 @@ class Chart:
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise ChartMismatch(f"variable {name!r} not in chart {self.names}") from None
 
     def var(self, name: str) -> "Poly":
@@ -144,6 +147,8 @@ class Poly:
     def __add__(self, other: "Poly | Rational") -> "Poly":
         other = self._coerce(other)
         _require_same_chart(self, other)
+        if not (self.terms and other.terms):  # a Poly is immutable, so a zero hands back the other operand
+            return other if other.terms else self
         out = dict(self.terms)
         for exp, c in other.terms.items():
             add_term(out, exp, c)
@@ -163,6 +168,8 @@ class Poly:
     def __mul__(self, other: "Poly | Rational") -> "Poly":
         other = self._coerce(other)
         _require_same_chart(self, other)
+        if not (self.terms and other.terms):  # the zero operand is the product
+            return other if self.terms else self
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -442,9 +449,9 @@ _TOKEN = re.compile(rf"[0-9]+|{IDENTIFIER.pattern}|[-+*^()/]|(\S)", re.ASCII)
 #: the term products one parse may spend, charged before each product (|p|*|q|) and power (its largest step)
 #: runs: (x1+x2+x3+t1+t2+t3)^12 spends 213444 of them, and (x1+1)^998, about 2 s, spends them all
 MAX_TERM_PRODUCTS = 250_000
-#: the most bits a power's coefficients may take, bounded before it runs: 2^15 bits is about 9900 digits, past
-#: CPython's 4300-digit limit on printing an int, so (2*x1)^20000 still parses and reaches the print check,
-#: while (3*x1)^99999999 is refused at once
+#: the most bits a power's or a product's coefficients may take, bounded before it runs: 2^15 bits is
+#: about 9900 digits, past CPython's 4300-digit limit on printing an int, so (2*x1)^20000 still parses and
+#: reaches the print check, while (3*x1)^99999999 and (3*x1)^16000*(3*x1)^16000 are refused at once
 MAX_COEFFICIENT_BITS = 1 << 15
 
 
@@ -467,7 +474,9 @@ def _power_coefficient_bits(p: Poly, e: int) -> int:
     Over the lcm L of p's coefficient denominators, p is a sum of integer
     numerators n_i, and S = sum |n_i| bounds every coefficient of the
     numerator of p^e by S^e; every denominator divides L^e.  So e times
-    ceil(log2 max(S, L)) bounds both sides.
+    ceil(log2 max(S, L)) bounds both sides.  S and L of a product p * q are
+    at most S_p * S_q and L_p * L_q, so at e = 1 the bound of a product is
+    at most the sum of its factors' bounds.
     """
     coeffs = p.terms.values()
     den = math.lcm(*(c.denominator for c in coeffs))
@@ -540,6 +549,8 @@ class _Parser:
             self.take()
             q = self.factor()
             self.spend(len(p.terms) * len(q.terms))
+            if _power_coefficient_bits(p, 1) + _power_coefficient_bits(q, 1) > MAX_COEFFICIENT_BITS:
+                raise PolyParseError(f"a product's coefficients take more than {MAX_COEFFICIENT_BITS} bits")
             p = p * q
         return p
 

@@ -116,16 +116,18 @@ def test_casimir_gradients_are_built_once(kind, n):
     assert m.casimir_gradients is m.casimir_gradients
 
 
-@pytest.mark.parametrize("kind, n", [("lefschetz", 3), ("w_s", 4), ("cusp", 3)])
-def test_gradient_kernel_gives_the_gradient_rows_times_one_scale(kind, n):
-    m = get_model(kind, n)
-    assert m.gradient_kernel is m.gradient_kernel
-    rng = random.Random(f"kernel:{kind}")
+@pytest.mark.parametrize("kind, n", [(kind, 3) for kind in ALL_KINDS] + [(kind, 6) for kind in PARAMETRIC_KINDS])
+def test_frame_kernel_gives_the_kept_rows_on_the_free_columns_times_one_scale(kind, n):
+    m = get_model(kind, n, Fraction(1, 2) if kind in DEFORMATION_KINDS else None)
+    assert m.frame_kernel is m.frame_kernel
+    _, rows, free = m.casimir_split
+    rng = random.Random(f"kernel:{kind}:{n}")
     for _ in range(5):
         q = random_noncritical_point(m, rng)
-        values, scale = m.gradient_kernel(*q)
+        values, scale = m.frame_kernel(*q)
         assert scale > 0
-        assert values == [scale * g.evaluate(q.fractions()) for row in m.casimir_gradients for g in row]
+        grads = [[g.evaluate(q.fractions()) for g in row] for row in m.casimir_gradients]
+        assert values == [scale * grads[k][a] for k in rows for a in free]
 
 
 def full_determinants(m):

@@ -335,6 +335,13 @@ def test_derive_refuses_a_power_with_big_coefficients_before_it_runs(capsys, mon
     assert one_line_error(capsys, "derive", "--kind", "fold", "--k", k) == f"error: cannot parse k: {message}\n"
 
 
+def test_derive_refuses_a_product_of_admitted_powers(capsys):
+    # 2.6 KB of text, which took seconds to parse before a product's coefficient bits were bounded
+    k = "*".join(["(3*x1)^16000"] * 200)
+    message = f"a product's coefficients take more than {MAX_COEFFICIENT_BITS} bits"
+    assert one_line_error(capsys, "derive", "--kind", "fold", "--k", k) == f"error: cannot parse k: {message}\n"
+
+
 @pytest.mark.parametrize(
     "k", ["x1^\u00b2", "\u00b2", "\u0663*x1", "x1^" + "1" * 5000],
     ids=["superscript-exponent", "superscript", "arabic-indic-digit", "long-exponent"],

@@ -227,6 +227,16 @@ def test_integer_frame_is_a_positive_multiple_of_the_fraction_frame(kind):
 PADDED_MODELS = [(kind, 3) for kind in ALL_KINDS] + [(kind, 6) for kind in PARAMETRIC_KINDS]
 
 
+def full_gradient_rows(model, q):
+    """Every Casimir's gradient row at q on every geometric column, all times one positive integer.
+
+    The oracle for the frame, which keeps only the non-coordinate rows on the free columns N.
+    """
+    kernel = poly.IntegerKernel(model.chart, [g for row in model.casimir_gradients for g in row])
+    values, _ = kernel(*poly.integer_point(q))
+    return [values[r : r + model.dim] for r in range(0, len(values), model.dim)]
+
+
 @pytest.mark.parametrize("kind, n", PADDED_MODELS)
 def test_padded_leaf_kernel_is_the_full_kernel(monkeypatch, kind, n):
     model = get_model(kind, n, Fraction(1, 2) if kind in DEFORMATION_KINDS else None)
@@ -249,10 +259,15 @@ def test_padded_leaf_kernel_is_the_full_kernel(monkeypatch, kind, n):
         for full, vec in zip(padded, kernel):
             for a, x in zip(free, vec):
                 full[a] = x
-        # the frame keeps the full gradient rows, and their kernel is the padded one
-        assert len(frame.gradients) == len(model.casimirs)
-        assert all(len(row) == model.dim for row in frame.gradients)
-        assert padded == integer_nullspace(frame.gradients)
+        # the frame keeps the kept rows on N, times one positive integer; the kernel of all the
+        # full rows is the padded one
+        full = full_gradient_rows(model, q)
+        restricted = [[full[k][a] for a in free] for k in model.casimir_split.rows]
+        assert [len(row) for row in frame.gradients] == [len(free)] * len(restricted)
+        x, y = next((x, y) for r, g in zip(restricted, frame.gradients) for x, y in zip(r, g) if x)
+        assert x * y > 0
+        assert all(gi * x == ri * y for r, g in zip(restricted, frame.gradients) for ri, gi in zip(r, g))
+        assert padded == integer_nullspace(full)
         assert frame.u == tuple(padded[0])
 
 
@@ -263,16 +278,15 @@ def test_leaf_frame_of_a_projection_eliminates_nothing():
     assert projection.casimir_split.rows == ()
     frame = leaf_frame(projection, ANCHOR)
     assert (frame.u, frame.v) == ((0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
-    assert [list(v) for v in (frame.u, frame.v)] == linalg.integer_nullspace(frame.gradients)
+    assert frame.gradients == ()
+    assert [list(v) for v in (frame.u, frame.v)] == linalg.integer_nullspace(full_gradient_rows(projection, ANCHOR))
 
 
 @pytest.mark.parametrize("kind", ["fold", "cusp", "lefschetz", "w_s"])
 def test_reduced_kernel_is_singular_where_the_full_kernel_is(kind):
     model = get_model(kind, 3)
     for q in critical_points_sample(model, 10, random.Random(f"singular:{kind}")):
-        values, _ = model.gradient_kernel(*poly.integer_point(q))
-        rows = [values[r : r + model.dim] for r in range(0, len(values), model.dim)]
-        full = linalg.integer_nullspace(rows)
+        full = linalg.integer_nullspace(full_gradient_rows(model, q))
         try:
             frame = leaf_frame(model, q)
         except SingularPoint:
@@ -284,8 +298,9 @@ def test_reduced_kernel_is_singular_where_the_full_kernel_is(kind):
 def test_frame_not_tangent_to_its_gradient_rows_fails(monkeypatch):
     def skewed_frame(model, q):
         frame = leaf_frame(model, q)
-        # a row that pairs with u to |u|^2 != 0
-        return dataclasses.replace(frame, gradients=(*frame.gradients[:-1], frame.u))
+        # a last kept row that pairs with u on N to |u|^2 != 0
+        u_on_free = tuple(frame.u[a] for a in model.casimir_split.free)
+        return dataclasses.replace(frame, gradients=(*frame.gradients[:-1], u_on_free))
 
     monkeypatch.setattr(leaves, "leaf_frame", skewed_frame)
     rep = defining_relations_check(get_model("cusp", 3), 3, random.Random(5))

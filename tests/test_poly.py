@@ -232,6 +232,31 @@ def test_parse_admits_the_powers_under_both_caps(monkeypatch):
     assert reached == [(CHART6.var("x1") + 1, 998)]
 
 
+@pytest.mark.parametrize("factors", [2, 200])
+def test_parse_refuses_a_product_of_admitted_powers_before_it_runs(monkeypatch, factors):
+    product = Poly.__mul__
+
+    def guarded(p, q):
+        # each (3*x1)^16000 is admitted on its own, and no product of two of them may run
+        if min(max(map(sum, r.terms), default=0) for r in (p, q)) >= 16000:
+            raise AssertionError("a product of two admitted powers ran")
+        return product(p, q)
+
+    monkeypatch.setattr(Poly, "__mul__", guarded)
+    assert parse_poly("(3*x1)^16000", CHART6) == Poly(CHART6, {(0, 0, 0, 16000, 0, 0): 3**16000})
+    with pytest.raises(PolyParseError, match=f"a product's coefficients take more than {MAX_COEFFICIENT_BITS} bits"):
+        parse_poly("*".join(["(3*x1)^16000"] * factors), CHART6)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [("x1+1", "x1-1"), ("3*x1 - 2*x2", "1/3*x1 + 1/2"), ("-5/6*x1*x2 + 7/4*x3 - 1", "(x1+2)^5"), ("0", "x1")],
+)
+def test_coefficient_bits_of_a_product_are_at_most_the_sum_of_its_factors(left, right):
+    p, q = parse_poly(left, CHART6), parse_poly(right, CHART6)
+    assert _power_coefficient_bits(p * q, 1) <= _power_coefficient_bits(p, 1) + _power_coefficient_bits(q, 1)
+
+
 @pytest.mark.parametrize(
     "text, e", [("x1+1", 9), ("3*x1 - 2*x2", 7), ("1/3*x1 + 1/2", 8), ("-5/6*x1*x2 + 7/4*x3 - 1", 6), ("0", 5)]
 )
@@ -256,6 +281,55 @@ def test_chart_mismatch_add():
     other = Chart(("a", "b", "c", "d", "e", "f"))
     with pytest.raises(ChartMismatch):
         CHART6.var("x1") + other.var("a")
+
+
+def _term_loop_sum(p: Poly, q: Poly) -> Poly:
+    out: dict = {}
+    for terms in (p.terms, q.terms):
+        for exp, c in terms.items():
+            poly.add_term(out, exp, c)
+    return Poly(p.chart, out)
+
+
+def _term_loop_product(p: Poly, q: Poly) -> Poly:
+    out: dict = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            poly.add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+    return Poly(p.chart, out)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_zero_operand_gives_the_term_loop_result(seed):
+    zero = CHART6.zero()
+    p = rand_poly(CHART6, random.Random(seed))
+    for a in (p, zero):
+        for z in (zero, 0):
+            got = {"a+z": a + z, "z+a": z + a, "a-z": a - z, "z-a": z - a, "a*z": a * z, "z*a": z * a}
+            want = {
+                "a+z": _term_loop_sum(a, zero),
+                "z+a": _term_loop_sum(zero, a),
+                "a-z": _term_loop_sum(a, zero),
+                "z-a": _term_loop_sum(zero, -a),
+                "a*z": _term_loop_product(a, zero),
+                "z*a": _term_loop_product(zero, a),
+            }
+            for key, value in got.items():
+                assert isinstance(value, Poly) and value.chart == CHART6, key
+                assert value.terms == want[key].terms, key
+
+
+def test_a_zero_on_another_chart_still_mismatches():
+    other = Chart(("a", "b", "c", "d", "e", "f"))
+    for p, q in [
+        (CHART6.var("x1"), other.zero()),
+        (other.zero(), CHART6.var("x1")),
+        (CHART6.zero(), other.var("a")),
+        (CHART6.zero(), other.zero()),
+    ]:
+        for op in (lambda a, b: a + b, lambda a, b: a * b):
+            with pytest.raises(ChartMismatch):
+                op(p, q)
 
 
 def test_substitute():

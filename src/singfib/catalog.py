@@ -301,12 +301,30 @@ def random_point(model: FibrationModel, rng: random.Random) -> IntegerPoint:
     return lowest_terms_point(_draw(rng, model.chart.dim))
 
 
-def random_noncritical_point(model: FibrationModel, rng: random.Random) -> IntegerPoint:
+def noncritical_kernel(model: FibrationModel, polys: Sequence[Poly]) -> IntegerKernel:
+    """The model's critical equations followed by ``polys``, compiled as one kernel for ``noncritical_sample``."""
+    return IntegerKernel(model.chart, [*model.critical_locus, *polys])
+
+
+def noncritical_sample(
+    model: FibrationModel, kernel: IntegerKernel, rng: random.Random
+) -> tuple[IntegerPoint, list[int], int]:
+    """A random non-critical point, the kernel's values there past the critical rows, and their scale.
+
+    ``kernel`` starts with the critical equations (``noncritical_kernel``, or ``critical_kernel``): one
+    read per draw both rejects a critical point and gives what the caller reads.
+    """
+    m = len(model.critical_locus)
     for _ in range(1000):
         p = random_point(model, rng)
-        if not model.is_critical(p):
-            return p
+        values, scale = kernel(*p)
+        if any(values[:m]):
+            return p, values[m:], scale
     raise RuntimeError("failed to sample a non-critical point")
+
+
+def random_noncritical_point(model: FibrationModel, rng: random.Random) -> IntegerPoint:
+    return noncritical_sample(model, model.critical_kernel, rng)[0]
 
 
 def critical_points_sample(model: FibrationModel, count: int, rng: random.Random) -> list[IntegerPoint]:

@@ -18,14 +18,16 @@ that prints it, and the gradient entries and the entries of pi are read
 from integer kernels compiled once per model and per bivector
 (``poly.IntegerKernel``), as positive integer multiples of their values.
 A coordinate Casimir's row is a unit vector e_a, which only pins x_a = 0
-(``FibrationModel.casimir_split``).  So the frame keeps only the other r
-rows on the r + 2 free columns N (``FibrationModel.frame_kernel``), one
-fraction-free elimination runs on them, and its two primitive integer
-kernel vectors, padded with zeros off N, are u and w: exactly the kernel
-basis of all the gradient rows.  One integer
-Gram-Schmidt step gives v.  No second elimination is needed: a skew pi(q)
-of rank 2 whose image is span(u, v), with u orthogonal to v, sends v to
-rho * u and u to sigma * v (Damianou-Petalidou, Canad. J. Math. 2012).
+(``FibrationModel.casimir_split``).  So the frame takes only the other r
+rows on the r + 2 free columns N (``FibrationModel.frame_kernel``) and
+reads the leaf plane, with no elimination, off their dual matrix
+D = *(g_1 ^ ... ^ g_r) (``_dual``; the cross-product matrix of g for r = 1,
+the six Plucker coordinates for r = 2), as pi is the same dual of the
+Casimir differentials (Damianou-Petalidou, Canad. J. Math. 2012): u is a
+row of D and v = D u, the frame an elimination and one integer
+Gram-Schmidt step would give.  Nor do alpha and beta need an elimination:
+a skew pi(q) of rank 2 whose image is span(u, v), with u orthogonal to v,
+sends v to rho * u and u to sigma * v.
 With P = d * pi(q) the integer matrix the kernel gives, alpha = (d / rho) v
 and beta = (d / sigma) u; both proportionalities are checked in every
 component by cross-multiplication.
@@ -34,7 +36,9 @@ The closed form (``audit_leaf_formulas``, run by ``leaf-audit``) uses
 that a rank-2 bivector is pi = |pi| u^v in an orthonormal leaf frame, so
 lambda^2 = 1 / sum_{i<j} (pi^{ij})^2 at every non-critical point.  The
 frame derivation checks exactly that identity at each of its points,
-which ties the two derivations together.
+which ties the two derivations together.  The audit reads one kernel per
+drawn point (``catalog.noncritical_sample``): the critical equations, the
+entries of pi, and the claim's num and den factors.
 """
 
 from __future__ import annotations
@@ -43,11 +47,13 @@ import math
 import operator
 import random
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from . import linalg
-from .catalog import FibrationModel, random_noncritical_point
+from .catalog import FibrationModel, noncritical_kernel, noncritical_sample, random_noncritical_point
 from .poisson import PoissonBivector, flaschka_ratiu
 from .poly import IntegerPoint, Point, Rational, integer_point
 from .report import FAIL, MISMATCH, PASS, CheckReport
@@ -62,7 +68,8 @@ class SingularPoint(ValueError):
 class LeafFrame:
     """Orthogonal leaf-tangent pair with exact squared-norm certificates."""
 
-    #: primitive integer vectors; u is the first kernel vector, v the second made orthogonal to u
+    #: primitive integer vectors, zero off N: u is row f' of the kept rows' dual matrix D with u[f] > 0, and
+    #: v is D u with v[f'] > 0 (``_dual``), the first kernel vector and the second made orthogonal to it
     u: tuple[int, ...]
     v: tuple[int, ...]
     u_norm_sq: int
@@ -78,33 +85,73 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
 
 
+def _det(m: Sequence[Sequence[int]]) -> int:
+    """The determinant of a small square integer matrix, 1 for the empty one."""
+    if len(m) < 2:
+        return m[0][0] if m else 1
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    return sum((-1) ** c * x * _det([row[:c] + row[c + 1 :] for row in m[1:]]) for c, x in enumerate(m[0]) if x)
+
+
+@cache
+def _dual_entries(width: int) -> tuple[tuple[int, int, tuple[int, ...], bool], ...]:
+    """(i, j, the other columns, whether (-1)^(i+j) is -1) per pair i < j, in descending lexicographic order."""
+    return tuple(
+        (i, j, tuple(c for c in range(width) if c != i and c != j), (i + j) % 2 == 1)
+        for i in reversed(range(width))
+        for j in reversed(range(i + 1, width))
+    )
+
+
+def _dual(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], tuple[int, int] | None]:
+    """D = *(g_1 ^ ... ^ g_r) for the r rows on width = r + 2 columns, and the pair f < f' (None where D = 0).
+
+    D[i][j] = (-1)^(i+j) det(rows without columns i, j) for i < j, and D is
+    skew.  Each sum_i g_i D[i][j] expands a determinant with a repeated row,
+    so D's image lies in the rows' kernel; where the rows are independent D
+    has rank 2 and that image.  An elimination would pivot on the
+    lexicographically first columns with a nonzero minor; the other two,
+    f < f', make the lexicographically last pair with D[f][f'] != 0.
+    """
+    d = [[0] * width for _ in range(width)]
+    pair = None
+    for i, j, others, odd in _dual_entries(width):
+        m = _det([[row[c] for c in others] for row in rows])
+        if m:
+            d[i][j], d[j][i] = (-m, m) if odd else (m, -m)
+            pair = pair or (i, j)
+    return d, pair
+
+
 def leaf_frame(model: FibrationModel, q: Point) -> LeafFrame:
-    """Two orthogonal spanning vectors of the leaf tangent plane at q."""
+    """Two orthogonal spanning vectors of the leaf tangent plane at q, read off the dual matrix D."""
     point = integer_point(q)
     values, _ = model.frame_kernel(*point)
-    # the coordinate rows e_a pin x_a = 0, so only the other rows on N are eliminated
-    # (one zero row when there are none)
+    # the coordinate rows e_a pin x_a = 0, so only the other rows on N enter D
     free = model.casimir_split.free
     width = len(free)
     rows = tuple(tuple(values[r : r + width]) for r in range(0, len(values), width))
-    kernel = linalg.integer_nullspace(list(rows) or [[0] * width])
-    if len(kernel) != 2:
+    d, pair = _dual(rows, width)
+    if pair is None:
         raise SingularPoint(
-            f"Casimir differentials drop rank at {tuple(point.fractions())}: kernel dimension {len(kernel)}"
+            f"Casimir differentials drop rank at {tuple(point.fractions())}: "
+            f"kernel dimension {width - linalg.rank(rows)}"
         )
+    f, g = pair
+    # u = D's row f' lies in the leaf plane with u[f'] = 0; v = D.u lies there too and is orthogonal to u
+    u = linalg.primitive(d[g])
+    if u[f] < 0:
+        u = [-x for x in u]
+    v = linalg.primitive([_dot(row, u) for row in d])
+    if v[g] < 0:
+        v = [-x for x in v]
     cols = model.chart.n_geom
-    u, w = [0] * cols, [0] * cols
-    for full, vec in zip((u, w), kernel):
-        for a, x in zip(free, vec):
-            full[a] = x
-    # one integer Gram-Schmidt step: v is |u|^2 times w's component orthogonal to u
-    uu = _dot(u, u)
-    wu = _dot(w, u)
-    v = linalg.primitive([uu * wi - wu * ui for wi, ui in zip(w, u)])
-    vv = _dot(v, v)
-    if _dot(u, v) != 0 or uu == 0 or vv == 0:
-        raise AssertionError("frame orthogonalization failed")
-    return LeafFrame(tuple(u), tuple(v), uu, vv, rows, point)
+    u_full, v_full = [0] * cols, [0] * cols
+    for a, x, y in zip(free, u, v):
+        u_full[a], v_full[a] = x, y
+    return LeafFrame(tuple(u_full), tuple(v_full), _dot(u, u), _dot(v, v), rows, point)
 
 
 def solve_structure_covector(
@@ -252,8 +299,10 @@ def audit_leaf_formulas(
     """Compare the closed-form leaf coefficient against the catalogued one.
 
     Each row takes lambda^2 = 1 / sum_{i<j} (pi^{ij}(q))^2 from the
-    bivector's entry kernel at the point (no frame; ``leaf_coefficient``
-    checks this identity wherever it runs).  The comparison is exact on
+    entries of pi at the point (no frame; ``leaf_coefficient`` checks this
+    identity wherever it runs), and the claimed lambda^2 from num and den's
+    factors, all read by the one kernel the sampler evaluates to reject a
+    critical point (``catalog.noncritical_sample``).  The comparison is exact on
     squares (both sides are rational numbers, held as integer numerator
     and denominator and compared by cross-multiplication), which is
     strictly finer than any floating-point tolerance; the floats in the
@@ -266,20 +315,21 @@ def audit_leaf_formulas(
     # the claimed formulas belong to the catalogued bivector, which is the
     # raw construction divided by the recorded scale; lambda scales inversely
     scale_sq = model.claimed_scale**2
-    entry_kernel = flaschka_ratiu(model, 1).entry_kernel
+    entries = list(flaschka_ratiu(model, 1).pi.terms.values())
+    k = len(entries)
+    kernel = noncritical_kernel(model, [*entries, claim.num, *claim.den])
     attempts = 0
     while len(rows) < samples and attempts < samples * 50:
         attempts += 1
-        q = random_noncritical_point(model, rng)
-        claimed = claim.value_sq_ratio(q)
+        q, values, scale = noncritical_sample(model, kernel, rng)
+        claimed = claim.sq_ratio(values[k:], scale)
         if not claimed[1]:
             continue
-        # the kernel gives d * pi^{ij}(q), so sum (pi^{ij})^2 = sum (entries)^2 / d^2
-        entries, d = entry_kernel(*q)
-        norm_sq = _dot(entries, entries)
+        # the kernel gives scale * pi^{ij}(q), so sum (pi^{ij})^2 = sum (values)^2 / scale^2
+        norm_sq = _dot(values[:k], values[:k])
         if not norm_sq:
             continue
-        rows.append(LeafAuditRow(q, (scale_sq.numerator * d * d, scale_sq.denominator * norm_sq), claimed))
+        rows.append(LeafAuditRow(q, (scale_sq.numerator * scale * scale, scale_sq.denominator * norm_sq), claimed))
     matches = sum(1 for r in rows if r.match)
     if not rows:
         rep = CheckReport(

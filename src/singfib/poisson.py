@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import linalg
-from .catalog import FibrationModel, critical_points_sample, random_noncritical_point
+from .catalog import FibrationModel, critical_points_sample, noncritical_kernel, noncritical_sample
 from .exterior import KVector, ext_d, interior, scalar_form, schouten, wedge
 from .poly import IntegerKernel, Point, Poly, Rational, integer_point
 from .report import FAIL, MISMATCH, PASS, CheckReport
@@ -86,14 +86,14 @@ def rank_at(b: PoissonBivector, point: Sequence[Rational]) -> int:
     return linalg.rank(b.matrix_at(point))
 
 
-def _decomposable_rank_at(b: PoissonBivector, point: Point) -> int:
-    """``rank_at`` without elimination, for pi with pi^pi = 0 (rank <= 2).
+def _decomposable_rank(entries: Sequence[int]) -> int:
+    """The rank of a pi with pi^pi = 0 (rank <= 2) from its entries: a skew matrix has even rank."""
+    return 2 if any(entries) else 0
 
-    A skew matrix has even rank: 2 where some entry of pi is nonzero, 0
-    where all vanish; the entries are read from ``entry_kernel``.
-    """
-    values, _ = b.entry_kernel(*integer_point(point))
-    return 2 if any(values) else 0
+
+def _decomposable_rank_at(b: PoissonBivector, point: Point) -> int:
+    """``rank_at`` without elimination, for pi with pi^pi = 0, the entries read from ``entry_kernel``."""
+    return _decomposable_rank(b.entry_kernel(*integer_point(point))[0])
 
 
 @lru_cache(maxsize=64)
@@ -207,9 +207,10 @@ def rank_stratification(model: FibrationModel, samples: int, rng: random.Random)
     proof = decomposability(b)
     if proof.status != PASS:
         return CheckReport(model.name, "rank", FAIL, "pi^pi != 0, so rank <= 2 fails", witness=proof.witness)
+    kernel = noncritical_kernel(model, list(b.pi.terms.values()))
     for _ in range(samples):
-        p = random_noncritical_point(model, rng)
-        r = _decomposable_rank_at(b, p)
+        p, entries, _ = noncritical_sample(model, kernel, rng)
+        r = _decomposable_rank(entries)
         if r != 2:
             return CheckReport(
                 model.name, "rank", FAIL, f"rank {r} != 2 at non-critical point", witness=str(p.fractions())

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 from .catalog import DIM6_KINDS, FibrationModel, deformation_symbol
 from .exterior import KForm, KVector, form_term, vector_term
@@ -119,12 +120,17 @@ class LeafClaim:
     def kernel(self) -> IntegerKernel:
         return IntegerKernel(self.num.chart, [self.num, *self.den])
 
-    def value_sq_ratio(self, point: Point) -> tuple[int, int]:
-        """lambda^2 at the point as integers (numerator, denominator); 0 denominator where a factor of den vanishes."""
-        (v0, *factors), scale = self.kernel(*integer_point(point))
-        # each value is scale times its polynomial's: num^2 / prod(den) = v0^2 scale^(m-2) / prod(factors)
+    @staticmethod
+    def sq_ratio(values: Sequence[int], scale: int) -> tuple[int, int]:
+        """``value_sq_ratio`` from num's and each den factor's value, all times scale, as a kernel gives them."""
+        v0, *factors = values
+        # num^2 / prod(den) = v0^2 scale^(m-2) / prod(factors) for m factors
         m = len(factors)
         return v0 * v0 * scale ** max(m - 2, 0), math.prod(factors) * scale ** max(2 - m, 0)
+
+    def value_sq_ratio(self, point: Point) -> tuple[int, int]:
+        """lambda^2 at the point as integers (numerator, denominator); 0 denominator where a factor of den vanishes."""
+        return self.sq_ratio(*self.kernel(*integer_point(point)))
 
     def value_sq(self, point: Point) -> Fraction:
         """lambda^2 at the point; ZeroDivisionError where a factor of den vanishes."""

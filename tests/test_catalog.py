@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from singfib import linalg
+from singfib import catalog, leaves, linalg, poisson
 from singfib.catalog import (
     ALL_KINDS,
     DEFORMATION_KINDS,
@@ -23,11 +23,16 @@ from singfib.catalog import (
     critical_points_sample,
     get_model,
     manifest_text,
+    noncritical_kernel,
+    noncritical_sample,
     random_noncritical_point,
+    random_point,
     sample_locus,
 )
 from singfib.poisson import flaschka_ratiu, match_claimed_bivector
-from singfib.poly import Chart, integer_point, parse_poly
+from singfib.poly import Chart, IntegerKernel, integer_point, parse_poly
+from singfib.reference import leaf_claim
+from singfib.suite import leaf_model
 
 
 #: chart, printed Casimirs, printed critical locus and scale of every model
@@ -366,6 +371,70 @@ def test_sampled_points_are_the_fraction_samplers_draws(row):
             continue
         assert critical_points_sample(m, 12, rng) == [integer_point(p) for p in want]
         assert rng.getstate() == oracle.getstate()
+
+
+def per_call_noncritical_point(model, rng):
+    """The per-call loop: ``random_point`` until ``is_critical`` is false, the oracle for ``noncritical_sample``."""
+    for _ in range(1000):
+        p = random_point(model, rng)
+        if not model.is_critical(p):
+            return p
+    raise RuntimeError("failed to sample a non-critical point")
+
+
+def sampled_polys(check, kind):
+    """The model a sampled check draws from and the polynomials it reads past the critical rows."""
+    if check == "leaf-audit":
+        model = leaf_model(kind, for_audit=True)
+        claim = leaf_claim(model)
+        return model, [*flaschka_ratiu(model, 1).pi.terms.values(), claim.num, *claim.den]
+    model = get_model(kind, 3, Fraction(0) if kind in DEFORMATION_KINDS else None)
+    return model, [] if check == "critical" else list(flaschka_ratiu(model, 1).pi.terms.values())
+
+
+@pytest.mark.parametrize("check", ["critical", "rank", "leaf-audit"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_one_kernel_sampler_draws_the_per_call_loops_points(check, kind):
+    # the same points and generator state as the per-call loop, with the read values times one scale
+    model, polys = sampled_polys(check, kind)
+    kernel = noncritical_kernel(model, polys) if polys else model.critical_kernel
+    label = f"one-kernel:{check}:{kind}"
+    rng, oracle = random.Random(label), random.Random(label)
+    for _ in range(25):
+        q, values, scale = noncritical_sample(model, kernel, rng)
+        assert q == per_call_noncritical_point(model, oracle)
+        assert rng.getstate() == oracle.getstate()
+        x = q.fractions()
+        assert scale > 0 and [Fraction(v, scale) for v in values] == [p.evaluate(x) for p in polys], q
+    assert random_noncritical_point(model, rng) == per_call_noncritical_point(model, oracle)
+    assert rng.getstate() == oracle.getstate()
+
+
+def test_a_critical_draw_is_drawn_again_whatever_the_other_rows_read(monkeypatch):
+    # the constant 1 is nonzero at the origin, where every critical equation of the fold vanishes
+    model = get_model("fold", 3)
+    drawn = iter([integer_point([0] * 6), integer_point([1, 0, 0, 0, 0, Fraction(1, 2)])])
+    monkeypatch.setattr(catalog, "random_point", lambda m, rng: next(drawn))
+    kernel = noncritical_kernel(model, [model.chart.one()])
+    q, values, scale = noncritical_sample(model, kernel, random.Random(0))
+    assert q.fractions() == [1, 0, 0, 0, 0, Fraction(1, 2)]
+    assert values == [scale]
+
+
+@pytest.mark.parametrize("kind", ["fold", "cusp", "lefschetz", "w_s"])
+def test_leaf_audit_and_rank_read_one_kernel_per_drawn_point(monkeypatch, kind):
+    draws, reads = [], []
+    draw, read = catalog.random_point, IntegerKernel.__call__
+    monkeypatch.setattr(catalog, "random_point", lambda m, rng: draws.append(1) or draw(m, rng))
+    monkeypatch.setattr(IntegerKernel, "__call__", lambda self, *a: reads.append(1) or read(self, *a))
+    leaves.audit_leaf_formulas(leaf_model(kind, for_audit=True), 10, random.Random(kind))
+    assert len(reads) == len(draws) >= 10
+    # the rank check's critical points are drawn on the locus; only its non-critical draws are counted here
+    monkeypatch.setattr(poisson, "critical_points_sample", lambda m, count, rng: [])
+    draws.clear()
+    reads.clear()
+    poisson.rank_stratification(sampled_polys("rank", kind)[0], 10, random.Random(kind))
+    assert len(reads) == len(draws) >= 10
 
 
 def test_sample_locus_raises_on_equations_it_does_not_solve():

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from singfib.catalog import (
     PARAMETRIC_KINDS,
     critical_points_sample,
     get_model,
+    noncritical_sample,
     random_noncritical_point,
 )
 from singfib.exterior import KVector
@@ -138,7 +140,7 @@ def test_solution_ambiguity_invariant():
 
 
 @pytest.mark.parametrize("kind, n", [("fold", 3), ("w_s", 3), ("lefschetz", 4)])
-def test_leaf_coefficient_runs_one_elimination(monkeypatch, kind, n):
+def test_leaf_coefficient_runs_no_elimination(monkeypatch, kind, n):
     model = get_model(kind, n, Fraction(1, 2) if kind in DEFORMATION_KINDS else None)
     b = flaschka_ratiu(model, 1)
     rng = random.Random(f"elims:{kind}")
@@ -152,10 +154,9 @@ def test_leaf_coefficient_runs_one_elimination(monkeypatch, kind, n):
 
     monkeypatch.setattr(linalg, "_rref", counting_rref)
     for q in points:
-        calls.clear()
         leaf_coefficient(b, q)
-        # the kernel of the non-coordinate gradient rows, on the free columns N; alpha and beta are closed forms
-        assert calls == [len(model.casimir_split.free)]
+    # the frame is read off the dual matrix D, and alpha and beta are closed forms
+    assert calls == []
 
 
 # bivectors that are not of rank 2 with the leaf plane as image, at a cusp
@@ -237,44 +238,132 @@ def full_gradient_rows(model, q):
     return [values[r : r + model.dim] for r in range(0, len(values), model.dim)]
 
 
+def gram_schmidt_step(u, w):
+    """|u|^2 times the component of w orthogonal to u, in integers."""
+    uu, wu = leaves._dot(u, u), leaves._dot(w, u)
+    return [uu * wi - wu * ui for wi, ui in zip(w, u)]
+
+
+def elimination_frame(model, q):
+    """The leaf frame by elimination, the oracle for the closed form ``leaf_frame``.
+
+    The two primitive vectors of ``integer_nullspace`` of the kept rows on N,
+    padded with zeros off N, are u and w, and one integer Gram-Schmidt step
+    gives v.
+    """
+    point = poly.integer_point(q)
+    values, _ = model.frame_kernel(*point)
+    free = model.casimir_split.free
+    width = len(free)
+    rows = tuple(tuple(values[r : r + width]) for r in range(0, len(values), width))
+    kernel = linalg.integer_nullspace(list(rows) or [[0] * width])
+    if len(kernel) != 2:
+        raise SingularPoint(
+            f"Casimir differentials drop rank at {tuple(point.fractions())}: kernel dimension {len(kernel)}"
+        )
+    u, w = [0] * model.chart.n_geom, [0] * model.chart.n_geom
+    for full, vec in zip((u, w), kernel):
+        for a, x in zip(free, vec):
+            full[a] = x
+    v = linalg.primitive(gram_schmidt_step(u, w))
+    return leaves.LeafFrame(tuple(u), tuple(v), leaves._dot(u, u), leaves._dot(v, v), rows, point)
+
+
+def frame_or_error(frame_fn, model, q):
+    try:
+        return frame_fn(model, q)
+    except SingularPoint as exc:
+        return f"SingularPoint: {exc}"
+
+
+def pivot_moving_points(model, q):
+    """q with each subset of the free coordinates N set to 0, once alone and once with every other coordinate.
+
+    So x1 = 0, gradient rows along one axis (t1 = x1 = x2 = 0 for the cusp)
+    and all rows 0 are among them.
+    """
+    free = model.casimir_split.free
+    others = [a for a in range(model.chart.n_geom) if a not in free]
+    for size in range(1, len(free) + 1):
+        for zeroed in combinations(free, size):
+            for extra in ((), others):
+                p = list(q.fractions())
+                for a in (*zeroed, *extra):
+                    p[a] = Fraction(0)
+                yield p
+
+
+def projection_model():
+    """The cusp chart with every Casimir a coordinate (t1, t2, t3, x1): r = 0, N = (x2, x3)."""
+    model = get_model("cusp", 3)
+    return dataclasses.replace(model, casimirs=tuple(CHART6.var(v) for v in ("t1", "t2", "t3", "x1")))
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_dual_matrix_has_the_kernel_of_independent_rows_as_image(r):
+    # D = *(g_1 ^ ... ^ g_r) on r + 2 columns: skew, annihilated by every row, of rank 2 exactly
+    # where the rows are independent, and 0 where they are not; every third draw has dependent rows
+    rng = random.Random(f"dual:{r}")
+    width = r + 2
+    for trial in range(30):
+        rows = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(r)]
+        if trial % 3 == 0 and r > 1:
+            rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+        d, pair = leaves._dual(rows, width)
+        assert all(d[i][j] == -d[j][i] for i in range(width) for j in range(width))
+        assert all(leaves._dot(g, col) == 0 for g in rows for col in zip(*d))
+        pivots = linalg._rref(rows)[1] if rows else []
+        if len(pivots) == r:
+            # rank 2, and the pair is the two columns the elimination does not pivot on
+            assert linalg.rank(d) == 2
+            assert pair == tuple(c for c in range(width) if c not in pivots), rows
+        else:
+            assert not any(map(any, d)) and pair is None, rows
+
+
+FRAME_MODELS = {f"{kind}-{n}": (kind, n) for kind, n in PADDED_MODELS}
+
+
+@pytest.mark.parametrize("label", [*FRAME_MODELS, "projection"])
+def test_closed_form_frame_equals_the_elimination_frame(label):
+    if label == "projection":
+        model = projection_model()
+    else:
+        kind, n = FRAME_MODELS[label]
+        model = get_model(kind, n, Fraction(1, 2) if kind in DEFORMATION_KINDS else None)
+    rng = random.Random(f"closed-frame:{label}")
+    for _ in range(40):
+        q = random_noncritical_point(model, rng)
+        assert leaf_frame(model, q) == elimination_frame(model, q), q
+    for _ in range(4):
+        for p in pivot_moving_points(model, random_noncritical_point(model, rng)):
+            assert frame_or_error(leaf_frame, model, p) == frame_or_error(elimination_frame, model, p), p
+
+
 @pytest.mark.parametrize("kind, n", PADDED_MODELS)
-def test_padded_leaf_kernel_is_the_full_kernel(monkeypatch, kind, n):
+def test_padded_leaf_kernel_is_the_full_kernel(kind, n):
     model = get_model(kind, n, Fraction(1, 2) if kind in DEFORMATION_KINDS else None)
     free = model.casimir_split.free
-    reduced = []
-    integer_nullspace = linalg.integer_nullspace
-
-    def spy(rows):
-        reduced.append(integer_nullspace(rows))
-        return reduced[-1]
-
-    monkeypatch.setattr(linalg, "integer_nullspace", spy)
     rng = random.Random(f"padded:{kind}:{n}")
     for _ in range(8):
         q = random_noncritical_point(model, rng)
-        reduced.clear()
         frame = leaf_frame(model, q)
-        (kernel,) = reduced
-        padded = [[0] * model.dim for _ in kernel]
-        for full, vec in zip(padded, kernel):
-            for a, x in zip(free, vec):
-                full[a] = x
-        # the frame keeps the kept rows on N, times one positive integer; the kernel of all the
-        # full rows is the padded one
+        # the frame keeps the kept rows on N, times one positive integer
         full = full_gradient_rows(model, q)
         restricted = [[full[k][a] for a in free] for k in model.casimir_split.rows]
         assert [len(row) for row in frame.gradients] == [len(free)] * len(restricted)
         x, y = next((x, y) for r, g in zip(restricted, frame.gradients) for x, y in zip(r, g) if x)
         assert x * y > 0
         assert all(gi * x == ri * y for r, g in zip(restricted, frame.gradients) for ri, gi in zip(r, g))
-        assert padded == integer_nullspace(full)
-        assert frame.u == tuple(padded[0])
+        # u is the first kernel vector of all the full rows, and v is the second made orthogonal to u
+        u, w = linalg.integer_nullspace(full)
+        assert frame.u == tuple(u)
+        assert list(frame.v) == linalg.primitive(gram_schmidt_step(u, w))
 
 
 def test_leaf_frame_of_a_projection_eliminates_nothing():
     # every Casimir a coordinate: no row is left, and the leaf plane is spanned by e_x2 and e_x3
-    model = get_model("cusp", 3)
-    projection = dataclasses.replace(model, casimirs=tuple(CHART6.var(v) for v in ("t1", "t2", "t3", "x1")))
+    projection = projection_model()
     assert projection.casimir_split.rows == ()
     frame = leaf_frame(projection, ANCHOR)
     assert (frame.u, frame.v) == ((0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
@@ -557,11 +646,12 @@ def _audit_row_by_fractions(model, point):
 def test_audit_rows_equal_the_fraction_computation(model, monkeypatch):
     drawn = []
 
-    def recording_sampler(m, rng):
-        drawn.append(random_noncritical_point(m, rng))
-        return drawn[-1]
+    def recording_sampler(m, kernel, rng):
+        sample = noncritical_sample(m, kernel, rng)
+        drawn.append(sample[0])
+        return sample
 
-    monkeypatch.setattr(leaves, "random_noncritical_point", recording_sampler)
+    monkeypatch.setattr(leaves, "noncritical_sample", recording_sampler)
     _, rows = audit_leaf_formulas(model, 20, random.Random(f"audit-rows:{model.name}"))
     expected = [(q, values) for q in drawn if (values := _audit_row_by_fractions(model, q)) is not None]
     assert [row.point for row in rows] == [q for q, _ in expected]
@@ -574,7 +664,13 @@ def test_audit_skips_the_points_where_a_claim_factor_vanishes(monkeypatch):
     model = get_model("fold", 3)
     drawn = [(1, 1, 1, 0, 1, 0), ANCHOR, (0, 0, 0, 0, Fraction(-2, 3), 0), (0, 0, 0, 1, 1, 0)]
     points = iter(poly.integer_point(q) for q in drawn)
-    monkeypatch.setattr(leaves, "random_noncritical_point", lambda m, rng: next(points))
+
+    def fixed_sampler(m, kernel, rng):
+        q = next(points)
+        values, scale = kernel(*q)
+        return q, values[len(m.critical_locus) :], scale
+
+    monkeypatch.setattr(leaves, "noncritical_sample", fixed_sampler)
     rep, rows = audit_leaf_formulas(model, 2, random.Random(0))
     for q in drawn[0], drawn[2]:
         assert _audit_row_by_fractions(model, poly.integer_point(q)) is None

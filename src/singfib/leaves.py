@@ -18,16 +18,17 @@ that prints it, and the gradient entries and the entries of pi are read
 from integer kernels compiled once per model and per bivector
 (``poly.IntegerKernel``), as positive integer multiples of their values.
 A coordinate Casimir's row is a unit vector e_a, which only pins x_a = 0
-(``FibrationModel.casimir_split``).  So the frame takes only the other r
-rows on the r + 2 free columns N (``FibrationModel.frame_kernel``) and
-reads the leaf plane, with no elimination, off their dual matrix
-D = *(g_1 ^ ... ^ g_r) (``_dual``; the cross-product matrix of g for r = 1,
-the six Plucker coordinates for r = 2), as pi is the same dual of the
-Casimir differentials (Damianou-Petalidou, Canad. J. Math. 2012): u is a
-row of D and v = D u, the frame an elimination and one integer
-Gram-Schmidt step would give.  Nor do alpha and beta need an elimination:
-a skew pi(q) of rank 2 whose image is span(u, v), with u orthogonal to v,
-sends v to rho * u and u to sigma * v.
+(``FibrationModel.casimir_split``).  The leaf plane is the image of the
+determinant bivector pi_0(q) = *(dC_1 ^ ... ^ dC_{2n-2}) (Damianou-Petalidou,
+Canad. J. Math. 2012), whose entries the model expands once
+(``FibrationModel.casimir_determinants``) and the frame kernel reads at q
+(``FibrationModel.frame_kernel``), so the frame needs no elimination: u is
+pi_0(q) e_f' and v = pi_0(q) u, the frame an elimination and one integer
+Gram-Schmidt step would give.  The kernel also reads the other r gradient
+rows on the r + 2 free columns N, against which ``leaf-relations`` checks
+that the frame is tangent to the Casimirs.  Nor do alpha and beta need an
+elimination: a skew pi(q) of rank 2 whose image is span(u, v), with u
+orthogonal to v, sends v to rho * u and u to sigma * v.
 With P = d * pi(q) the integer matrix the kernel gives, alpha = (d / rho) v
 and beta = (d / sigma) u; both proportionalities are checked in every
 component by cross-multiplication.
@@ -47,10 +48,8 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from functools import cache
 from fractions import Fraction
-from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import linalg
 from .catalog import FibrationModel, noncritical_kernel, noncritical_sample, random_noncritical_point
@@ -68,8 +67,8 @@ class SingularPoint(ValueError):
 class LeafFrame:
     """Orthogonal leaf-tangent pair with exact squared-norm certificates."""
 
-    #: primitive integer vectors, zero off N: u is row f' of the kept rows' dual matrix D with u[f] > 0, and
-    #: v is D u with v[f'] > 0 (``_dual``), the first kernel vector and the second made orthogonal to it
+    #: primitive integer vectors in the image of pi_0(q), zero off N: u is pi_0(q) e_f' with u[f] > 0, for
+    #: f < f' the last key of pi_0's terms with pi_0^{ff'}(q) != 0, and v is pi_0(q) u with v[f'] > 0
     u: tuple[int, ...]
     v: tuple[int, ...]
     u_norm_sq: int
@@ -85,73 +84,42 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
 
 
-def _det(m: Sequence[Sequence[int]]) -> int:
-    """The determinant of a small square integer matrix, 1 for the empty one."""
-    if len(m) < 2:
-        return m[0][0] if m else 1
-    if len(m) == 2:
-        (a, b), (c, d) = m
-        return a * d - b * c
-    return sum((-1) ** c * x * _det([row[:c] + row[c + 1 :] for row in m[1:]]) for c, x in enumerate(m[0]) if x)
-
-
-@cache
-def _dual_entries(width: int) -> tuple[tuple[int, int, tuple[int, ...], bool], ...]:
-    """(i, j, the other columns, whether (-1)^(i+j) is -1) per pair i < j, in descending lexicographic order."""
-    return tuple(
-        (i, j, tuple(c for c in range(width) if c != i and c != j), (i + j) % 2 == 1)
-        for i in reversed(range(width))
-        for j in reversed(range(i + 1, width))
-    )
-
-
-def _dual(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], tuple[int, int] | None]:
-    """D = *(g_1 ^ ... ^ g_r) for the r rows on width = r + 2 columns, and the pair f < f' (None where D = 0).
-
-    D[i][j] = (-1)^(i+j) det(rows without columns i, j) for i < j, and D is
-    skew.  Each sum_i g_i D[i][j] expands a determinant with a repeated row,
-    so D's image lies in the rows' kernel; where the rows are independent D
-    has rank 2 and that image.  An elimination would pivot on the
-    lexicographically first columns with a nonzero minor; the other two,
-    f < f', make the lexicographically last pair with D[f][f'] != 0.
-    """
-    d = [[0] * width for _ in range(width)]
-    pair = None
-    for i, j, others, odd in _dual_entries(width):
-        m = _det([[row[c] for c in others] for row in rows])
-        if m:
-            d[i][j], d[j][i] = (-m, m) if odd else (m, -m)
-            pair = pair or (i, j)
-    return d, pair
+def _skew_apply(keys: Iterable[tuple[int, ...]], entries: Sequence[int], x: Sequence[int]) -> list[int]:
+    """P . x for the skew matrix with P[i][j] = -P[j][i] = entry, one entry per key (i, j)."""
+    out = [0] * len(x)
+    for (i, j), e in zip(keys, entries):
+        out[i] += e * x[j]
+        out[j] -= e * x[i]
+    return out
 
 
 def leaf_frame(model: FibrationModel, q: Point) -> LeafFrame:
-    """Two orthogonal spanning vectors of the leaf tangent plane at q, read off the dual matrix D."""
+    """Two orthogonal spanning vectors of the leaf tangent plane at q, read off the image of pi_0(q)."""
     point = integer_point(q)
     values, _ = model.frame_kernel(*point)
-    # the coordinate rows e_a pin x_a = 0, so only the other rows on N enter D
     free = model.casimir_split.free
     width = len(free)
-    rows = tuple(tuple(values[r : r + width]) for r in range(0, len(values), width))
-    d, pair = _dual(rows, width)
-    if pair is None:
+    size = width * len(model.casimir_split.rows)
+    rows = tuple(tuple(values[r : r + width]) for r in range(0, size, width))
+    # P = d * pi_0(q), one entry per key, d > 0
+    keys, entries = model.determinant_bivector.terms, values[size:]
+    pairs = [ij for ij, e in zip(keys, entries) if e]
+    if not pairs:
         raise SingularPoint(
             f"Casimir differentials drop rank at {tuple(point.fractions())}: "
             f"kernel dimension {width - linalg.rank(rows)}"
         )
-    f, g = pair
-    # u = D's row f' lies in the leaf plane with u[f'] = 0; v = D.u lies there too and is orthogonal to u
-    u = linalg.primitive(d[g])
+    f, g = pairs[-1]
+    # u = P e_f' has u[f] = P[f][f'] != 0 and u[f'] = 0; v = P u is in the image too and orthogonal to u
+    e = [0] * model.chart.n_geom
+    e[g] = 1
+    u = linalg.primitive(_skew_apply(keys, entries, e))
     if u[f] < 0:
         u = [-x for x in u]
-    v = linalg.primitive([_dot(row, u) for row in d])
+    v = linalg.primitive(_skew_apply(keys, entries, u))
     if v[g] < 0:
         v = [-x for x in v]
-    cols = model.chart.n_geom
-    u_full, v_full = [0] * cols, [0] * cols
-    for a, x, y in zip(free, u, v):
-        u_full[a], v_full[a] = x, y
-    return LeafFrame(tuple(u_full), tuple(v_full), _dot(u, u), _dot(v, v), rows, point)
+    return LeafFrame(tuple(u), tuple(v), _dot(u, u), _dot(v, v), rows, point)
 
 
 def solve_structure_covector(
@@ -196,15 +164,6 @@ class LeafCoefficient:
         return a * d == -c * b
 
 
-def _skew_apply(b: PoissonBivector, entries: Sequence[int], x: Sequence[int]) -> list[int]:
-    """P . x for the skew matrix with P[i][j] = -P[j][i] = entry, one entry per key of pi.terms."""
-    out = [0] * len(x)
-    for (i, j), e in zip(b.pi.terms, entries):
-        out[i] += e * x[j]
-        out[j] -= e * x[i]
-    return out
-
-
 def _multiplier(y: Sequence[int], x: Sequence[int], what: str) -> tuple[int, int]:
     """(a, c) with y = (a / c) * x and a != 0, checked in every component by cross-multiplication."""
     i = next(i for i, xi in enumerate(x) if xi)
@@ -227,8 +186,8 @@ def leaf_coefficient(b: PoissonBivector, q: Point) -> LeafCoefficient:
     u, v, uu, vv = frame.u, frame.v, frame.u_norm_sq, frame.v_norm_sq
     entries, d = b.entry_kernel(*frame.scaled_point)
     # P = d * pi(q): P.v = rho * u and P.u = sigma * v, rho = a / c and sigma = e / f
-    a, c = _multiplier(_skew_apply(b, entries, v), u, "pi.v is not a nonzero multiple of u")
-    e, f = _multiplier(_skew_apply(b, entries, u), v, "pi.u is not a nonzero multiple of v")
+    a, c = _multiplier(_skew_apply(b.pi.terms, entries, v), u, "pi.v is not a nonzero multiple of u")
+    e, f = _multiplier(_skew_apply(b.pi.terms, entries, u), v, "pi.u is not a nonzero multiple of v")
     # alpha = (d / rho) v and beta = (d / sigma) u, so <alpha, v> = d |v|^2 / rho and <beta, u> = d |u|^2 / sigma
     # lambda^2 = <alpha, v>^2 / (|u|^2 |v|^2) = 1 / sum_{i<j} (pi^{ij})^2, with P = d * pi
     if vv * c * c * _dot(entries, entries) != uu * a * a:

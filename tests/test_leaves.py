@@ -38,6 +38,12 @@ from singfib.suite import leaf_model, run_suite
 ANCHOR = (0, 0, 0, 1, 0, 1)
 
 
+def is_critical(model, q):
+    """Every critical equation vanishes at q, read from the model's ``critical_kernel``."""
+    values, _ = model.critical_kernel(*poly.integer_point(q))
+    return not any(values)
+
+
 def test_fold_frame_at_anchor():
     frame = leaf_frame(get_model("fold", 3), ANCHOR)
     vecs = {tuple(frame.u), tuple(frame.v)}
@@ -128,7 +134,7 @@ def test_solution_ambiguity_invariant():
     rng = random.Random(17)
     for _ in range(10):
         q = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)]
-        if model.is_critical(q):
+        if is_critical(model, q):
             continue
         frame = leaf_frame(model, q)
         mat = b.matrix_at(q)
@@ -155,7 +161,7 @@ def test_leaf_coefficient_runs_no_elimination(monkeypatch, kind, n):
     monkeypatch.setattr(linalg, "_rref", counting_rref)
     for q in points:
         leaf_coefficient(b, q)
-    # the frame is read off the dual matrix D, and alpha and beta are closed forms
+    # the frame is read off the image of pi_0(q), and alpha and beta are closed forms
     assert calls == []
 
 
@@ -249,13 +255,14 @@ def elimination_frame(model, q):
 
     The two primitive vectors of ``integer_nullspace`` of the kept rows on N,
     padded with zeros off N, are u and w, and one integer Gram-Schmidt step
-    gives v.
+    gives v.  Only the gradient rows of ``frame_kernel`` are read, not the
+    entries of pi_0 that follow them.
     """
     point = poly.integer_point(q)
     values, _ = model.frame_kernel(*point)
     free = model.casimir_split.free
     width = len(free)
-    rows = tuple(tuple(values[r : r + width]) for r in range(0, len(values), width))
+    rows = tuple(tuple(values[r : r + width]) for r in range(0, width * len(model.casimir_split.rows), width))
     kernel = linalg.integer_nullspace(list(rows) or [[0] * width])
     if len(kernel) != 2:
         raise SingularPoint(
@@ -297,28 +304,6 @@ def projection_model():
     """The cusp chart with every Casimir a coordinate (t1, t2, t3, x1): r = 0, N = (x2, x3)."""
     model = get_model("cusp", 3)
     return dataclasses.replace(model, casimirs=tuple(CHART6.var(v) for v in ("t1", "t2", "t3", "x1")))
-
-
-@pytest.mark.parametrize("r", [0, 1, 2, 3])
-def test_dual_matrix_has_the_kernel_of_independent_rows_as_image(r):
-    # D = *(g_1 ^ ... ^ g_r) on r + 2 columns: skew, annihilated by every row, of rank 2 exactly
-    # where the rows are independent, and 0 where they are not; every third draw has dependent rows
-    rng = random.Random(f"dual:{r}")
-    width = r + 2
-    for trial in range(30):
-        rows = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(r)]
-        if trial % 3 == 0 and r > 1:
-            rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
-        d, pair = leaves._dual(rows, width)
-        assert all(d[i][j] == -d[j][i] for i in range(width) for j in range(width))
-        assert all(leaves._dot(g, col) == 0 for g in rows for col in zip(*d))
-        pivots = linalg._rref(rows)[1] if rows else []
-        if len(pivots) == r:
-            # rank 2, and the pair is the two columns the elimination does not pivot on
-            assert linalg.rank(d) == 2
-            assert pair == tuple(c for c in range(width) if c not in pivots), rows
-        else:
-            assert not any(map(any, d)) and pair is None, rows
 
 
 FRAME_MODELS = {f"{kind}-{n}": (kind, n) for kind, n in PADDED_MODELS}
@@ -397,6 +382,24 @@ def test_frame_not_tangent_to_its_gradient_rows_fails(monkeypatch):
     assert rep.detail == "frame not Casimir-tangent"
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_negated_entry_of_pi0_fails_the_leaf_relations(kind):
+    # the frame is the image of pi_0(q), so a wrong pi_0 gives a frame off the leaf plane; on three free
+    # columns pi_0 keeps rank 2 and the gradient rows see it, on four (lefschetz, w_s) it gains rank 4
+    model = get_model(kind, 3, Fraction(1, 2) if kind in DEFORMATION_KINDS else None)
+    terms = dict(model.determinant_bivector.terms)
+    first = next(iter(terms))
+    terms[first] = -terms[first]
+    bad = dataclasses.replace(model)
+    vars(bad)["determinant_bivector"] = KVector(model.chart, 2, terms)
+    rep = defining_relations_check(bad, 12, random.Random(f"negated:{kind}"))
+    assert rep.status == "fail"
+    if len(terms) == 3:
+        assert rep.detail == "frame not Casimir-tangent"
+    else:
+        assert rep.detail.endswith("pi.v is not a nonzero multiple of u")
+
+
 def test_defining_relations_all_kinds():
     for kind in ALL_KINDS:
         param = Fraction(1, 2) if kind in DEFORMATION_KINDS else None
@@ -457,7 +460,7 @@ def test_interior_product_matches_leaf_pairing():
     rng = random.Random(99)
     for _ in range(5):
         q = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(6)]
-        if model.is_critical(q):
+        if is_critical(model, q):
             continue
         frame = leaf_frame(model, q)
         mat = b.matrix_at(q)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .poly import Chart, ChartMismatch, Poly, Rational, add_term
+from .poly import Chart, ChartMismatch, Poly, Rational, add_product, add_term, polys_from_buckets
 
 Index = tuple[int, ...]
 
@@ -192,9 +192,11 @@ def format_graded(a: _Graded) -> str:
     pieces: list[str] = []
     for idx in sorted(a.terms):
         coeff = a.terms[idx]
-        basis = "^".join(f"{a.basis_prefix}{names[i]}" for i in idx) or "1"
+        basis = "^".join(f"{a.basis_prefix}{names[i]}" for i in idx)
         text = str(coeff)
-        if text == "1":
+        if not idx:  # a degree-0 element is its coefficient
+            pieces.append(text)
+        elif text == "1":
             pieces.append(basis)
         elif text == "-1":
             pieces.append(f"-{basis}")
@@ -247,15 +249,19 @@ def wedge(a: _Graded, b: _Graded) -> _Graded:
     degree = a.degree + b.degree
     if degree > a.chart.n_geom:
         return a._make(a.chart, a.chart.n_geom, {})
-    out: dict[Index, Poly] = {}
+    buckets: dict[Index, dict] = {}
+    _wedge_into(buckets, a, b)
+    return a._make(a.chart, degree, polys_from_buckets(a.chart, buckets))
+
+
+def _wedge_into(buckets: dict[Index, dict], a: _Graded, b: _Graded) -> None:
+    """Add the terms of a ^ b into ``buckets``, one term dict per merged index."""
     for ia, ca in a.terms.items():
         for ib, cb in b.terms.items():
             merged = _merge_indices(ia, ib)
-            if merged is None:
-                continue
-            sign, idx = merged
-            add_term(out, idx, ca * cb if sign == 1 else -(ca * cb))
-    return a._make(a.chart, degree, out)
+            if merged is not None:
+                sign, idx = merged
+                add_product(buckets.setdefault(idx, {}), ca, cb, sign)
 
 
 def wedge_power(a: _Graded, m: int) -> _Graded:
@@ -270,18 +276,22 @@ def wedge_power(a: _Graded, m: int) -> _Graded:
 def ext_d(a: KForm) -> KForm:
     """Exterior derivative in the geometric coordinates."""
     chart = a.chart
-    out: dict[Index, Poly] = {}
+    buckets: dict[Index, dict] = {}
     for idx, coeff in a.terms.items():
         for v in range(chart.n_geom):
-            dc = coeff.differentiate(chart.names[v])
-            if dc.is_zero():
-                continue
             merged = _merge_indices((v,), idx)
             if merged is None:
                 continue
             sign, new_idx = merged
-            add_term(out, new_idx, dc if sign == 1 else -dc)
-    return KForm._make(chart, min(a.degree + 1, chart.n_geom), out)
+            bucket = buckets.setdefault(new_idx, {})
+            for exp, c in coeff.terms.items():
+                e = exp[v]
+                if e:
+                    key = exp[:v] + (e - 1,) + exp[v + 1 :]
+                    term = c * (sign * e)
+                    s = bucket.get(key)
+                    bucket[key] = term if s is None else s + term
+    return KForm._make(chart, min(a.degree + 1, chart.n_geom), polys_from_buckets(chart, buckets))
 
 
 @dataclass(frozen=True)
@@ -306,14 +316,14 @@ def pullback(a: KForm, f: PolyMap) -> KForm:
         raise ChartMismatch("form does not live on the map's target chart")
     src = f.source
     diffs = [ext_d(scalar_form(comp)) for comp in f.components]
-    out: dict[Index, Poly] = {}
+    buckets: dict[Index, dict] = {}
     for idx, coeff in a.terms.items():
         piece = scalar_form(coeff.compose(f.components, src))
-        for j in idx:
+        for j in idx[:-1]:
             piece = wedge(piece, diffs[j])
-        for key, value in piece.terms.items():
-            add_term(out, key, value)
-    return KForm._make(src, min(a.degree, src.n_geom), out)
+        # the last factor goes straight into the buckets
+        _wedge_into(buckets, piece, diffs[idx[-1]] if idx else scalar_form(src.one()))
+    return KForm._make(src, min(a.degree, src.n_geom), polys_from_buckets(src, buckets))
 
 
 def hodge_star(a: KForm) -> KForm:
@@ -338,15 +348,13 @@ def interior(v: _Graded, a: _Graded) -> _Graded:
         raise ChartMismatch("chart mismatch in interior product")
     if a.degree == 0:
         return a._make(a.chart, 0, {})
-    out: dict[Index, Poly] = {}
+    buckets: dict[Index, dict] = {}
     for idx, coeff in a.terms.items():
         for pos, i in enumerate(idx):
             vi = v.terms.get((i,))
-            if vi is None:
-                continue
-            c = vi * coeff
-            add_term(out, idx[:pos] + idx[pos + 1 :], c if pos % 2 == 0 else -c)
-    return a._make(a.chart, a.degree - 1, out)
+            if vi is not None:
+                add_product(buckets.setdefault(idx[:pos] + idx[pos + 1 :], {}), vi, coeff, -1 if pos % 2 else 1)
+    return a._make(a.chart, a.degree - 1, polys_from_buckets(a.chart, buckets))
 
 
 def evaluate_form(a: KForm, vectors: Sequence[KVector]) -> Poly:
@@ -399,6 +407,7 @@ def poincare_homotopy(a: KForm, directions: Sequence[int] | None = None) -> KFor
     restricting ``directions`` to a sub-block gives the fibrewise operator,
     whose identity holds on forms all of whose terms carry positive
     degree in the chosen block; a term of degree zero raises ``ValueError``.
+    Each direction must be a geometric index, named once.
     """
     k = a.degree
     if k < 1:
@@ -406,8 +415,13 @@ def poincare_homotopy(a: KForm, directions: Sequence[int] | None = None) -> KFor
     chart = a.chart
     ng = chart.n_geom
     radial = tuple(range(ng)) if directions is None else tuple(sorted(directions))
+    for pos, i in enumerate(radial):
+        if not 0 <= i < ng:
+            raise ValueError(f"direction {i} is not a geometric index: the chart has {ng} geometric coordinates")
+        if pos and radial[pos - 1] == i:
+            raise ValueError(f"direction {i} is given twice")
     radial_set = set(radial)
-    out: dict[Index, Poly] = {}
+    buckets: dict[Index, dict] = {}
     for idx, coeff in a.terms.items():
         r = sum(1 for i in idx if i in radial_set)
         for exp, c in coeff.terms.items():
@@ -417,10 +431,13 @@ def poincare_homotopy(a: KForm, directions: Sequence[int] | None = None) -> KFor
                     "form has a term of degree zero in the radial block; "
                     "the homotopy identity does not apply to it"
                 )
-            mono = Poly._make(chart, {exp: c / (m + r)})
+            c = c / (m + r)
+            # the Euler field contracted into slot pos: x_i times the term, sign (-1)^pos
             for pos, i in enumerate(idx):
-                if i not in radial_set:
-                    continue
-                piece = chart.var(chart.names[i]) * mono
-                add_term(out, idx[:pos] + idx[pos + 1 :], piece if pos % 2 == 0 else -piece)
-    return KForm._make(chart, k - 1, out)
+                if i in radial_set:
+                    bucket = buckets.setdefault(idx[:pos] + idx[pos + 1 :], {})
+                    key = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
+                    term = -c if pos % 2 else c
+                    s = bucket.get(key)
+                    bucket[key] = term if s is None else s + term
+    return KForm._make(chart, k - 1, polys_from_buckets(chart, buckets))

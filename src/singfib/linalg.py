@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Poly
+from .poly import Poly, add_product
 
 
 def primitive(vec: list[int]) -> list[int]:
@@ -166,15 +166,14 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
             range(k),
             key=lambda c: sum(1 for r in range(k) if not rows[row_idx[r]][col_idx[c]].is_zero()),
         )
-        total = chart.zero()
+        total: dict = {}
         cols_rest = col_idx[:best_c] + col_idx[best_c + 1 :]
         for r in range(k):
             entry = rows[row_idx[r]][col_idx[best_c]]
             if entry.is_zero():
                 continue
             minor = det(row_idx[:r] + row_idx[r + 1 :], cols_rest)
-            signed = minor if (r + best_c) % 2 == 0 else -minor
-            total = total + entry * signed
-        return total
+            add_product(total, entry, minor, -1 if (r + best_c) % 2 else 1)
+        return Poly._make(chart, {e: c for e, c in total.items() if c})
 
     return det(tuple(range(n)), tuple(range(n)))

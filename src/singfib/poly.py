@@ -22,6 +22,7 @@ holds such a point as (Q, D).
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,6 +43,32 @@ def add_term(out: dict, key, value) -> None:
         out[key] = s
     else:
         out.pop(key, None)
+
+
+def add_product(out: dict[Exponent, Fraction], p: "Poly", q: "Poly", sign: int = 1) -> None:
+    """Add ``sign * p * q`` into the term dict ``out`` in place.
+
+    A sum that reaches zero stays stored; ``polys_from_buckets`` (or the
+    caller) drops it once, at the end.
+    """
+    for e1, c1 in p.terms.items():
+        if sign < 0:
+            c1 = -c1
+        for e2, c2 in q.terms.items():
+            key = tuple(map(operator.add, e1, e2))
+            c = c1 * c2
+            s = out.get(key)
+            out[key] = c if s is None else s + c
+
+
+def polys_from_buckets(chart: "Chart", buckets: Mapping[object, dict[Exponent, Fraction]]) -> dict:
+    """``{index: term dict}`` as ``{index: Poly}``, without zero terms or zero polynomials."""
+    out = {}
+    for idx, terms in buckets.items():
+        clean = {e: c for e, c in terms.items() if c}
+        if clean:
+            out[idx] = Poly._make(chart, clean)
+    return out
 
 
 def _exact(c: object) -> Fraction:
@@ -171,10 +198,8 @@ class Poly:
         if not (self.terms and other.terms):  # the zero operand is the product
             return other if self.terms else self
         out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return Poly._make(self.chart, out)
+        add_product(out, self, other)
+        return Poly._make(self.chart, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 

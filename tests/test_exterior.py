@@ -386,3 +386,38 @@ def test_fibre_homotopy_vanishes_on_zero_section():
     for coeff in k.terms.values():
         sub = coeff.substitute({"x2": 0, "x3": 0})
         assert sub.is_zero()
+
+
+#: x, y geometric and s a parameter, for the cases below
+XYS = Chart(("x", "y", "s"), n_geom=2)
+
+
+@pytest.mark.parametrize(
+    "directions, message",
+    [
+        ([0, 0], "direction 0 is given twice"),  # counted twice, x dx went to x^2/3
+        ([0, 2], "direction 2 is not a geometric index"),  # the parameter s, so s dx went to x*s/2
+        ([0, 5], "direction 5 is not a geometric index"),  # past the chart: an IndexError
+    ],
+    ids=["repeated", "parameter", "past-the-chart"],
+)
+def test_homotopy_rejects_directions_outside_the_geometric_block(directions, message):
+    x, s = XYS.var("x"), XYS.var("s")
+    for coeff in (x, s):
+        with pytest.raises(ValueError, match=message):
+            poincare_homotopy(form_term(XYS, coeff, ("x",)), directions=directions)
+    # the valid block gives the values the bad ones got wrong
+    assert poincare_homotopy(form_term(XYS, x, ("x",)), directions=[0, 1]) == scalar_form(x * x).scale(Fraction(1, 2))
+    assert poincare_homotopy(form_term(XYS, s, ("x",)), directions=[1, 0]) == scalar_form(x * s)
+
+
+def test_a_zero_form_prints_as_its_coefficient():
+    x, y = XYS.var("x"), XYS.var("y")
+    assert str(poincare_homotopy(form_term(XYS, x, ("x",)))) == "1/2*x^2"
+    assert str(scalar_form(x + y)) == "x + y"
+    assert str(scalar_form(-x - y)) == "-x - y"
+    assert str(scalar_form(XYS.one())) == "1"
+    assert str(KVector(XYS, 0, {(): XYS.const(-1)})) == "-1"
+    assert str(KForm(XYS, 0, {})) == "0"
+    # a positive degree still names its basis
+    assert str(form_term(XYS, x + y, ("x",))) == "(x + y)*dx"

@@ -9,7 +9,10 @@ The public constructors are the boundary and keep rejecting anything else.
 
 The fraction-free elimination in ``linalg`` (rref, nullspace, and solve
 with one or several right-hand sides) is checked against a plain
-Gauss-Jordan elimination over Fractions kept here as the oracle;
+Gauss-Jordan elimination over Fractions kept here as the oracle; the
+exterior operators that add coefficients in place (wedge, d, interior,
+pullback, the homotopy operator) against the same operators summed one
+``Poly`` at a time;
 ``Poly.evaluate`` against a term-by-term sum and the ring axioms;
 ``poly.IntegerKernel`` against ``Poly.evaluate`` times its scale;
 ``linalg.primitive`` against division by the gcd of the entries and
@@ -58,6 +61,7 @@ from singfib.poly import (
     IntegerKernel,
     Poly,
     PolyParseError,
+    add_term,
     chart_2n,
     format_poly,
     integer_point,
@@ -164,6 +168,116 @@ def test_homotopy_inverts_d(a):
     if a.degree < NG:
         recovered = recovered + poincare_homotopy(ext_d(a))
     assert recovered == a
+
+
+# -- the in-place exterior operators against Poly-sum oracles ----------------------------
+# Each oracle sums whole Poly coefficients through add_term and builds its result through
+# the public constructor; the sign of a merged index is the sign of its sorting permutation.
+
+
+def oracle_wedge(a: _Graded, b: _Graded) -> _Graded:
+    degree = a.degree + b.degree
+    if degree > a.chart.n_geom:
+        return type(a)(a.chart, a.chart.n_geom, {})
+    out: dict = {}
+    for ia, ca in a.terms.items():
+        for ib, cb in b.terms.items():
+            order = ia + ib
+            if len(set(order)) == len(order):
+                add_term(out, tuple(sorted(order)), (ca * cb).scale(permutation_sign(order)))
+    return type(a)(a.chart, degree, out)
+
+
+def oracle_ext_d(a: KForm) -> KForm:
+    chart = a.chart
+    out: dict = {}
+    for idx, coeff in a.terms.items():
+        for v in range(chart.n_geom):
+            if v not in idx:
+                order = (v,) + idx
+                add_term(out, tuple(sorted(order)), coeff.differentiate(chart.names[v]).scale(permutation_sign(order)))
+    return KForm(chart, min(a.degree + 1, chart.n_geom), out)
+
+
+def oracle_interior(v: _Graded, a: _Graded) -> _Graded:
+    out: dict = {}
+    for idx, coeff in a.terms.items():
+        for pos, i in enumerate(idx):
+            if (i,) in v.terms:
+                add_term(out, idx[:pos] + idx[pos + 1 :], (v.terms[(i,)] * coeff).scale((-1) ** pos))
+    return type(a)(a.chart, max(a.degree - 1, 0), out)
+
+
+def oracle_pullback(a: KForm, f: PolyMap) -> KForm:
+    diffs = [oracle_ext_d(scalar_form(comp)) for comp in f.components]
+    out: dict = {}
+    for idx, coeff in a.terms.items():
+        piece = scalar_form(coeff.compose(f.components, f.source))
+        for j in idx:
+            piece = oracle_wedge(piece, diffs[j])
+        for key, value in piece.terms.items():
+            add_term(out, key, value)
+    return KForm(f.source, min(a.degree, f.source.n_geom), out)
+
+
+def oracle_homotopy(a: KForm, radial=range(NG)) -> KForm:
+    chart = a.chart
+    out: dict = {}
+    for idx, coeff in a.terms.items():
+        r = sum(1 for i in idx if i in radial)
+        for exp, c in coeff.terms.items():
+            mono = Poly(chart, {exp: c / (sum(exp[i] for i in radial) + r)})
+            for pos, i in enumerate(idx):
+                if i in radial:
+                    add_term(out, idx[:pos] + idx[pos + 1 :], (chart.var(chart.names[i]) * mono).scale((-1) ** pos))
+    return KForm(chart, a.degree - 1, out)
+
+
+def assert_same(got: _Graded, want: _Graded) -> None:
+    """Clean, equal, and of equal degree: == does not compare the degrees of two zeros."""
+    assert_clean(got)
+    assert got == want and got.degree == want.degree
+
+
+odd_forms = st.sampled_from([1, 3, 5]).flatmap(lambda k: graded(KForm, k))
+odd_multivectors = st.sampled_from([1, 3, 5]).flatmap(lambda k: graded(KVector, k))
+
+
+@SETTINGS
+@given(forms, forms, vector_fields, multivectors, maps, positive_forms, polys())
+def test_in_place_operators_match_their_poly_sum_oracles(a, b, v, m, f, p, g):
+    dg = ext_d(scalar_form(g))
+    assert_same(wedge(a, b), oracle_wedge(a, b))
+    assert_same(wedge(m, m), oracle_wedge(m, m))
+    assert_same(ext_d(a), oracle_ext_d(a))
+    assert_same(interior(v, a), oracle_interior(v, a))
+    assert_same(interior(dg, m), oracle_interior(dg, m))
+    assert_same(pullback(a, f), oracle_pullback(a, f))
+    assert_same(poincare_homotopy(p), oracle_homotopy(p))
+    # the fibrewise operator, on a form with positive degree in the block (x2, x3)
+    block = (CHART6.index("x2"), CHART6.index("x3"))
+    q = p.scale(CHART6.var("x3"))
+    assert_same(poincare_homotopy(q, directions=block), oracle_homotopy(q, block))
+
+
+@SETTINGS
+@given(odd_forms, odd_multivectors, forms, vector_fields, positive_forms, polys(2, 1))
+def test_forced_cancellations_leave_a_clean_zero_of_the_right_degree(a, m, b, v, p, g):
+    # each result below is zero because its sums cancel in place: the buckets must be dropped
+    collapse = PolyMap(CHART6, CHART6, (g,) * NG)  # every dy_j pulls back to dg
+    cases = [
+        (wedge(a, a), oracle_wedge(a, a)),  # a ^ a = 0 for odd a
+        (wedge(m, m), oracle_wedge(m, m)),
+        (ext_d(ext_d(b)), oracle_ext_d(oracle_ext_d(b))),  # d of an exact form
+        (interior(v, interior(v, b)), oracle_interior(v, oracle_interior(v, b))),
+    ]
+    if b.degree >= 2:
+        cases.append((pullback(b, collapse), oracle_pullback(b, collapse)))
+    if p.degree >= 2:
+        cases.append((poincare_homotopy(poincare_homotopy(p)), oracle_homotopy(oracle_homotopy(p))))  # K K = 0
+    for got, want in cases:
+        assert got.is_zero()
+        assert_same(got, want)
 
 
 # -- the public constructors stay the boundary ------------------------------------------

@@ -15,13 +15,16 @@ the star and the homotopy operator never touch them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .poly import Chart, ChartMismatch, Poly, Rational, add_product, add_term, polys_from_buckets
+from .poly import Chart, ChartMismatch, Poly, Rational, _exact, add_product, add_term, numerators, polys_from_buckets
 
 Index = tuple[int, ...]
+#: an element's terms as (index, integer numerators over the denominator they were lifted to)
+Lifted = list[tuple[Index, dict]]
 
 
 def _merge_indices(a: Index, b: Index) -> tuple[int, Index] | None:
@@ -109,10 +112,16 @@ class _Graded:
         return self + (-other)
 
     def scale(self, f: Poly | Rational) -> "_Graded":
-        if not isinstance(f, Poly):
-            f = self.chart.const(f)
-        # a product of nonzero polynomials is nonzero
-        terms = {i: f * c for i, c in self.terms.items()} if f else {}
+        if isinstance(f, Poly):
+            # a product of nonzero polynomials is nonzero
+            terms = {i: f * c for i, c in self.terms.items()} if f else {}
+            return self._make(self.chart, self.degree, terms)
+        f = _exact(f)
+        if f == 1:
+            return self
+        if f == -1:
+            return -self
+        terms = {i: c.scale(f) for i, c in self.terms.items()} if f else {}
         return self._make(self.chart, self.degree, terms)
 
     def __eq__(self, other: object) -> bool:
@@ -249,19 +258,35 @@ def wedge(a: _Graded, b: _Graded) -> _Graded:
     degree = a.degree + b.degree
     if degree > a.chart.n_geom:
         return a._make(a.chart, a.chart.n_geom, {})
+    (da, (la,)), (db, (lb,)) = _lift([a]), _lift([b])
     buckets: dict[Index, dict] = {}
-    _wedge_into(buckets, a, b)
-    return a._make(a.chart, degree, polys_from_buckets(a.chart, buckets))
+    _wedge_into(buckets, la, lb)
+    return a._make(a.chart, degree, polys_from_buckets(a.chart, buckets, da * db))
 
 
-def _wedge_into(buckets: dict[Index, dict], a: _Graded, b: _Graded) -> None:
+def _lift(elements: Sequence[_Graded]) -> tuple[int, list[Lifted]]:
+    """One denominator for the coefficients of all the elements, and each element's terms over it."""
+    den = math.lcm(*[c.denominator for x in elements for p in x.terms.values() for c in p.terms.values()])
+    if den == 1:
+        return 1, [[(i, {e: c.numerator for e, c in p.terms.items()}) for i, p in x.terms.items()] for x in elements]
+    return den, [[(i, numerators(p.terms, den)) for i, p in x.terms.items()] for x in elements]
+
+
+def _bucket(buckets: dict[Index, dict], idx: Index) -> dict:
+    bucket = buckets.get(idx)
+    if bucket is None:
+        bucket = buckets[idx] = {}
+    return bucket
+
+
+def _wedge_into(buckets: dict[Index, dict], a: Lifted, b: Lifted) -> None:
     """Add the terms of a ^ b into ``buckets``, one term dict per merged index."""
-    for ia, ca in a.terms.items():
-        for ib, cb in b.terms.items():
+    for ia, ca in a:
+        for ib, cb in b:
             merged = _merge_indices(ia, ib)
             if merged is not None:
                 sign, idx = merged
-                add_product(buckets.setdefault(idx, {}), ca, cb, sign)
+                add_product(_bucket(buckets, idx), ca, cb, sign)
 
 
 def wedge_power(a: _Graded, m: int) -> _Graded:
@@ -276,22 +301,25 @@ def wedge_power(a: _Graded, m: int) -> _Graded:
 def ext_d(a: KForm) -> KForm:
     """Exterior derivative in the geometric coordinates."""
     chart = a.chart
+    den, (terms,) = _lift([a])
     buckets: dict[Index, dict] = {}
-    for idx, coeff in a.terms.items():
+    for idx, coeff in terms:
         for v in range(chart.n_geom):
             merged = _merge_indices((v,), idx)
             if merged is None:
                 continue
             sign, new_idx = merged
-            bucket = buckets.setdefault(new_idx, {})
-            for exp, c in coeff.terms.items():
+            bucket = None
+            for exp, c in coeff.items():
                 e = exp[v]
                 if e:
+                    if bucket is None:
+                        bucket = _bucket(buckets, new_idx)
                     key = exp[:v] + (e - 1,) + exp[v + 1 :]
                     term = c * (sign * e)
                     s = bucket.get(key)
                     bucket[key] = term if s is None else s + term
-    return KForm._make(chart, min(a.degree + 1, chart.n_geom), polys_from_buckets(chart, buckets))
+    return KForm._make(chart, min(a.degree + 1, chart.n_geom), polys_from_buckets(chart, buckets, den))
 
 
 @dataclass(frozen=True)
@@ -316,14 +344,19 @@ def pullback(a: KForm, f: PolyMap) -> KForm:
         raise ChartMismatch("form does not live on the map's target chart")
     src = f.source
     diffs = [ext_d(scalar_form(comp)) for comp in f.components]
-    buckets: dict[Index, dict] = {}
+    pieces, last = [], []
     for idx, coeff in a.terms.items():
         piece = scalar_form(coeff.compose(f.components, src))
         for j in idx[:-1]:
             piece = wedge(piece, diffs[j])
-        # the last factor goes straight into the buckets
-        _wedge_into(buckets, piece, diffs[idx[-1]] if idx else scalar_form(src.one()))
-    return KForm._make(src, min(a.degree, src.n_geom), polys_from_buckets(src, buckets))
+        pieces.append(piece)
+        last.append(idx[-1] if idx else -1)
+    # the last factor goes straight into the buckets; a 0-form's is the constant 1, at position -1
+    (dp, lp), (dd, ld) = _lift(pieces), _lift([*diffs, scalar_form(src.one())])
+    buckets: dict[Index, dict] = {}
+    for piece, j in zip(lp, last):
+        _wedge_into(buckets, piece, ld[j])
+    return KForm._make(src, min(a.degree, src.n_geom), polys_from_buckets(src, buckets, dp * dd))
 
 
 def hodge_star(a: KForm) -> KForm:
@@ -348,13 +381,15 @@ def interior(v: _Graded, a: _Graded) -> _Graded:
         raise ChartMismatch("chart mismatch in interior product")
     if a.degree == 0:
         return a._make(a.chart, 0, {})
+    (dv, (lv,)), (da, (la,)) = _lift([v]), _lift([a])
+    vs = {i: c for (i,), c in lv}
     buckets: dict[Index, dict] = {}
-    for idx, coeff in a.terms.items():
+    for idx, coeff in la:
         for pos, i in enumerate(idx):
-            vi = v.terms.get((i,))
+            vi = vs.get(i)
             if vi is not None:
-                add_product(buckets.setdefault(idx[:pos] + idx[pos + 1 :], {}), vi, coeff, -1 if pos % 2 else 1)
-    return a._make(a.chart, a.degree - 1, polys_from_buckets(a.chart, buckets))
+                add_product(_bucket(buckets, idx[:pos] + idx[pos + 1 :]), vi, coeff, -1 if pos % 2 else 1)
+    return a._make(a.chart, a.degree - 1, polys_from_buckets(a.chart, buckets, dv * da))
 
 
 def evaluate_form(a: KForm, vectors: Sequence[KVector]) -> Poly:
@@ -421,23 +456,29 @@ def poincare_homotopy(a: KForm, directions: Sequence[int] | None = None) -> KFor
         if pos and radial[pos - 1] == i:
             raise ValueError(f"direction {i} is given twice")
     radial_set = set(radial)
-    buckets: dict[Index, dict] = {}
-    for idx, coeff in a.terms.items():
+    # the term c / (m + r) is c * (w / (m + r)) over w, the lcm of the weights m + r
+    den, (terms,) = _lift([a])
+    weighted = []
+    for idx, coeff in terms:
         r = sum(1 for i in idx if i in radial_set)
-        for exp, c in coeff.terms.items():
+        for exp, c in coeff.items():
             m = sum(exp[i] for i in radial)
             if m + r == 0:
                 raise ValueError(
                     "form has a term of degree zero in the radial block; "
                     "the homotopy identity does not apply to it"
                 )
-            c = c / (m + r)
-            # the Euler field contracted into slot pos: x_i times the term, sign (-1)^pos
-            for pos, i in enumerate(idx):
-                if i in radial_set:
-                    bucket = buckets.setdefault(idx[:pos] + idx[pos + 1 :], {})
-                    key = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
-                    term = -c if pos % 2 else c
-                    s = bucket.get(key)
-                    bucket[key] = term if s is None else s + term
-    return KForm._make(chart, k - 1, polys_from_buckets(chart, buckets))
+            weighted.append((idx, exp, c, m + r))
+    w = math.lcm(*[weight for *_, weight in weighted])
+    buckets: dict[Index, dict] = {}
+    for idx, exp, c, weight in weighted:
+        c *= w // weight
+        # the Euler field contracted into slot pos: x_i times the term, sign (-1)^pos
+        for pos, i in enumerate(idx):
+            if i in radial_set:
+                bucket = _bucket(buckets, idx[:pos] + idx[pos + 1 :])
+                key = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
+                term = -c if pos % 2 else c
+                s = bucket.get(key)
+                bucket[key] = term if s is None else s + term
+    return KForm._make(chart, k - 1, polys_from_buckets(chart, buckets, den * w))

@@ -29,9 +29,10 @@ rows on the r + 2 free columns N, against which ``leaf-relations`` checks
 that the frame is tangent to the Casimirs.  Nor do alpha and beta need an
 elimination: a skew pi(q) of rank 2 whose image is span(u, v), with u
 orthogonal to v, sends v to rho * u and u to sigma * v.
-With P = d * pi(q) the integer matrix the kernel gives, alpha = (d / rho) v
-and beta = (d / sigma) u; both proportionalities are checked in every
-component by cross-multiplication.
+With P = d * pi(q) an integer matrix, alpha = (d / rho) v and
+beta = (d / sigma) u; both proportionalities are checked in every
+component by cross-multiplication.  For pi = k pi_0, P is k(q) times the
+entries of pi_0 the frame kernel has just read, so they are read once.
 
 The closed form (``audit_leaf_formulas``, run by ``leaf-audit``) uses
 that a rank-2 bivector is pi = |pi| u^v in an orthonormal leaf frame, so
@@ -74,8 +75,12 @@ class LeafFrame:
     u_norm_sq: int
     v_norm_sq: int
     #: the kept (non-coordinate) Casimir gradients at the point on the free columns N
-    #: (``FibrationModel.casimir_split``), one row per kept Casimir, all times one positive integer
+    #: (``FibrationModel.casimir_split``), one row per kept Casimir, all times ``scale``
     gradients: tuple[tuple[int, ...], ...]
+    #: the entries of pi_0(q) in the order of ``determinant_bivector.terms``, times ``scale``
+    pi0: tuple[int, ...]
+    #: the positive integer the frame kernel scales its values by
+    scale: int
     #: the point as integer numerators over one positive denominator
     scaled_point: IntegerPoint
 
@@ -96,7 +101,7 @@ def _skew_apply(keys: Iterable[tuple[int, ...]], entries: Sequence[int], x: Sequ
 def leaf_frame(model: FibrationModel, q: Point) -> LeafFrame:
     """Two orthogonal spanning vectors of the leaf tangent plane at q, read off the image of pi_0(q)."""
     point = integer_point(q)
-    values, _ = model.frame_kernel(*point)
+    values, scale = model.frame_kernel(*point)
     free = model.casimir_split.free
     width = len(free)
     size = width * len(model.casimir_split.rows)
@@ -119,7 +124,7 @@ def leaf_frame(model: FibrationModel, q: Point) -> LeafFrame:
     v = linalg.primitive(_skew_apply(keys, entries, u))
     if v[g] < 0:
         v = [-x for x in v]
-    return LeafFrame(tuple(u), tuple(v), _dot(u, u), _dot(v, v), rows, point)
+    return LeafFrame(tuple(u), tuple(v), _dot(u, u), _dot(v, v), rows, tuple(entries), scale, point)
 
 
 def solve_structure_covector(
@@ -176,7 +181,9 @@ def _multiplier(y: Sequence[int], x: Sequence[int], what: str) -> tuple[int, int
 def leaf_coefficient(b: PoissonBivector, q: Point) -> LeafCoefficient:
     """lambda of b at q from the closed-form solutions of pi . alpha = u and pi . beta = v.
 
-    The leaf frame is that of ``b.model``.  A rank-2 pi(q) whose image is
+    The leaf frame is that of ``b.model``.  When b's base is the model's
+    pi_0, pi(q) is k(q) times the frame's pi_0 entries; another base is read
+    from ``b.entry_kernel``.  A rank-2 pi(q) whose image is
     the leaf plane sends v to a nonzero multiple rho u and u to a nonzero
     multiple sigma v; InconsistentSystem is raised where it does not, and
     where lambda^2 differs from 1 / sum_{i<j} (pi^{ij})^2 (a pi of rank
@@ -184,10 +191,17 @@ def leaf_coefficient(b: PoissonBivector, q: Point) -> LeafCoefficient:
     """
     frame = leaf_frame(b.model, q)
     u, v, uu, vv = frame.u, frame.v, frame.u_norm_sq, frame.v_norm_sq
-    entries, d = b.entry_kernel(*frame.scaled_point)
-    # P = d * pi(q): P.v = rho * u and P.u = sigma * v, rho = a / c and sigma = e / f
-    a, c = _multiplier(_skew_apply(b.pi.terms, entries, v), u, "pi.v is not a nonzero multiple of u")
-    e, f = _multiplier(_skew_apply(b.pi.terms, entries, u), v, "pi.u is not a nonzero multiple of v")
+    if b.base is b.model.determinant_bivector:
+        # pi(q) = k(q) pi_0(q), and the frame has just read pi_0(q)
+        (kq,), ks = b.k_kernel(*frame.scaled_point)
+        entries, d = [kq * x for x in frame.pi0], ks * frame.scale
+    else:
+        entries, d = b.entry_kernel(*frame.scaled_point)
+    # P = d * pi(q), one entry per key of base (and of pi = k base): P.v = rho * u and P.u = sigma * v,
+    # rho = a / c and sigma = e / f
+    keys = b.base.terms
+    a, c = _multiplier(_skew_apply(keys, entries, v), u, "pi.v is not a nonzero multiple of u")
+    e, f = _multiplier(_skew_apply(keys, entries, u), v, "pi.u is not a nonzero multiple of v")
     # alpha = (d / rho) v and beta = (d / sigma) u, so <alpha, v> = d |v|^2 / rho and <beta, u> = d |u|^2 / sigma
     # lambda^2 = <alpha, v>^2 / (|u|^2 |v|^2) = 1 / sum_{i<j} (pi^{ij})^2, with P = d * pi
     if vv * c * c * _dot(entries, entries) != uu * a * a:

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Poly, add_product
+from .poly import Poly, add_product, lifted, poly_over
 
 
 def primitive(vec: list[int]) -> list[int]:
@@ -166,14 +166,19 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
             range(k),
             key=lambda c: sum(1 for r in range(k) if not rows[row_idx[r]][col_idx[c]].is_zero()),
         )
-        total: dict = {}
         cols_rest = col_idx[:best_c] + col_idx[best_c + 1 :]
+        signs, entries, minors = [], [], []
         for r in range(k):
             entry = rows[row_idx[r]][col_idx[best_c]]
-            if entry.is_zero():
-                continue
-            minor = det(row_idx[:r] + row_idx[r + 1 :], cols_rest)
-            add_product(total, entry, minor, -1 if (r + best_c) % 2 else 1)
-        return Poly._make(chart, {e: c for e, c in total.items() if c})
+            if not entry.is_zero():
+                signs.append(-1 if (r + best_c) % 2 else 1)
+                entries.append(entry)
+                minors.append(det(row_idx[:r] + row_idx[r + 1 :], cols_rest))
+        # one denominator for the column's entries and one for their minors
+        (de, entries), (dm, minors) = lifted(entries), lifted(minors)
+        total: dict = {}
+        for sign, entry, minor in zip(signs, entries, minors):
+            add_product(total, entry, minor, sign)
+        return poly_over(chart, total, de * dm)
 
     return det(tuple(range(n)), tuple(range(n)))

@@ -45,6 +45,11 @@ class PoissonBivector:
         return self.pi.coefficient_matrix(point)
 
     @cached_property
+    def k_kernel(self) -> IntegerKernel:
+        """k alone, compiled for integer points."""
+        return IntegerKernel(self.model.chart, [self.k])
+
+    @cached_property
     def entry_kernel(self) -> IntegerKernel:
         """The entries pi^{ij}, i < j, in the order of ``pi.terms``, compiled for integer points."""
         return IntegerKernel(self.model.chart, list(self.pi.terms.values()))

@@ -7,6 +7,11 @@ the geometry layers (forms, bivectors, fibration components) is built on
 this type; floating point only ever appears when a report renders a
 decimal for a human.
 
+Products, determinants, compositions and the exterior operators
+accumulate integer numerators over one denominator per operation
+(``lifted``, ``add_product``) and build each nonzero coefficient's
+Fraction once, at the end (``polys_from_buckets``).
+
 A Chart fixes the ordered variable list.  The first ``n_geom`` names are
 geometric coordinates (they carry basis covectors/vectors and are the
 directions of exterior differentiation); any trailing names are formal
@@ -26,7 +31,8 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence, Union
+from functools import cache
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 Exponent = tuple[int, ...]
 Rational = Union[int, Fraction]
@@ -45,27 +51,58 @@ def add_term(out: dict, key, value) -> None:
         out.pop(key, None)
 
 
-def add_product(out: dict[Exponent, Fraction], p: "Poly", q: "Poly", sign: int = 1) -> None:
-    """Add ``sign * p * q`` into the term dict ``out`` in place.
+def lifted(polys: Iterable["Poly"]) -> tuple[int, list[dict[Exponent, int]]]:
+    """One positive denominator D for the polynomials, and each one's terms as integer numerators over D."""
+    terms = [p.terms for p in polys]
+    den = math.lcm(*[c.denominator for t in terms for c in t.values()])
+    return den, [numerators(t, den) for t in terms]
 
-    A sum that reaches zero stays stored; ``polys_from_buckets`` (or the
-    caller) drops it once, at the end.
+
+def numerators(terms: Mapping[Exponent, Fraction], den: int) -> dict[Exponent, int]:
+    """The terms as integer numerators over ``den``, a multiple of every coefficient's denominator."""
+    if den == 1:
+        return {e: c.numerator for e, c in terms.items()}
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def add_product(out: dict[Exponent, int], p: dict[Exponent, int], q: dict[Exponent, int], factor: int = 1) -> None:
+    """Add ``factor * p * q`` into ``out`` in place; all three are term dicts of integer numerators.
+
+    A sum that reaches zero stays stored; ``poly_over`` drops it once, at
+    the end.
     """
-    for e1, c1 in p.terms.items():
-        if sign < 0:
-            c1 = -c1
-        for e2, c2 in q.terms.items():
+    for e1, c1 in p.items():
+        c1 *= factor
+        for e2, c2 in q.items():
             key = tuple(map(operator.add, e1, e2))
-            c = c1 * c2
             s = out.get(key)
-            out[key] = c if s is None else s + c
+            out[key] = c1 * c2 if s is None else s + c1 * c2
 
 
-def polys_from_buckets(chart: "Chart", buckets: Mapping[object, dict[Exponent, Fraction]]) -> dict:
-    """``{index: term dict}`` as ``{index: Poly}``, without zero terms or zero polynomials."""
+def _power(p: dict[Exponent, int], e: int) -> dict[Exponent, int]:
+    """The term dict of integer numerators ``p`` to the power e >= 1."""
+    out = p
+    for _ in range(e - 1):
+        out, prev = {}, out
+        add_product(out, prev, p)
+    return out
+
+
+def poly_over(chart: "Chart", terms: dict[Exponent, int], den: int) -> "Poly":
+    """The Poly with the integer numerators ``terms`` over ``den``: one Fraction, in lowest terms, per nonzero one."""
+    if den == 1:
+        return Poly._make(chart, {e: Fraction(n) for e, n in terms.items() if n})
+    return Poly._make(chart, {e: Fraction(n, den) for e, n in terms.items() if n})
+
+
+def polys_from_buckets(chart: "Chart", buckets: Mapping[object, dict[Exponent, int]], den: int) -> dict:
+    """``{index: integer numerators over den}`` as ``{index: Poly}``, without zero terms or zero polynomials."""
     out = {}
     for idx, terms in buckets.items():
-        clean = {e: c for e, c in terms.items() if c}
+        if den == 1:
+            clean = {e: Fraction(n) for e, n in terms.items() if n}
+        else:
+            clean = {e: Fraction(n, den) for e, n in terms.items() if n}
         if clean:
             out[idx] = Poly._make(chart, clean)
     return out
@@ -197,9 +234,11 @@ class Poly:
         _require_same_chart(self, other)
         if not (self.terms and other.terms):  # the zero operand is the product
             return other if self.terms else self
-        out: dict[Exponent, Fraction] = {}
-        add_product(out, self, other)
-        return Poly._make(self.chart, {e: c for e, c in out.items() if c})
+        p, q = self.terms, other.terms
+        dp, dq = math.lcm(*[c.denominator for c in p.values()]), math.lcm(*[c.denominator for c in q.values()])
+        out: dict[Exponent, int] = {}
+        add_product(out, numerators(p, dp), numerators(q, dq))
+        return poly_over(self.chart, out, dp * dq)
 
     __rmul__ = __mul__
 
@@ -317,15 +356,22 @@ class Poly:
         """p(images[0], ..., images[dim-1]): one image on ``chart`` per variable of p."""
         if len(images) != self.chart.dim:
             raise ValueError(f"{len(images)} images for a chart of dim {self.chart.dim}")
-        out: dict[Exponent, Fraction] = {}
-        for exp, c in self.terms.items():
-            term = chart.const(c)
-            for image, e in zip(images, exp):
-                if e:
-                    term = term * image**e
-            for key, value in term.terms.items():
-                add_term(out, key, value)
-        return Poly._make(chart, out)
+        if any(image.chart != chart for image in images):
+            raise ChartMismatch(f"every image must live on chart {chart.names}")
+        # a term of degree d is c * prod images^e over dp * di^d, padded to the top degree by di
+        (dp, (p,)), (di, nums) = lifted([self]), lifted(images)
+        top = max(map(sum, p), default=0)
+        power = cache(lambda i, e: _power(nums[i], e))  # each power of an image once per call
+        zero = (0,) * chart.dim
+        out: dict[Exponent, int] = {}
+        for exp, c in p.items():
+            term = {zero: c * di ** (top - sum(exp))}
+            factors = [power(i, e) for i, e in enumerate(exp) if e] or [{zero: 1}]
+            for factor in factors[:-1]:
+                term, prev = {}, term
+                add_product(term, prev, factor)
+            add_product(out, term, factors[-1])
+        return poly_over(chart, out, dp * di**top)
 
     # -- rendering ----------------------------------------------------------
 

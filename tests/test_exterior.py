@@ -24,7 +24,7 @@ from singfib.exterior import (
     volume_form,
     wedge,
 )
-from singfib.poly import CHART6, Chart
+from singfib.poly import CHART6, Chart, Poly
 
 from test_poly import rand_poly
 
@@ -90,6 +90,24 @@ def test_leibniz():
         ka, kb = rng.randint(0, 3), rng.randint(0, 3)
         a, b = rand_form(CHART6, rng, ka), rand_form(CHART6, rng, kb)
         assert ext_d(wedge(a, b)) == wedge(ext_d(a), b) + wedge(a, ext_d(b)).scale(Fraction((-1) ** ka))
+
+
+@pytest.mark.parametrize("cls", [KForm, KVector])
+def test_scaling_by_a_rational_runs_no_product(monkeypatch, cls):
+    # +-1 hand back the element or its negation; any other rational scales each coefficient
+    rng = random.Random(f"scale:{cls.__name__}")
+    a = cls(CHART6, 2, dict(rand_form(CHART6, rng, 2).terms))
+    want = {c: a.scale(CHART6.const(c)) for c in (Fraction(3, 2), -7, 0)}
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda p, q: products.append(q) or mul(p, q))
+    assert a.scale(1) is a and a.scale(Fraction(1)) is a
+    assert a.scale(-1) == -a and a.scale(-1).terms
+    for c, scaled in want.items():
+        assert a.scale(c) == scaled
+    assert products == []
+    with pytest.raises(TypeError):
+        a.scale(1.0)
 
 
 # -- pullback --------------------------------------------------------------------------

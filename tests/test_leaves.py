@@ -128,6 +128,28 @@ def test_k_scaling_halves_the_coefficient():
     assert two.value_sq * 4 == one.value_sq
 
 
+def leaf_outcome(b: PoissonBivector, q):
+    try:
+        coeff = leaf_coefficient(b, q)
+    except linalg.InconsistentSystem as exc:
+        return str(exc)
+    return coeff.frame, coeff.pairing_uv, coeff.pairing_vu
+
+
+@pytest.mark.parametrize("k", ["1", "-3/2", "1 + x1^2", "x1 - 2*t1", "x1 - 1"])
+def test_pi_from_the_frame_entries_equals_pi_read_by_its_own_kernel(k):
+    # for every k, pi(q) is k(q) times the pi_0 entries the frame has read; the same pi as a base
+    # of its own is read through its entry kernel, which the first bivector never compiles
+    model = get_model("cusp", 3)
+    b = flaschka_ratiu(model, poly.parse_poly(k, CHART6))
+    own = PoissonBivector(model, CHART6.one(), b.pi)
+    rng = random.Random(f"pi0:{k}")
+    # k = x1 - 1 vanishes at CUSP_POINT, where both raise
+    for q in [CUSP_POINT, *(random_noncritical_point(model, rng) for _ in range(10))]:
+        assert leaf_outcome(b, q) == leaf_outcome(own, q), q
+    assert "entry_kernel" not in vars(b) and "entry_kernel" in vars(own)
+
+
 def test_solution_ambiguity_invariant():
     model = get_model("cusp", 3)
     b = flaschka_ratiu(model, 1)
@@ -255,11 +277,11 @@ def elimination_frame(model, q):
 
     The two primitive vectors of ``integer_nullspace`` of the kept rows on N,
     padded with zeros off N, are u and w, and one integer Gram-Schmidt step
-    gives v.  Only the gradient rows of ``frame_kernel`` are read, not the
-    entries of pi_0 that follow them.
+    gives v.  Only the gradient rows of ``frame_kernel`` are read for the
+    frame; the entries of pi_0 that follow them are passed through.
     """
     point = poly.integer_point(q)
-    values, _ = model.frame_kernel(*point)
+    values, scale = model.frame_kernel(*point)
     free = model.casimir_split.free
     width = len(free)
     rows = tuple(tuple(values[r : r + width]) for r in range(0, width * len(model.casimir_split.rows), width))
@@ -273,7 +295,8 @@ def elimination_frame(model, q):
         for a, x in zip(free, vec):
             full[a] = x
     v = linalg.primitive(gram_schmidt_step(u, w))
-    return leaves.LeafFrame(tuple(u), tuple(v), leaves._dot(u, u), leaves._dot(v, v), rows, point)
+    pi0 = tuple(values[width * len(rows) :])
+    return leaves.LeafFrame(tuple(u), tuple(v), leaves._dot(u, u), leaves._dot(v, v), rows, pi0, scale, point)
 
 
 def frame_or_error(frame_fn, model, q):

@@ -332,6 +332,20 @@ def test_a_zero_on_another_chart_still_mismatches():
                 op(p, q)
 
 
+def test_compose_checks_its_images():
+    p = CHART6.var("x1") ** 2 * Fraction(1, 3) + CHART6.var("t2")
+    other = Chart(("a", "b"))
+    images = [other.var("a")] * 6
+    with pytest.raises(ChartMismatch):
+        p.compose(images, Chart(("a", "b", "c")))
+    with pytest.raises(ValueError):
+        p.compose(images[:5], other)
+    # x1 -> a/2 + b, t2 -> 3, the rest -> 0: (a/2 + b)^2 / 3 + 3
+    images = [other.zero(), other.const(3), other.zero(), other.var("a") * Fraction(1, 2) + other.var("b")]
+    got = p.compose(images + [other.zero(), other.zero()], other)
+    assert got == parse_poly("1/12*a^2 + 1/3*a*b + 1/3*b^2 + 3", other)
+
+
 def test_substitute():
     c = CHART6
     x1, t1 = c.var("x1"), c.var("t1")

@@ -12,7 +12,10 @@ with one or several right-hand sides) is checked against a plain
 Gauss-Jordan elimination over Fractions kept here as the oracle; the
 exterior operators that add coefficients in place (wedge, d, interior,
 pullback, the homotopy operator) against the same operators summed one
-``Poly`` at a time;
+``Poly`` at a time; ``Poly.__mul__``, ``Poly.compose`` and ``linalg.poly_det``,
+which multiply integer numerators over one denominator per operation,
+against Fraction term-loop products (``test_poly._term_loop_product``), on
+coefficients with denominators up to about 10^6;
 ``Poly.evaluate`` against a term-by-term sum and the ring axioms;
 ``poly.IntegerKernel`` against ``Poly.evaluate`` times its scale;
 ``linalg.primitive`` against division by the gcd of the entries and
@@ -28,7 +31,7 @@ from __future__ import annotations
 import re
 import string
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd, prod
 
 import pytest
@@ -68,16 +71,24 @@ from singfib.poly import (
     parse_poly,
 )
 from singfib.poisson import PoissonBivector, jacobi, self_bracket
+from test_poly import _term_loop_product
 
 SETTINGS = settings(max_examples=25, deadline=None)
 NG = CHART6.n_geom
 
 rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+#: pairwise coprime denominators up to about 10^6, so the accumulators' lcms grow past any one of them
+COPRIME_DENOMINATORS = [7, 9, 10, 11, 997, 65_537, 999_983, 1_000_003]
+#: polynomial coefficients: the small rationals, and numerators and denominators up to about 10^6
+coefficients = st.one_of(
+    rationals,
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.sampled_from(COPRIME_DENOMINATORS) | st.integers(1, 10**6)),
+)
 
 
 def polys(max_terms: int = 3, max_exp: int = 2) -> st.SearchStrategy[Poly]:
     exponents = st.tuples(*[st.integers(0, max_exp)] * CHART6.dim)
-    return st.dictionaries(exponents, rationals, max_size=max_terms).map(lambda t: Poly(CHART6, t))
+    return st.dictionaries(exponents, coefficients, max_size=max_terms).map(lambda t: Poly(CHART6, t))
 
 
 def graded(cls, degree: int, max_terms: int = 3) -> st.SearchStrategy[_Graded]:
@@ -97,7 +108,9 @@ maps = st.tuples(*[polys(2, 1)] * CHART6.dim).map(lambda comps: PolyMap(CHART6, 
 def assert_clean(x: Poly | _Graded) -> None:
     if isinstance(x, Poly):
         for exp, c in x.terms.items():
+            # never a float or an int, never zero, and in lowest terms over a positive denominator
             assert type(c) is Fraction and c != 0
+            assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
             assert len(exp) == x.chart.dim and all(type(e) is int and e >= 0 for e in exp)
         assert Poly(x.chart, x.terms) == x
         return
@@ -278,6 +291,75 @@ def test_forced_cancellations_leave_a_clean_zero_of_the_right_degree(a, m, b, v,
     for got, want in cases:
         assert got.is_zero()
         assert_same(got, want)
+
+
+# -- the integer accumulators against term-loop oracles -----------------------------------
+# Products, compositions and determinants multiply integer numerators over one denominator
+# per operation; the oracles multiply Fraction coefficients one term pair at a time.
+
+
+def oracle_compose(p: Poly, images, chart: Chart) -> Poly:
+    out: dict = {}
+    for exp, c in p.terms.items():
+        term = chart.const(c)
+        for image, e in zip(images, exp):
+            for _ in range(e):
+                term = _term_loop_product(term, image)
+        for key, value in term.terms.items():
+            add_term(out, key, value)
+    return Poly(chart, out)
+
+
+def oracle_det(rows) -> Poly:
+    """The Leibniz formula: a signed term-loop product per permutation."""
+    chart = rows[0][0].chart
+    out: dict = {}
+    for perm in permutations(range(len(rows))):
+        term = chart.const(permutation_sign(perm))
+        for r, c in enumerate(perm):
+            term = _term_loop_product(term, rows[r][c])
+        for key, value in term.terms.items():
+            add_term(out, key, value)
+    return Poly(chart, out)
+
+
+# square matrices up to 3 x 3 of small polynomials, zero entries included
+poly_matrices = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(polys(2, 1), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+images = st.lists(polys(2, 1), min_size=CHART6.dim, max_size=CHART6.dim)
+BIG = Poly(CHART6, {(1, 0, 0, 0, 0, 0): Fraction(1, 999_983), (0, 0, 0, 1, 0, 0): Fraction(-5, 1_000_003)})
+
+
+@SETTINGS
+@given(polys(), polys(), images, poly_matrices)
+@example(BIG, BIG, [BIG] * CHART6.dim, [[BIG, BIG.scale(Fraction(1, 65_537))], [BIG, CHART6.var("x1")]])
+def test_integer_accumulators_match_their_term_loop_oracles(p, q, imgs, rows):
+    for got, want in [
+        (p * q, _term_loop_product(p, q)),
+        # the cross terms cancel in the sum, and a repeated row cancels every term
+        ((p + q) * (p - q), _term_loop_product(p + q, p - q)),
+        (p.compose(imgs, CHART6), oracle_compose(p, imgs, CHART6)),
+        (linalg.poly_det(rows), oracle_det(rows)),
+        (linalg.poly_det([[p, q], [p, q]]), CHART6.zero()),
+    ]:
+        assert_clean(got)
+        assert got == want
+
+
+@SETTINGS
+@given(forms, forms, vector_fields, maps, positive_forms, polys(), polys(), poly_matrices)
+def test_accumulator_outputs_are_nonzero_fractions_in_lowest_terms(a, b, v, f, p, g, h, rows):
+    for result in (
+        wedge(a, b),
+        ext_d(a),
+        interior(v, a),
+        pullback(a, f),
+        poincare_homotopy(p),
+        g * h,
+        linalg.poly_det(rows),
+    ):
+        assert_clean(result)
 
 
 # -- the public constructors stay the boundary ------------------------------------------
@@ -469,7 +551,7 @@ def test_evaluate_equals_term_by_term_sum(p, point):
 
 def chart_polys(chart: Chart) -> st.SearchStrategy[Poly]:
     exponents = st.tuples(*[st.integers(0, 3)] * chart.dim)
-    general = st.dictionaries(exponents, rationals, max_size=4).map(lambda t: Poly(chart, t))
+    general = st.dictionaries(exponents, coefficients, max_size=4).map(lambda t: Poly(chart, t))
     # rationals include 0, so the constants include the zero polynomial
     return st.one_of(general, rationals.map(chart.const))
 

@@ -109,17 +109,6 @@ class FibrationModel:
         return CasimirSplit(tuple(units), rows, free)
 
     @cached_property
-    def frame_kernel(self) -> IntegerKernel:
-        """The kept gradient rows on the free columns N, row after row, then the entries of ``determinant_bivector``.
-
-        The leaf frame is the image of pi_0(q), read off the entries; the
-        rows are kept to check that the frame is tangent to the Casimirs.
-        """
-        _, rows, free = self.casimir_split
-        grads = [self.casimir_gradients[k][a] for k in rows for a in free]
-        return IntegerKernel(self.chart, [*grads, *self.determinant_bivector.terms.values()])
-
-    @cached_property
     def casimir_determinants(self) -> dict[tuple[int, int], Poly]:
         """The nonzero det(e_i | e_j | grad C_1 | ... | grad C_{2n-2}), i < j, expanded once per model.
 
@@ -152,11 +141,6 @@ class FibrationModel:
     def determinant_bivector(self) -> KVector:
         """``casimir_determinants`` as the bivector sum_{i<j} det_{ij} e_i ^ e_j (k = 1)."""
         return KVector(self.chart, 2, self.casimir_determinants)
-
-    @cached_property
-    def critical_kernel(self) -> IntegerKernel:
-        """``critical_locus``, compiled once per model for integer points."""
-        return IntegerKernel(self.chart, list(self.critical_locus))
 
 
 def deformation_symbol(chart: Chart, param: Fraction | None) -> Poly:
@@ -312,8 +296,8 @@ def noncritical_sample(
 ) -> tuple[IntegerPoint, list[int], int]:
     """A random non-critical point, the kernel's values there past the critical rows, and their scale.
 
-    ``kernel`` starts with the critical equations (``noncritical_kernel``, or ``critical_kernel``): one
-    read per draw both rejects a critical point and gives what the caller reads.
+    ``kernel`` starts with the critical equations (``noncritical_kernel``): one read per draw both
+    rejects a critical point and gives what the caller reads.
     """
     m = len(model.critical_locus)
     for _ in range(1000):
@@ -325,7 +309,8 @@ def noncritical_sample(
 
 
 def random_noncritical_point(model: FibrationModel, rng: random.Random) -> IntegerPoint:
-    return noncritical_sample(model, model.critical_kernel, rng)[0]
+    """A random non-critical point, drawn through a kernel of the critical equations alone compiled per call."""
+    return noncritical_sample(model, noncritical_kernel(model, ()), rng)[0]
 
 
 def critical_points_sample(model: FibrationModel, count: int, rng: random.Random) -> list[IntegerPoint]:

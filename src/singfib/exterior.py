@@ -113,9 +113,13 @@ class _Graded:
 
     def scale(self, f: Poly | Rational) -> "_Graded":
         if isinstance(f, Poly):
-            # a product of nonzero polynomials is nonzero
-            terms = {i: f * c for i, c in self.terms.items()} if f else {}
-            return self._make(self.chart, self.degree, terms)
+            if f.chart != self.chart:
+                raise ChartMismatch("scaling function lives on a different chart")
+            if not f.is_constant():
+                # a product of nonzero polynomials is nonzero
+                return self._make(self.chart, self.degree, {i: f * c for i, c in self.terms.items()})
+            # a constant (0 included) scales as its rational
+            f = f.constant_value()
         f = _exact(f)
         if f == 1:
             return self

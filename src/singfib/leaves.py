@@ -12,35 +12,34 @@ the rational lambda^2.  Square roots never appear: frames stay
 unnormalized and carry their squared norms.
 
 Each point stays in integers from start to end.  The sampler draws it
-as q = Q / D (``poly.IntegerPoint``; a point given as Fractions is scaled
-once by ``poly.integer_point``), Fractions of q are built only for a record
-that prints it, and the gradient entries and the entries of pi are read
-from integer kernels compiled once per model and per bivector
-(``poly.IntegerKernel``), as positive integer multiples of their values.
-A coordinate Casimir's row is a unit vector e_a, which only pins x_a = 0
-(``FibrationModel.casimir_split``).  The leaf plane is the image of the
-determinant bivector pi_0(q) = *(dC_1 ^ ... ^ dC_{2n-2}) (Damianou-Petalidou,
-Canad. J. Math. 2012), whose entries the model expands once
-(``FibrationModel.casimir_determinants``) and the frame kernel reads at q
-(``FibrationModel.frame_kernel``), so the frame needs no elimination: u is
-pi_0(q) e_f' and v = pi_0(q) u, the frame an elimination and one integer
-Gram-Schmidt step would give.  The kernel also reads the other r gradient
-rows on the r + 2 free columns N, against which ``leaf-relations`` checks
-that the frame is tangent to the Casimirs.  Nor do alpha and beta need an
-elimination: a skew pi(q) of rank 2 whose image is span(u, v), with u
-orthogonal to v, sends v to rho * u and u to sigma * v.
-With P = d * pi(q) an integer matrix, alpha = (d / rho) v and
-beta = (d / sigma) u; both proportionalities are checked in every
-component by cross-multiplication.  For pi = k pi_0, P is k(q) times the
-entries of pi_0 the frame kernel has just read, so they are read once.
+as q = Q / D (``poly.IntegerPoint``), Fractions of q are built only for a
+record that prints it, and ``leaf-relations`` reads one integer kernel per
+drawn point (``leaf_kernel``, drawn through ``catalog.noncritical_sample``),
+compiled once per check: the critical equations, which reject a critical
+draw, then the kept gradient rows on the free columns N, then the entries
+of pi, all as positive integer multiples of their values.  A coordinate
+Casimir's row is a unit vector e_a, which only pins x_a = 0
+(``FibrationModel.casimir_split``).  The symplectic leaves of a rank-2
+pi = k pi_0 are the Casimir fibres, so the leaf plane is the image of pi(q)
+itself (pi_0 the determinant bivector *(dC_1 ^ ... ^ dC_{2n-2}),
+Damianou-Petalidou, Canad. J. Math. 2012), and the frame needs no
+elimination: u is pi(q) e_f' and v = pi(q) u, the frame an elimination and
+one integer Gram-Schmidt step would give.  ``leaf-relations`` checks that
+frame against the gradient rows, so a pi whose image leaves the leaf plane
+fails tangency.  Nor do alpha and beta need an elimination: a skew pi(q) of
+rank 2 whose image is span(u, v), with u orthogonal to v, sends v to rho * u
+and u to sigma * v.  With P = d * pi(q) the integer matrix the kernel read,
+alpha = (d / rho) v and beta = (d / sigma) u; both proportionalities are
+checked in every component by cross-multiplication, and a pi(q) of rank
+above 2 fails one of them or the lambda^2 identity below.
 
 The closed form (``audit_leaf_formulas``, run by ``leaf-audit``) uses
 that a rank-2 bivector is pi = |pi| u^v in an orthonormal leaf frame, so
 lambda^2 = 1 / sum_{i<j} (pi^{ij})^2 at every non-critical point.  The
 frame derivation checks exactly that identity at each of its points,
 which ties the two derivations together.  The audit reads one kernel per
-drawn point (``catalog.noncritical_sample``): the critical equations, the
-entries of pi, and the claim's num and den factors.
+drawn point too: the critical equations, the entries of pi, and the
+claim's num and den factors.
 """
 
 from __future__ import annotations
@@ -53,9 +52,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .catalog import FibrationModel, noncritical_kernel, noncritical_sample, random_noncritical_point
+from .catalog import FibrationModel, noncritical_kernel, noncritical_sample
 from .poisson import PoissonBivector, flaschka_ratiu
-from .poly import IntegerPoint, Point, Rational, integer_point
+from .poly import IntegerKernel, IntegerPoint, Rational
 from .report import FAIL, MISMATCH, PASS, CheckReport
 from .reference import leaf_claim
 
@@ -68,21 +67,15 @@ class SingularPoint(ValueError):
 class LeafFrame:
     """Orthogonal leaf-tangent pair with exact squared-norm certificates."""
 
-    #: primitive integer vectors in the image of pi_0(q), zero off N: u is pi_0(q) e_f' with u[f] > 0, for
-    #: f < f' the last key of pi_0's terms with pi_0^{ff'}(q) != 0, and v is pi_0(q) u with v[f'] > 0
+    #: primitive integer vectors in the image of pi(q): u is pi(q) e_f' with u[f] > 0, for f < f' the last
+    #: key of pi's terms with pi^{ff'}(q) != 0, and v is pi(q) u with v[f'] > 0
     u: tuple[int, ...]
     v: tuple[int, ...]
     u_norm_sq: int
     v_norm_sq: int
     #: the kept (non-coordinate) Casimir gradients at the point on the free columns N
-    #: (``FibrationModel.casimir_split``), one row per kept Casimir, all times ``scale``
+    #: (``FibrationModel.casimir_split``), one row per kept Casimir, all times one positive integer
     gradients: tuple[tuple[int, ...], ...]
-    #: the entries of pi_0(q) in the order of ``determinant_bivector.terms``, times ``scale``
-    pi0: tuple[int, ...]
-    #: the positive integer the frame kernel scales its values by
-    scale: int
-    #: the point as integer numerators over one positive denominator
-    scaled_point: IntegerPoint
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -98,25 +91,42 @@ def _skew_apply(keys: Iterable[tuple[int, ...]], entries: Sequence[int], x: Sequ
     return out
 
 
-def leaf_frame(model: FibrationModel, q: Point) -> LeafFrame:
-    """Two orthogonal spanning vectors of the leaf tangent plane at q, read off the image of pi_0(q)."""
-    point = integer_point(q)
-    values, scale = model.frame_kernel(*point)
-    free = model.casimir_split.free
+def leaf_kernel(b: PoissonBivector) -> IntegerKernel:
+    """The one kernel ``leaf-relations`` reads per drawn point (``catalog.noncritical_sample``).
+
+    The critical equations, then the kept gradient rows on the free
+    columns N, row after row, then the entries of pi in the order of
+    ``b.pi.terms``.
+    """
+    model = b.model
+    _, rows, free = model.casimir_split
+    grads = [model.casimir_gradients[k][a] for k in rows for a in free]
+    return noncritical_kernel(model, [*grads, *b.pi.terms.values()])
+
+
+def leaf_frame(b: PoissonBivector, q: IntegerPoint, values: Sequence[int]) -> LeafFrame:
+    """Two orthogonal spanning vectors of the image of pi(q), from one read of ``leaf_kernel(b)`` at q.
+
+    ``values`` are the kernel's values past the critical rows, as
+    ``noncritical_sample`` returns them, all times one positive integer.
+    q only names the point in the message of ``SingularPoint``, raised
+    where pi(q) = 0.
+    """
+    free = b.model.casimir_split.free
     width = len(free)
-    size = width * len(model.casimir_split.rows)
+    size = width * len(b.model.casimir_split.rows)
     rows = tuple(tuple(values[r : r + width]) for r in range(0, size, width))
-    # P = d * pi_0(q), one entry per key, d > 0
-    keys, entries = model.determinant_bivector.terms, values[size:]
+    # P = d * pi(q), d > 0, one entry per key
+    keys, entries = b.pi.terms, values[size:]
     pairs = [ij for ij, e in zip(keys, entries) if e]
     if not pairs:
         raise SingularPoint(
-            f"Casimir differentials drop rank at {tuple(point.fractions())}: "
+            f"Casimir differentials drop rank at {tuple(q.fractions())}: "
             f"kernel dimension {width - linalg.rank(rows)}"
         )
     f, g = pairs[-1]
     # u = P e_f' has u[f] = P[f][f'] != 0 and u[f'] = 0; v = P u is in the image too and orthogonal to u
-    e = [0] * model.chart.n_geom
+    e = [0] * b.model.chart.n_geom
     e[g] = 1
     u = linalg.primitive(_skew_apply(keys, entries, e))
     if u[f] < 0:
@@ -124,7 +134,7 @@ def leaf_frame(model: FibrationModel, q: Point) -> LeafFrame:
     v = linalg.primitive(_skew_apply(keys, entries, u))
     if v[g] < 0:
         v = [-x for x in v]
-    return LeafFrame(tuple(u), tuple(v), _dot(u, u), _dot(v, v), rows, tuple(entries), scale, point)
+    return LeafFrame(tuple(u), tuple(v), _dot(u, u), _dot(v, v), rows)
 
 
 def solve_structure_covector(
@@ -178,45 +188,41 @@ def _multiplier(y: Sequence[int], x: Sequence[int], what: str) -> tuple[int, int
     return a, c
 
 
-def leaf_coefficient(b: PoissonBivector, q: Point) -> LeafCoefficient:
+def leaf_coefficient(b: PoissonBivector, q: IntegerPoint, values: Sequence[int], scale: int) -> LeafCoefficient:
     """lambda of b at q from the closed-form solutions of pi . alpha = u and pi . beta = v.
 
-    The leaf frame is that of ``b.model``.  When b's base is the model's
-    pi_0, pi(q) is k(q) times the frame's pi_0 entries; another base is read
-    from ``b.entry_kernel``.  A rank-2 pi(q) whose image is
-    the leaf plane sends v to a nonzero multiple rho u and u to a nonzero
+    Takes the one read of ``leaf_kernel(b)`` that ``leaf_frame`` takes, and
+    reads pi(q) from the same entries.  A rank-2 pi(q) whose image is
+    span(u, v) sends v to a nonzero multiple rho u and u to a nonzero
     multiple sigma v; InconsistentSystem is raised where it does not, and
     where lambda^2 differs from 1 / sum_{i<j} (pi^{ij})^2 (a pi of rank
-    above 2 that keeps the leaf plane).
+    above 2).
     """
-    frame = leaf_frame(b.model, q)
+    frame = leaf_frame(b, q, values)
     u, v, uu, vv = frame.u, frame.v, frame.u_norm_sq, frame.v_norm_sq
-    if b.base is b.model.determinant_bivector:
-        # pi(q) = k(q) pi_0(q), and the frame has just read pi_0(q)
-        (kq,), ks = b.k_kernel(*frame.scaled_point)
-        entries, d = [kq * x for x in frame.pi0], ks * frame.scale
-    else:
-        entries, d = b.entry_kernel(*frame.scaled_point)
-    # P = d * pi(q), one entry per key of base (and of pi = k base): P.v = rho * u and P.u = sigma * v,
+    # P = scale * pi(q), one entry per key of pi, past the gradient rows: P.v = rho * u and P.u = sigma * v,
     # rho = a / c and sigma = e / f
-    keys = b.base.terms
+    keys = b.pi.terms
+    entries = values[len(values) - len(keys) :]
     a, c = _multiplier(_skew_apply(keys, entries, v), u, "pi.v is not a nonzero multiple of u")
     e, f = _multiplier(_skew_apply(keys, entries, u), v, "pi.u is not a nonzero multiple of v")
-    # alpha = (d / rho) v and beta = (d / sigma) u, so <alpha, v> = d |v|^2 / rho and <beta, u> = d |u|^2 / sigma
-    # lambda^2 = <alpha, v>^2 / (|u|^2 |v|^2) = 1 / sum_{i<j} (pi^{ij})^2, with P = d * pi
+    # alpha = (d / rho) v and beta = (d / sigma) u with d = scale, so <alpha, v> = d |v|^2 / rho and
+    # <beta, u> = d |u|^2 / sigma; lambda^2 = <alpha, v>^2 / (|u|^2 |v|^2) = 1 / sum_{i<j} (pi^{ij})^2
     if vv * c * c * _dot(entries, entries) != uu * a * a:
         raise linalg.InconsistentSystem("lambda^2 differs from 1 / sum_{i<j} (pi^{ij})^2")
-    return LeafCoefficient(frame, (d * vv * c, a), (d * uu * f, e))
+    return LeafCoefficient(frame, (scale * vv * c, a), (scale * uu * f, e))
 
 
 def defining_relations_check(model: FibrationModel, samples: int, rng: random.Random) -> CheckReport:
     """pi.alpha = u, pi.beta = v and <alpha,v> + <beta,u> = 0, exactly, at random points (k = 1)."""
     bivector = flaschka_ratiu(model, 1)
+    kernel = leaf_kernel(bivector)
+    units = [a for a in model.casimir_split.units if a is not None]
     free = model.casimir_split.free
     for _ in range(samples):
-        q = random_noncritical_point(model, rng)
+        q, values, scale = noncritical_sample(model, kernel, rng)
         try:
-            coeff = leaf_coefficient(bivector, q)
+            coeff = leaf_coefficient(bivector, q, values, scale)
         except (SingularPoint, linalg.InconsistentSystem) as exc:
             return CheckReport(model.name, "leaf-relations", FAIL, str(exc), witness=str(q.fractions()))
         if not coeff.pairing_antisymmetric:
@@ -228,14 +234,15 @@ def defining_relations_check(model: FibrationModel, samples: int, rng: random.Ra
                 witness=str(q.fractions()),
             )
         frame = coeff.frame
-        # u and v vanish off N and every coordinate row is a unit e_a with a not in N,
-        # so the kept rows on N decide tangency to every Casimir
+        # a coordinate Casimir's row is a unit e_a with a not in N, so u and v are tangent to it when
+        # they vanish at a; the kept rows on N decide tangency to the others
         u, v = ([x[a] for a in free] for x in (frame.u, frame.v))
-        for grad in frame.gradients:
-            if _dot(grad, u) or _dot(grad, v):
-                return CheckReport(
-                    model.name, "leaf-relations", FAIL, "frame not Casimir-tangent", witness=str(q.fractions())
-                )
+        if any(frame.u[a] or frame.v[a] for a in units) or any(
+            _dot(grad, u) or _dot(grad, v) for grad in frame.gradients
+        ):
+            return CheckReport(
+                model.name, "leaf-relations", FAIL, "frame not Casimir-tangent", witness=str(q.fractions())
+            )
     return CheckReport(
         model.name,
         "leaf-relations",

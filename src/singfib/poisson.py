@@ -23,7 +23,7 @@ from typing import Sequence
 from . import linalg
 from .catalog import FibrationModel, critical_points_sample, noncritical_kernel, noncritical_sample
 from .exterior import KVector, ext_d, interior, scalar_form, schouten, wedge
-from .poly import IntegerKernel, Point, Poly, Rational, integer_point
+from .poly import Poly, Rational
 from .report import FAIL, MISMATCH, PASS, CheckReport
 from .reference import claimed_bivector
 
@@ -43,16 +43,6 @@ class PoissonBivector:
 
     def matrix_at(self, point: Sequence[Rational]) -> list[list[Fraction]]:
         return self.pi.coefficient_matrix(point)
-
-    @cached_property
-    def k_kernel(self) -> IntegerKernel:
-        """k alone, compiled for integer points."""
-        return IntegerKernel(self.model.chart, [self.k])
-
-    @cached_property
-    def entry_kernel(self) -> IntegerKernel:
-        """The entries pi^{ij}, i < j, in the order of ``pi.terms``, compiled for integer points."""
-        return IntegerKernel(self.model.chart, list(self.pi.terms.values()))
 
 
 def flaschka_ratiu(model: FibrationModel, k: Poly | Rational = 1) -> PoissonBivector:
@@ -94,11 +84,6 @@ def rank_at(b: PoissonBivector, point: Sequence[Rational]) -> int:
 def _decomposable_rank(entries: Sequence[int]) -> int:
     """The rank of a pi with pi^pi = 0 (rank <= 2) from its entries: a skew matrix has even rank."""
     return 2 if any(entries) else 0
-
-
-def _decomposable_rank_at(b: PoissonBivector, point: Point) -> int:
-    """``rank_at`` without elimination, for pi with pi^pi = 0, the entries read from ``entry_kernel``."""
-    return _decomposable_rank(b.entry_kernel(*integer_point(point))[0])
 
 
 @lru_cache(maxsize=64)
@@ -206,13 +191,15 @@ def rank_stratification(model: FibrationModel, samples: int, rng: random.Random)
     """Rank 2 at random non-critical points, rank 0 at sampled critical points (k = 1).
 
     Rank <= 2 is proved once, everywhere, by pi^pi = 0; the rank at each
-    point is then read from the entries of pi, without elimination.
+    point is then read from the entries of pi, without elimination, by one
+    read of one kernel: the critical equations, then the entries.
     """
     b = flaschka_ratiu(model, 1)
     proof = decomposability(b)
     if proof.status != PASS:
         return CheckReport(model.name, "rank", FAIL, "pi^pi != 0, so rank <= 2 fails", witness=proof.witness)
     kernel = noncritical_kernel(model, list(b.pi.terms.values()))
+    m = len(model.critical_locus)
     for _ in range(samples):
         p, entries, _ = noncritical_sample(model, kernel, rng)
         r = _decomposable_rank(entries)
@@ -221,7 +208,7 @@ def rank_stratification(model: FibrationModel, samples: int, rng: random.Random)
                 model.name, "rank", FAIL, f"rank {r} != 2 at non-critical point", witness=str(p.fractions())
             )
     for p in critical_points_sample(model, samples, rng):
-        r = _decomposable_rank_at(b, p)
+        r = _decomposable_rank(kernel(*p)[0][m:])
         if r != 0:
             return CheckReport(
                 model.name, "rank", FAIL, f"rank {r} != 0 at critical point", witness=str(p.fractions())

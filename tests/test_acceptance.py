@@ -27,6 +27,7 @@ from singfib.poly import parse_poly
 from singfib.reference import NS_CHART_EPS, claimed_assembled_form, leaf_claim
 from singfib.report import render_records
 from singfib.suite import run_suite
+from test_leaves import coefficient_at
 
 
 GOLDEN_AUDIT = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "audit_seed7.jsonl"
@@ -101,7 +102,7 @@ def test_criterion_4_defining_relations_exact():
 
 
 def test_criterion_4_fold_anchor_value():
-    coeff = leaves.leaf_coefficient(poisson.flaschka_ratiu(get_model("fold", 3), 1), (0, 0, 0, 1, 0, 1))
+    coeff = coefficient_at(poisson.flaschka_ratiu(get_model("fold", 3), 1), (0, 0, 0, 1, 0, 1))
     assert coeff.value_sq == Fraction(1, 8)  # lambda = 1/(2 sqrt 2)
     announce(4, True, "hand-verified anchor q=(0,0,0,1,0,1): lambda = 1/(2*sqrt(2))")
 
@@ -140,7 +141,7 @@ def test_criterion_4_fold_formula_agreement_at_all_points():
     # a fixed counterexample, independent of the seed
     q = (0, 0, 0, 1, 1, 0)
     assert leaf_claim(model).value_sq(q) == Fraction(1, 4)
-    assert leaves.leaf_coefficient(poisson.flaschka_ratiu(model, 1), q).value_sq == Fraction(1, 8)
+    assert coefficient_at(poisson.flaschka_ratiu(model, 1), q).value_sq == Fraction(1, 8)
 
     announce(
         4,

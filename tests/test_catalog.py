@@ -123,19 +123,25 @@ def test_casimir_gradients_are_built_once(kind, n):
 
 @pytest.mark.parametrize("kind, n", [(kind, 3) for kind in ALL_KINDS] + [(kind, 6) for kind in PARAMETRIC_KINDS])
 def test_frame_kernel_gives_the_kept_rows_on_the_free_columns_times_one_scale(kind, n):
-    # the kept gradient rows on N, row after row, then the entries of pi_0 in the order of its terms
+    # the one kernel the leaf frame is read from (``leaves.leaf_kernel``): the critical equations, the kept
+    # gradient rows on N, row after row, then the entries of the bivector under test in the order of its
+    # terms, all times one positive scale
     m = get_model(kind, n, Fraction(1, 2) if kind in DEFORMATION_KINDS else None)
-    assert m.frame_kernel is m.frame_kernel
     _, rows, free = m.casimir_split
     rng = random.Random(f"kernel:{kind}:{n}")
-    for _ in range(5):
-        q = random_noncritical_point(m, rng)
-        values, scale = m.frame_kernel(*q)
-        assert scale > 0
-        x = q.fractions()
-        grads = [[g.evaluate(x) for g in row] for row in m.casimir_gradients]
-        entries = [det.evaluate(x) for det in m.determinant_bivector.terms.values()]
-        assert values == [scale * grads[k][a] for k in rows for a in free] + [scale * e for e in entries]
+    for k in ("1", "1 + x1^2"):
+        b = flaschka_ratiu(m, parse_poly(k, m.chart))
+        kernel = leaves.leaf_kernel(b)
+        for _ in range(5):
+            q = random_noncritical_point(m, rng)
+            values, scale = kernel(*q)
+            assert scale > 0
+            x = q.fractions()
+            critical = [c.evaluate(x) for c in m.critical_locus]
+            grads = [[g.evaluate(x) for g in row] for row in m.casimir_gradients]
+            entries = [e.evaluate(x) for e in b.pi.terms.values()]
+            want = critical + [grads[c][a] for c in rows for a in free] + entries
+            assert values == [scale * w for w in want]
 
 
 def full_determinants(m):
@@ -377,8 +383,8 @@ def test_sampled_points_are_the_fraction_samplers_draws(row):
 
 
 def is_critical(model, point):
-    """Every critical equation vanishes at the point, read from the model's ``critical_kernel``."""
-    values, _ = model.critical_kernel(*integer_point(point))
+    """Every critical equation vanishes at the point, read from a kernel of the critical equations alone."""
+    values, _ = noncritical_kernel(model, ())(*integer_point(point))
     return not any(values)
 
 
@@ -406,7 +412,7 @@ def sampled_polys(check, kind):
 def test_one_kernel_sampler_draws_the_per_call_loops_points(check, kind):
     # the same points and generator state as the per-call loop, with the read values times one scale
     model, polys = sampled_polys(check, kind)
-    kernel = noncritical_kernel(model, polys) if polys else model.critical_kernel
+    kernel = noncritical_kernel(model, polys)
     label = f"one-kernel:{check}:{kind}"
     rng, oracle = random.Random(label), random.Random(label)
     for _ in range(25):

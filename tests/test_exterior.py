@@ -24,7 +24,7 @@ from singfib.exterior import (
     volume_form,
     wedge,
 )
-from singfib.poly import CHART6, Chart, Poly
+from singfib.poly import CHART6, Chart, ChartMismatch, Poly, parse_poly
 
 from test_poly import rand_poly
 
@@ -108,6 +108,14 @@ def test_scaling_by_a_rational_runs_no_product(monkeypatch, cls):
     assert products == []
     with pytest.raises(TypeError):
         a.scale(1.0)
+
+
+@pytest.mark.parametrize("text", ["2", "1 + x"])
+def test_scaling_by_a_polynomial_on_another_chart_raises(text):
+    # a constant is read as its rational, but only on the element's own chart
+    a = KForm(CHART6, 1, {(3,): CHART6.one()})
+    with pytest.raises(ChartMismatch):
+        a.scale(parse_poly(text, Chart(("x",))))
 
 
 # -- pullback --------------------------------------------------------------------------

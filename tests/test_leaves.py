@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from singfib import leaves, linalg, poly
+from singfib import catalog, leaves, linalg, poly
 from singfib.catalog import (
     ALL_KINDS,
     DEFORMATION_KINDS,
@@ -18,6 +18,7 @@ from singfib.catalog import (
     PARAMETRIC_KINDS,
     critical_points_sample,
     get_model,
+    noncritical_kernel,
     noncritical_sample,
     random_noncritical_point,
 )
@@ -39,13 +40,40 @@ ANCHOR = (0, 0, 0, 1, 0, 1)
 
 
 def is_critical(model, q):
-    """Every critical equation vanishes at q, read from the model's ``critical_kernel``."""
-    values, _ = model.critical_kernel(*poly.integer_point(q))
+    """Every critical equation vanishes at q, read from a kernel of the critical equations alone."""
+    values, _ = noncritical_kernel(model, ())(*poly.integer_point(q))
     return not any(values)
 
 
+def reader(b):
+    """q -> (point, values, scale): one read at q of ``leaf_kernel(b)``, past its critical rows.
+
+    What ``noncritical_sample`` hands ``defining_relations_check`` at a drawn point, at a point the test picks.
+    """
+    kernel = leaves.leaf_kernel(b)
+    m = len(b.model.critical_locus)
+
+    def read(q):
+        point = poly.integer_point(q)
+        values, scale = kernel(*point)
+        return point, values[m:], scale
+
+    return read
+
+
+def frame_at(model, q):
+    """The leaf frame at q of the model's pi_0 (k = 1)."""
+    b = flaschka_ratiu(model, 1)
+    return leaf_frame(b, *reader(b)(q)[:2])
+
+
+def coefficient_at(b, q):
+    """``leaf_coefficient`` of b at q, from one kernel read."""
+    return leaf_coefficient(b, *reader(b)(q))
+
+
 def test_fold_frame_at_anchor():
-    frame = leaf_frame(get_model("fold", 3), ANCHOR)
+    frame = frame_at(get_model("fold", 3), ANCHOR)
     vecs = {tuple(frame.u), tuple(frame.v)}
     assert vecs == {
         (0, 0, 0, 0, 1, 0),
@@ -59,7 +87,7 @@ def test_cusp_frame_off_origin():
     # at t1 = 0 the distinguished gradient restricted to the x-block is (3, 2, 0)
     model = get_model("cusp", 3)
     q = (0, 0, 0, 1, 1, 0)
-    frame = leaf_frame(model, q)
+    frame = frame_at(model, q)
     grad = [model.casimirs[-1].differentiate(v).evaluate(q) for v in CHART6.names]
     assert grad[3:] == [Fraction(3), Fraction(2), Fraction(0)]
     for vec in (frame.u, frame.v):
@@ -69,14 +97,14 @@ def test_cusp_frame_off_origin():
 def test_x_axis_points_have_coordinate_kernel():
     model = get_model("swallowtail", 3)
     q = (1, 1, 1, 1, 0, 0)  # x2 = x3 = 0, x1-derivative nonzero
-    frame = leaf_frame(model, q)
+    frame = frame_at(model, q)
     span = {tuple(frame.u), tuple(frame.v)}
     assert span == {(0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)}
 
 
 def test_singular_point_rejected():
     with pytest.raises(SingularPoint):
-        leaf_frame(get_model("fold", 3), (0, 0, 0, 0, 0, 0))
+        frame_at(get_model("fold", 3), (0, 0, 0, 0, 0, 0))
 
 
 def test_structure_covector_anchor_solution():
@@ -96,7 +124,7 @@ def test_zero_bivector_has_empty_image():
 
 
 def test_anchor_coefficient_value():
-    coeff = leaf_coefficient(flaschka_ratiu(get_model("fold", 3), 1), ANCHOR)
+    coeff = coefficient_at(flaschka_ratiu(get_model("fold", 3), 1), ANCHOR)
     assert coeff.value_sq == Fraction(1, 8)  # |lambda| = 1/(2 sqrt 2)
     assert coeff.pairing_antisymmetric
 
@@ -106,7 +134,7 @@ def test_anchor_coefficient_value():
     [((1, 2), (-2, 4), True), ((1, 2), (1, 2), False), ((1, -2), (3, 6), True), ((0, 5), (0, -7), True)],
 )
 def test_pairings_are_read_as_the_fractions_they_hold(uv, vu, antisymmetric):
-    frame = leaf_frame(get_model("fold", 3), ANCHOR)
+    frame = frame_at(get_model("fold", 3), ANCHOR)
     coeff = leaves.LeafCoefficient(frame, uv, vu)
     assert (coeff.pairing_uv, coeff.pairing_vu) == (Fraction(*uv), Fraction(*vu))
     assert coeff.pairing_antisymmetric == (Fraction(*uv) == -Fraction(*vu)) == antisymmetric
@@ -116,38 +144,35 @@ def test_pairings_are_read_as_the_fractions_they_hold(uv, vu, antisymmetric):
 def test_more_hand_computed_fold_values():
     model = get_model("fold", 3)
     # independently derived: |lambda| = 1 / (2 sqrt(x1^2 + x2^2 + x3^2))
-    assert leaf_coefficient(flaschka_ratiu(model, 1), (0, 0, 0, 1, 1, 0)).value_sq == Fraction(1, 8)
-    assert leaf_coefficient(flaschka_ratiu(model, 1), (0, 0, 0, 2, 0, 0)).value_sq == Fraction(1, 16)
+    assert coefficient_at(flaschka_ratiu(model, 1), (0, 0, 0, 1, 1, 0)).value_sq == Fraction(1, 8)
+    assert coefficient_at(flaschka_ratiu(model, 1), (0, 0, 0, 2, 0, 0)).value_sq == Fraction(1, 16)
 
 
 def test_k_scaling_halves_the_coefficient():
+    # pi = k pi_0 has the leaves of pi_0 and is read off its own entries: the frame stays, lambda^2 scales by 1 / k^2
     model = get_model("cusp", 3)
-    q = (0, 0, 0, 1, 1, 1)
-    one = leaf_coefficient(flaschka_ratiu(model, 1), q)
-    two = leaf_coefficient(flaschka_ratiu(model, 2), q)
-    assert two.value_sq * 4 == one.value_sq
+    base = flaschka_ratiu(model, 1)
+    read_base = reader(base)
+    for k in ("2", "1 + x1^2", "x1 - 2*t1"):
+        kpoly = poly.parse_poly(k, CHART6)
+        scaled = flaschka_ratiu(model, kpoly)
+        read_scaled = reader(scaled)
+        rng = random.Random(f"k-scaling:{k}")
+        for _ in range(10):
+            q = random_noncritical_point(model, rng)
+            kq = kpoly.evaluate(q.fractions())
+            assert kq, q
+            one, two = leaf_coefficient(base, *read_base(q)), leaf_coefficient(scaled, *read_scaled(q))
+            assert (two.frame.u, two.frame.v) == (one.frame.u, one.frame.v)
+            assert two.value_sq * kq * kq == one.value_sq, (k, q)
 
 
-def leaf_outcome(b: PoissonBivector, q):
-    try:
-        coeff = leaf_coefficient(b, q)
-    except linalg.InconsistentSystem as exc:
-        return str(exc)
-    return coeff.frame, coeff.pairing_uv, coeff.pairing_vu
-
-
-@pytest.mark.parametrize("k", ["1", "-3/2", "1 + x1^2", "x1 - 2*t1", "x1 - 1"])
-def test_pi_from_the_frame_entries_equals_pi_read_by_its_own_kernel(k):
-    # for every k, pi(q) is k(q) times the pi_0 entries the frame has read; the same pi as a base
-    # of its own is read through its entry kernel, which the first bivector never compiles
+def test_a_k_that_vanishes_at_the_point_is_singular_there():
+    # k = x1 - 1 vanishes at CUSP_POINT, so pi(q) = 0 there while pi_0(q) is not
     model = get_model("cusp", 3)
-    b = flaschka_ratiu(model, poly.parse_poly(k, CHART6))
-    own = PoissonBivector(model, CHART6.one(), b.pi)
-    rng = random.Random(f"pi0:{k}")
-    # k = x1 - 1 vanishes at CUSP_POINT, where both raise
-    for q in [CUSP_POINT, *(random_noncritical_point(model, rng) for _ in range(10))]:
-        assert leaf_outcome(b, q) == leaf_outcome(own, q), q
-    assert "entry_kernel" not in vars(b) and "entry_kernel" in vars(own)
+    coefficient_at(flaschka_ratiu(model, 1), CUSP_POINT)
+    with pytest.raises(SingularPoint):
+        coefficient_at(flaschka_ratiu(model, poly.parse_poly("x1 - 1", CHART6)), CUSP_POINT)
 
 
 def test_solution_ambiguity_invariant():
@@ -158,7 +183,7 @@ def test_solution_ambiguity_invariant():
         q = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)]
         if is_critical(model, q):
             continue
-        frame = leaf_frame(model, q)
+        frame = frame_at(model, q)
         mat = b.matrix_at(q)
         alpha = solve_structure_covector(b, q, frame.u)
         base = linalg.dot(alpha, frame.v)
@@ -172,7 +197,8 @@ def test_leaf_coefficient_runs_no_elimination(monkeypatch, kind, n):
     model = get_model(kind, n, Fraction(1, 2) if kind in DEFORMATION_KINDS else None)
     b = flaschka_ratiu(model, 1)
     rng = random.Random(f"elims:{kind}")
-    points = [random_noncritical_point(model, rng) for _ in range(5)]
+    read = reader(b)
+    points = [read(random_noncritical_point(model, rng)) for _ in range(5)]
     calls = []
     rref = linalg._rref
 
@@ -181,22 +207,26 @@ def test_leaf_coefficient_runs_no_elimination(monkeypatch, kind, n):
         return rref(rows)
 
     monkeypatch.setattr(linalg, "_rref", counting_rref)
-    for q in points:
-        leaf_coefficient(b, q)
-    # the frame is read off the image of pi_0(q), and alpha and beta are closed forms
+    for point in points:
+        leaf_coefficient(b, *point)
+    # the frame is read off the image of pi(q), and alpha and beta are closed forms
     assert calls == []
 
 
-# bivectors that are not of rank 2 with the leaf plane as image, at a cusp
-# point where u = (0, 0, 0, -2, 3, 0) and v = (0, 0, 0, 6, 4, 13)
+# bivectors that are not of rank 2 with the leaf plane as image, and the detail leaf-relations fails each
+# with; the frame is read off their own pi(q)
 CUSP_POINT = (0, 0, 0, 1, 1, 1)
 WRONG_IMAGES = {
-    # image span(e_t1, e_t2), which meets the leaf plane only in 0
-    "t1^t2": (False, [(0, 1)]),
-    # full rank: the image holds the leaf plane, but pi(q) does not keep it
-    "t^x": (False, [(0, 3), (1, 4), (2, 5)]),
-    # pi + e_t1^e_x1: pi(q) v agrees with rho u in the x-block but gains a t1 component
-    "pi + t1^x1": (True, [(0, 3)]),
+    # rank 2 with image span(e_t1, e_t2), which meets the leaf plane only in 0: the frame is not tangent
+    "t1^t2": (False, [(0, 1)], "frame not Casimir-tangent"),
+    # full rank: pi(q) keeps the plane span(e_t3, e_x3), but sum (pi^{ij})^2 counts all three pairs
+    "t^x": (False, [(0, 3), (1, 4), (2, 5)], "lambda^2 differs from 1 / sum_{i<j} (pi^{ij})^2"),
+    # pi + e_t1^e_x1: rank 4, and pi(q) v gains a t1 component
+    "pi + t1^x1": (
+        True,
+        [(0, 3)],
+        "pi(q) does not map the leaf plane onto itself: pi.v is not a nonzero multiple of u",
+    ),
 }
 
 
@@ -210,21 +240,19 @@ def cusp_bivector(with_pi: bool, pairs) -> PoissonBivector:
 
 @pytest.mark.parametrize("which", sorted(WRONG_IMAGES))
 def test_bivector_whose_image_is_not_the_leaf_plane_fails(monkeypatch, which):
-    model = get_model("cusp", 3)
-    bad = cusp_bivector(*WRONG_IMAGES[which])
-    with pytest.raises(linalg.InconsistentSystem, match="leaf plane"):
-        leaf_coefficient(bad, CUSP_POINT)
+    with_pi, pairs, detail = WRONG_IMAGES[which]
+    bad = cusp_bivector(with_pi, pairs)
     monkeypatch.setattr(leaves, "flaschka_ratiu", lambda m, k=1: bad)
-    rep = defining_relations_check(model, 3, random.Random(5))
+    rep = defining_relations_check(bad.model, 3, random.Random(5))
     assert rep.status == "fail"
-    assert "leaf plane" in rep.detail
+    assert rep.detail == detail
 
 
 def test_lambda_identity_checks_the_whole_bivector(monkeypatch):
     # e_t1^e_t2 kills the leaf plane, so rho and sigma stay; sum (pi^{ij})^2 grows
     bad = cusp_bivector(True, [(0, 1)])
     with pytest.raises(linalg.InconsistentSystem, match="lambda\\^2 differs"):
-        leaf_coefficient(bad, CUSP_POINT)
+        coefficient_at(bad, CUSP_POINT)
     monkeypatch.setattr(leaves, "flaschka_ratiu", lambda m, k=1: bad)
     first = random_noncritical_point(bad.model, random.Random(5))
     rep = defining_relations_check(bad.model, 3, random.Random(5))
@@ -239,13 +267,15 @@ def test_integer_frame_is_a_positive_multiple_of_the_fraction_frame(kind):
     # then v = w - (<w,u> / <u,u>) u; the integer frame keeps its orientation
     model = get_model(kind, 3)
     rng = random.Random(f"frame:{kind}")
+    read = reader(flaschka_ratiu(model, 1))
     for _ in range(10):
-        q = random_noncritical_point(model, rng).fractions()
+        point = random_noncritical_point(model, rng)
+        q = point.fractions()
         rows = [[g.evaluate(q) for g in row] for row in model.casimir_gradients]
         u, w = linalg.nullspace(rows)
         coeff = linalg.dot(w, u) / linalg.dot(u, u)
         v = [wi - coeff * ui for wi, ui in zip(w, u)]
-        frame = leaf_frame(model, q)
+        frame = leaf_frame(flaschka_ratiu(model, 1), *read(point)[:2])
         for got, want in ((frame.u, u), (frame.v, v)):
             i = next(i for i, x in enumerate(want) if x)
             ratio = got[i] / want[i]
@@ -272,36 +302,34 @@ def gram_schmidt_step(u, w):
     return [uu * wi - wu * ui for wi, ui in zip(w, u)]
 
 
-def elimination_frame(model, q):
-    """The leaf frame by elimination, the oracle for the closed form ``leaf_frame``.
+def elimination_frame(b, q, values):
+    """The leaf frame by elimination, the oracle for the closed form ``leaf_frame``, from the same read.
 
     The two primitive vectors of ``integer_nullspace`` of the kept rows on N,
     padded with zeros off N, are u and w, and one integer Gram-Schmidt step
-    gives v.  Only the gradient rows of ``frame_kernel`` are read for the
-    frame; the entries of pi_0 that follow them are passed through.
+    gives v.  Only the gradient rows of ``leaf_kernel`` are read; the
+    entries of pi that follow them are not.
     """
-    point = poly.integer_point(q)
-    values, scale = model.frame_kernel(*point)
+    model = b.model
     free = model.casimir_split.free
     width = len(free)
     rows = tuple(tuple(values[r : r + width]) for r in range(0, width * len(model.casimir_split.rows), width))
     kernel = linalg.integer_nullspace(list(rows) or [[0] * width])
     if len(kernel) != 2:
         raise SingularPoint(
-            f"Casimir differentials drop rank at {tuple(point.fractions())}: kernel dimension {len(kernel)}"
+            f"Casimir differentials drop rank at {tuple(q.fractions())}: kernel dimension {len(kernel)}"
         )
     u, w = [0] * model.chart.n_geom, [0] * model.chart.n_geom
     for full, vec in zip((u, w), kernel):
         for a, x in zip(free, vec):
             full[a] = x
     v = linalg.primitive(gram_schmidt_step(u, w))
-    pi0 = tuple(values[width * len(rows) :])
-    return leaves.LeafFrame(tuple(u), tuple(v), leaves._dot(u, u), leaves._dot(v, v), rows, pi0, scale, point)
+    return leaves.LeafFrame(tuple(u), tuple(v), leaves._dot(u, u), leaves._dot(v, v), rows)
 
 
-def frame_or_error(frame_fn, model, q):
+def frame_or_error(frame_fn, b, read, q):
     try:
-        return frame_fn(model, q)
+        return frame_fn(b, *read(q)[:2])
     except SingularPoint as exc:
         return f"SingularPoint: {exc}"
 
@@ -340,12 +368,14 @@ def test_closed_form_frame_equals_the_elimination_frame(label):
         kind, n = FRAME_MODELS[label]
         model = get_model(kind, n, Fraction(1, 2) if kind in DEFORMATION_KINDS else None)
     rng = random.Random(f"closed-frame:{label}")
+    b = flaschka_ratiu(model, 1)
+    read = reader(b)
     for _ in range(40):
         q = random_noncritical_point(model, rng)
-        assert leaf_frame(model, q) == elimination_frame(model, q), q
+        assert leaf_frame(b, *read(q)[:2]) == elimination_frame(b, *read(q)[:2]), q
     for _ in range(4):
         for p in pivot_moving_points(model, random_noncritical_point(model, rng)):
-            assert frame_or_error(leaf_frame, model, p) == frame_or_error(elimination_frame, model, p), p
+            assert frame_or_error(leaf_frame, b, read, p) == frame_or_error(elimination_frame, b, read, p), p
 
 
 @pytest.mark.parametrize("kind, n", PADDED_MODELS)
@@ -353,9 +383,11 @@ def test_padded_leaf_kernel_is_the_full_kernel(kind, n):
     model = get_model(kind, n, Fraction(1, 2) if kind in DEFORMATION_KINDS else None)
     free = model.casimir_split.free
     rng = random.Random(f"padded:{kind}:{n}")
+    b = flaschka_ratiu(model, 1)
+    read = reader(b)
     for _ in range(8):
         q = random_noncritical_point(model, rng)
-        frame = leaf_frame(model, q)
+        frame = leaf_frame(b, *read(q)[:2])
         # the frame keeps the kept rows on N, times one positive integer
         full = full_gradient_rows(model, q)
         restricted = [[full[k][a] for a in free] for k in model.casimir_split.rows]
@@ -373,7 +405,7 @@ def test_leaf_frame_of_a_projection_eliminates_nothing():
     # every Casimir a coordinate: no row is left, and the leaf plane is spanned by e_x2 and e_x3
     projection = projection_model()
     assert projection.casimir_split.rows == ()
-    frame = leaf_frame(projection, ANCHOR)
+    frame = frame_at(projection, ANCHOR)
     assert (frame.u, frame.v) == ((0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
     assert frame.gradients == ()
     assert [list(v) for v in (frame.u, frame.v)] == linalg.integer_nullspace(full_gradient_rows(projection, ANCHOR))
@@ -385,7 +417,7 @@ def test_reduced_kernel_is_singular_where_the_full_kernel_is(kind):
     for q in critical_points_sample(model, 10, random.Random(f"singular:{kind}")):
         full = linalg.integer_nullspace(full_gradient_rows(model, q))
         try:
-            frame = leaf_frame(model, q)
+            frame = frame_at(model, q)
         except SingularPoint:
             assert len(full) != 2
         else:
@@ -393,10 +425,10 @@ def test_reduced_kernel_is_singular_where_the_full_kernel_is(kind):
 
 
 def test_frame_not_tangent_to_its_gradient_rows_fails(monkeypatch):
-    def skewed_frame(model, q):
-        frame = leaf_frame(model, q)
+    def skewed_frame(b, q, values):
+        frame = leaf_frame(b, q, values)
         # a last kept row that pairs with u on N to |u|^2 != 0
-        u_on_free = tuple(frame.u[a] for a in model.casimir_split.free)
+        u_on_free = tuple(frame.u[a] for a in b.model.casimir_split.free)
         return dataclasses.replace(frame, gradients=(*frame.gradients[:-1], u_on_free))
 
     monkeypatch.setattr(leaves, "leaf_frame", skewed_frame)
@@ -407,7 +439,7 @@ def test_frame_not_tangent_to_its_gradient_rows_fails(monkeypatch):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_a_negated_entry_of_pi0_fails_the_leaf_relations(kind):
-    # the frame is the image of pi_0(q), so a wrong pi_0 gives a frame off the leaf plane; on three free
+    # the frame is the image of pi(q) = pi_0(q), so a wrong pi_0 gives a frame off the leaf plane; on three free
     # columns pi_0 keeps rank 2 and the gradient rows see it, on four (lefschetz, w_s) it gains rank 4
     model = get_model(kind, 3, Fraction(1, 2) if kind in DEFORMATION_KINDS else None)
     terms = dict(model.determinant_bivector.terms)
@@ -431,11 +463,24 @@ def test_defining_relations_all_kinds():
         assert rep.status == "pass", (kind, rep.detail)
 
 
+@pytest.mark.parametrize("kind, n", [("fold", 3), ("cusp", 3), ("lefschetz", 4), ("w_s", 3)])
+def test_leaf_relations_read_one_kernel_per_drawn_point(monkeypatch, kind, n):
+    # the critical equations, the gradient rows and pi are one kernel, read once at each drawn point
+    model = get_model(kind, n, Fraction(1, 2) if kind in DEFORMATION_KINDS else None)
+    draws, reads = [], []
+    draw, read = catalog.random_point, poly.IntegerKernel.__call__
+    monkeypatch.setattr(catalog, "random_point", lambda m, rng: draws.append(1) or draw(m, rng))
+    monkeypatch.setattr(poly.IntegerKernel, "__call__", lambda self, *a: reads.append(1) or read(self, *a))
+    rep = defining_relations_check(model, 10, random.Random(f"reads:{kind}"))
+    assert rep.status == "pass", rep.detail
+    assert len(reads) == len(draws) >= 10
+
+
 def test_cusp_audit_documents_value_pair():
     # catalogued formula and pipeline value at the catalogued sample point
     model = get_model("cusp", 3)
     q = (0, 0, 0, 1, 1, 1)
-    derived = leaf_coefficient(flaschka_ratiu(model, 1), q)
+    derived = coefficient_at(flaschka_ratiu(model, 1), q)
     assert derived.value_sq == Fraction(1, 17)  # 1 / (9(t1-x1^2)^2 + 4x2^2 + 4x3^2)
     from singfib.reference import leaf_claim
 
@@ -485,7 +530,7 @@ def test_interior_product_matches_leaf_pairing():
         q = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(6)]
         if is_critical(model, q):
             continue
-        frame = leaf_frame(model, q)
+        frame = frame_at(model, q)
         mat = b.matrix_at(q)
         alpha = solve_structure_covector(b, q, frame.u)
         beta = solve_structure_covector(b, q, frame.v)
@@ -510,9 +555,11 @@ def test_closed_form_pairings_equal_the_elimination(label):
     model = TIE_MODELS[label]
     b = flaschka_ratiu(model, 1)
     rng = random.Random(f"pairing:{label}")
+    read = reader(b)
     for _ in range(10):
-        q = random_noncritical_point(model, rng).fractions()
-        coeff = leaf_coefficient(b, q)
+        point = random_noncritical_point(model, rng)
+        q = point.fractions()
+        coeff = leaf_coefficient(b, *read(point))
         u, v = coeff.frame.u, coeff.frame.v
         assert coeff.pairing_uv == linalg.dot(solve_structure_covector(b, q, u), v), q
         assert coeff.pairing_vu == linalg.dot(solve_structure_covector(b, q, v), u), q
@@ -526,8 +573,10 @@ def test_frame_solve_agrees_with_the_closed_form_audit(label):
     _, rows = audit_leaf_formulas(model, 10, random.Random(f"tie:{label}"))
     assert len(rows) == 10
     scale_sq = model.claimed_scale**2
+    b = flaschka_ratiu(model, 1)
+    read = reader(b)
     for row in rows:
-        assert leaf_coefficient(flaschka_ratiu(model, 1), row.point).value_sq * scale_sq == row.derived_sq, row.point
+        assert leaf_coefficient(b, *read(row.point)).value_sq * scale_sq == row.derived_sq, row.point
 
 
 # -- one claim type for every kind -----------------------------------------------------

@@ -16,12 +16,13 @@ from singfib.catalog import (
     FibrationModel,
     critical_points_sample,
     get_model,
+    noncritical_kernel,
     random_noncritical_point,
 )
 from singfib.exterior import KVector, ext_d, interior, scalar_form, schouten, vector_term, wedge
 from singfib.poisson import (
     PoissonBivector,
-    _decomposable_rank_at,
+    _decomposable_rank,
     casimir_annihilation,
     decomposability,
     flaschka_ratiu,
@@ -31,7 +32,7 @@ from singfib.poisson import (
     rank_stratification,
     self_bracket,
 )
-from singfib.poly import CHART6, parse_poly
+from singfib.poly import CHART6, Poly, parse_poly
 
 
 def synthetic_model(casimirs, name="synthetic"):
@@ -178,6 +179,25 @@ def test_jacobi_catalogue_and_scales():
         for text in ("1", "1 + x1^2", "7"):
             k = parse_poly(text, model.chart)
             assert jacobi(flaschka_ratiu(model, k)).status == "pass", (kind, text)
+
+
+def test_a_constant_k_scales_pi0_as_its_rational(monkeypatch):
+    # k = 1 hands back the model's pi_0 itself, and no constant k multiplies a polynomial per entry
+    model = get_model("cusp", 3)
+    pi0 = model.determinant_bivector
+    k = parse_poly("1 + x1^2", CHART6)
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda p, q: products.append(q) or mul(p, q))
+    assert flaschka_ratiu(model, 1).pi is pi0
+    assert flaschka_ratiu(model, CHART6.one()).pi is pi0
+    for c in (2, Fraction(-3, 2), CHART6.const(Fraction(5, 7))):
+        rational = c.constant_value() if isinstance(c, Poly) else Fraction(c)
+        assert flaschka_ratiu(model, c).pi.terms == {ij: e.scale(rational) for ij, e in pi0.terms.items()}
+    assert products == []
+    # a k that is not constant multiplies each entry once
+    flaschka_ratiu(model, k).pi
+    assert len(products) == len(pi0.terms)
 
 
 @pytest.mark.parametrize("kind, n", [(kind, 3) for kind in ALL_KINDS] + [(kind, 5) for kind in PARAMETRIC_KINDS])
@@ -339,11 +359,14 @@ def test_rank_read_from_entries_equals_the_elimination(kind):
     param = Fraction(0) if kind in DEFORMATION_KINDS else None
     model = get_model(kind, 3, param)
     b = flaschka_ratiu(model, 1)
+    # the kernel the rank check reads: the critical equations, then the entries of pi
+    kernel = noncritical_kernel(model, list(b.pi.terms.values()))
+    m = len(model.critical_locus)
     rng = random.Random(f"rank-entries:{kind}")
     points = [random_noncritical_point(model, rng) for _ in range(20)]
     points += critical_points_sample(model, 20, rng)
     for p in points:
-        assert _decomposable_rank_at(b, p) == rank_at(b, p.fractions())
+        assert _decomposable_rank(kernel(*p)[0][m:]) == rank_at(b, p.fractions())
 
 
 def test_rank_check_fails_when_pi_wedge_pi_is_not_zero(monkeypatch):

@@ -16,9 +16,10 @@ import pytest
 from singfib import leaves, nearsymp, poisson
 from singfib.catalog import critical_points_sample, get_model
 from singfib.exterior import KVector, form_term
-from singfib.leaves import SingularPoint, audit_leaf_formulas, defining_relations_check, leaf_frame
+from singfib.leaves import SingularPoint, audit_leaf_formulas, defining_relations_check
 from singfib.poisson import PoissonBivector, flaschka_ratiu, rank_stratification
 from singfib.reference import NS_CHART_EPS
+from test_leaves import frame_at
 
 SEED = "witness:7"
 #: the first point drawn at SEED on cusp(n=3), a non-critical one
@@ -87,7 +88,7 @@ def test_singular_frame_message():
     model = get_model("cusp", 3)
     (point,) = critical_points_sample(model, 1, random.Random(SEED))
     with pytest.raises(SingularPoint) as exc:
-        leaf_frame(model, point)
+        frame_at(model, point)
     assert str(exc.value) == (
         "Casimir differentials drop rank at (Fraction(9, 16), Fraction(3, 2), Fraction(-3, 1), "
         "Fraction(-3, 4), Fraction(0, 1), Fraction(0, 1)): kernel dimension 3"

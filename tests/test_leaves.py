@@ -175,6 +175,34 @@ def test_a_k_that_vanishes_at_the_point_is_singular_there():
         coefficient_at(flaschka_ratiu(model, poly.parse_poly("x1 - 1", CHART6)), CUSP_POINT)
 
 
+def leaf_outcome(b: PoissonBivector, q):
+    try:
+        coeff = coefficient_at(b, q)
+    except ValueError as exc:  # SingularPoint or InconsistentSystem
+        return type(exc).__name__, str(exc)
+    return coeff.frame, coeff.pairing_uv, coeff.pairing_vu
+
+
+@pytest.mark.parametrize("k", ["1", "-3/2", "1 + x1^2", "x1 - 2*t1", "x1 - 1"])
+def test_pi_from_the_frame_entries_equals_pi_read_by_its_own_kernel(k):
+    # for every k, the pi entries of the one kernel read are k(q) times pi_0(q), evaluated apart as Fractions;
+    # the same pi as a base of its own (k = 1) compiles its own kernel and reads to the same frame and pairings
+    model = get_model("cusp", 3)
+    kpoly = poly.parse_poly(k, CHART6)
+    b = flaschka_ratiu(model, kpoly)
+    own = PoissonBivector(model, CHART6.one(), b.pi)
+    read = reader(b)
+    rng = random.Random(f"pi0:{k}")
+    # k = x1 - 1 vanishes at CUSP_POINT, where both raise
+    for q in [CUSP_POINT, *(random_noncritical_point(model, rng) for _ in range(10))]:
+        point, values, scale = read(q)
+        fq = point.fractions()
+        base = b.base.coefficient_matrix(fq)
+        entries = values[len(values) - len(b.pi.terms) :]
+        assert [Fraction(e, scale) for e in entries] == [kpoly.evaluate(fq) * base[i][j] for i, j in b.pi.terms], q
+        assert leaf_outcome(b, q) == leaf_outcome(own, q), q
+
+
 def test_solution_ambiguity_invariant():
     model = get_model("cusp", 3)
     b = flaschka_ratiu(model, 1)

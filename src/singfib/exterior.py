@@ -16,6 +16,7 @@ the star and the homotopy operator never touch them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -148,14 +149,11 @@ class _Graded:
     def coeff(self, idx: Sequence[int]) -> Poly:
         """Coefficient with antisymmetric index handling (any index order)."""
         order = tuple(idx)
-        if len(set(order)) != len(order):
-            return self.chart.zero()
-        sorted_idx = tuple(sorted(order))
-        sign = permutation_sign(order)
-        base = self.terms.get(sorted_idx)
+        # a miss is one lookup: a repeated index is never a stored key, and the sign is read only on a hit
+        base = self.terms.get(tuple(sorted(order)))
         if base is None:
             return self.chart.zero()
-        return base if sign == 1 else -base
+        return base if permutation_sign(order) == 1 else -base
 
     def coefficient_matrix(self, point: Sequence[Rational] | None = None):
         """Full antisymmetric matrix of a degree-2 element.
@@ -309,16 +307,17 @@ def ext_d(a: KForm) -> KForm:
     buckets: dict[Index, dict] = {}
     for idx, coeff in terms:
         for v in range(chart.n_geom):
-            merged = _merge_indices((v,), idx)
-            if merged is None:
-                continue
-            sign, new_idx = merged
             bucket = None
             for exp, c in coeff.items():
                 e = exp[v]
                 if e:
                     if bucket is None:
-                        bucket = _bucket(buckets, new_idx)
+                        # the index of dv ^ dx_I, built once v occurs: v moves past the pos entries of I below it
+                        if v in idx:
+                            break
+                        pos = bisect_left(idx, v)
+                        sign = -1 if pos % 2 else 1
+                        bucket = _bucket(buckets, idx[:pos] + (v,) + idx[pos:])
                     key = exp[:v] + (e - 1,) + exp[v + 1 :]
                     term = c * (sign * e)
                     s = bucket.get(key)

@@ -110,7 +110,8 @@ def leaf_frame(b: PoissonBivector, q: IntegerPoint, values: Sequence[int]) -> Le
     ``values`` are the kernel's values past the critical rows, as
     ``noncritical_sample`` returns them, all times one positive integer.
     q only names the point in the message of ``SingularPoint``, raised
-    where pi(q) = 0.
+    where pi(q) = 0; the message says whether the Casimir differentials
+    drop rank there.
     """
     free = b.model.casimir_split.free
     width = len(free)
@@ -120,10 +121,10 @@ def leaf_frame(b: PoissonBivector, q: IntegerPoint, values: Sequence[int]) -> Le
     keys, entries = b.pi.terms, values[size:]
     pairs = [ij for ij, e in zip(keys, entries) if e]
     if not pairs:
-        raise SingularPoint(
-            f"Casimir differentials drop rank at {tuple(q.fractions())}: "
-            f"kernel dimension {width - linalg.rank(rows)}"
-        )
+        point, rank = tuple(q.fractions()), linalg.rank(rows)
+        if rank == len(rows):  # pi(q) = 0 off the critical locus: k vanishes at q, or pi is not k pi_0
+            raise SingularPoint(f"pi(q) = 0 at {point}, where the Casimir differentials keep full rank")
+        raise SingularPoint(f"Casimir differentials drop rank at {point}: kernel dimension {width - rank}")
     f, g = pairs[-1]
     # u = P e_f' has u[f] = P[f][f'] != 0 and u[f'] = 0; v = P u is in the image too and orthogonal to u
     e = [0] * b.model.chart.n_geom

@@ -123,11 +123,13 @@ class Chart:
 
     names: tuple[str, ...]
     n_geom: int = -1
-    #: name -> position, built once; not part of equality, hash or repr
+    #: name -> position and the chart's one zero Poly, built once; not part of equality, hash or repr
     _positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    _zero: "Poly" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_positions", {name: i for i, name in enumerate(self.names)})
+        object.__setattr__(self, "_zero", Poly._make(self, {}))
         if len(self._positions) != len(self.names):
             raise ValueError(f"duplicate variable names in chart {self.names}")
         if self.n_geom < 0:
@@ -156,7 +158,7 @@ class Chart:
         return Poly._make(self, {(0,) * self.dim: c} if c else {})
 
     def zero(self) -> "Poly":
-        return Poly._make(self, {})
+        return self._zero
 
     def one(self) -> "Poly":
         return self.const(1)
@@ -301,6 +303,8 @@ class Poly:
     def differentiate(self, name: str) -> "Poly":
         """Exact partial derivative with respect to a chart variable."""
         i = self.chart.index(name)
+        if not self.terms:  # a Poly is immutable: a zero is its own derivative
+            return self
         out: dict[Exponent, Fraction] = {}
         for exp, c in self.terms.items():
             e = exp[i]

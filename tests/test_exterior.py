@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from singfib import exterior
 from singfib.exterior import (
     KForm,
     KVector,
@@ -116,6 +117,25 @@ def test_scaling_by_a_polynomial_on_another_chart_raises(text):
     a = KForm(CHART6, 1, {(3,): CHART6.one()})
     with pytest.raises(ChartMismatch):
         a.scale(parse_poly(text, Chart(("x",))))
+
+
+# -- component access ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cls", [KForm, KVector])
+def test_a_coeff_miss_is_one_lookup_and_reads_no_sign(monkeypatch, cls):
+    c = NS_CHART
+    t, x, y, z = (c.index(n) for n in "txyz")
+    a = cls(c, 2, {(t, x): c.const(2), (y, z): c.var("u")})
+    signs = []
+    sign = exterior.permutation_sign
+    monkeypatch.setattr(exterior, "permutation_sign", lambda order: signs.append(order) or sign(order))
+    # absent, repeated, of another length, or outside the chart: each is the chart's one zero
+    for order in [(t, y), (y, t), (t, t), (z, z), (), (t,), (x, t, y), (t, 6), (-1, t)]:
+        assert a.coeff(order) is c.zero(), order
+    assert signs == []
+    assert a.coeff((t, x)) == c.const(2) and a.coeff((x, t)) == c.const(-2) and a.coeff([z, y]) == -c.var("u")
+    assert signs == [(t, x), (x, t), (z, y)]
 
 
 # -- pullback --------------------------------------------------------------------------

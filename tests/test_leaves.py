@@ -175,6 +175,19 @@ def test_a_k_that_vanishes_at_the_point_is_singular_there():
         coefficient_at(flaschka_ratiu(model, poly.parse_poly("x1 - 1", CHART6)), CUSP_POINT)
 
 
+def test_a_vanishing_k_is_reported_as_pi_zero_not_as_a_rank_drop():
+    # the kept gradient rows have full rank at CUSP_POINT: only k = x1 - 1 makes pi(q) vanish there
+    model = get_model("cusp", 3)
+    b = flaschka_ratiu(model, poly.parse_poly("x1 - 1", CHART6))
+    point, values, _ = reader(b)(CUSP_POINT)
+    with pytest.raises(SingularPoint) as exc:
+        leaf_frame(b, point, values)
+    assert str(exc.value) == (
+        "pi(q) = 0 at (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 1), Fraction(1, 1), "
+        "Fraction(1, 1)), where the Casimir differentials keep full rank"
+    )
+
+
 def leaf_outcome(b: PoissonBivector, q):
     try:
         coeff = coefficient_at(b, q)

@@ -56,6 +56,25 @@ def test_differentiate_unknown_variable():
         CHART6.var("x1").differentiate("q")
 
 
+def test_a_chart_has_one_zero():
+    assert CHART6.zero() is CHART6.zero()
+    assert CHART6.zero().terms == {} and CHART6.zero().chart is CHART6
+
+
+def test_equal_charts_compare_and_hash_equal_with_zeros_of_their_own():
+    a, b = Chart(("p", "q", "s"), n_geom=2), Chart(("p", "q", "s"), n_geom=2)
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a.zero() == b.zero() and a.zero() is not b.zero()
+    assert a != Chart(("p", "q", "s")) and repr(a) == "Chart(names=('p', 'q', 's'), n_geom=2)"
+
+
+def test_the_derivative_of_a_zero_is_the_zero_and_still_checks_the_name():
+    zero = CHART6.zero()
+    assert zero.differentiate("x1") is zero
+    with pytest.raises(ChartMismatch):
+        zero.differentiate("q")
+
+
 def test_evaluate_examples():
     c = CHART6
     p = c.var("x1") ** 2 + c.var("x3") ** 2

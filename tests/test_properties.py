@@ -16,6 +16,9 @@ pullback, the homotopy operator) against the same operators summed one
 which multiply integer numerators over one denominator per operation,
 against Fraction term-loop products (``test_poly._term_loop_product``), on
 coefficients with denominators up to about 10^6;
+``_Graded.coeff`` and ``ext_d`` against their bodies from before a miss
+cost one lookup, and each chart's one zero against operations with zero
+operands, which must leave it empty;
 ``Poly.evaluate`` against a term-by-term sum and the ring axioms;
 ``poly.IntegerKernel`` against ``Poly.evaluate`` times its scale;
 ``linalg.primitive`` against division by the gcd of the entries and
@@ -46,6 +49,8 @@ from singfib.exterior import (
     KVector,
     PolyMap,
     _Graded,
+    _lift,
+    _merge_indices,
     ext_d,
     hodge_star,
     interior,
@@ -69,8 +74,10 @@ from singfib.poly import (
     format_poly,
     integer_point,
     parse_poly,
+    polys_from_buckets,
 )
 from singfib.poisson import PoissonBivector, jacobi, self_bracket
+from singfib.reference import NS_CHART_EPS
 from test_poly import _term_loop_product
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -360,6 +367,100 @@ def test_accumulator_outputs_are_nonzero_fractions_in_lowest_terms(a, b, v, f, p
         linalg.poly_det(rows),
     ):
         assert_clean(result)
+
+
+# -- absent terms: coeff misses, the shared zero, and d where a variable occurs -------------
+
+
+def oracle_coeff(x: _Graded, idx) -> Poly:
+    """``_Graded.coeff`` with the repeated-index check and the sign read before the lookup."""
+    order = tuple(idx)
+    if len(set(order)) != len(order):
+        return x.chart.zero()
+    sorted_idx = tuple(sorted(order))
+    sign = permutation_sign(order)
+    base = x.terms.get(sorted_idx)
+    if base is None:
+        return x.chart.zero()
+    return base if sign == 1 else -base
+
+
+low_degree_elements = st.integers(0, 4).flatmap(lambda k: graded(KForm, k) | graded(KVector, k))
+
+
+@SETTINGS
+@given(low_degree_elements)
+def test_coeff_matches_its_oracle_on_every_index_tuple(x):
+    # every ordered tuple of up to 4 indices in -1..NG: repeated, unsorted and out-of-block ones included
+    for length in range(5):
+        for order in product(range(-1, NG + 1), repeat=length):
+            got, want = x.coeff(order), oracle_coeff(x, order)
+            assert got == want and got.chart is x.chart, order
+
+
+def oracle_ext_d_merge(a: KForm) -> KForm:
+    """``ext_d`` with the index of dv ^ dx_I merged for every geometric v, whether or not v occurs."""
+    chart = a.chart
+    den, (terms,) = _lift([a])
+    buckets: dict = {}
+    for idx, coeff in terms:
+        for v in range(chart.n_geom):
+            merged = _merge_indices((v,), idx)
+            if merged is None:
+                continue
+            sign, new_idx = merged
+            bucket = None
+            for exp, c in coeff.items():
+                e = exp[v]
+                if e:
+                    if bucket is None:
+                        bucket = buckets.setdefault(new_idx, {})
+                    key = exp[:v] + (e - 1,) + exp[v + 1 :]
+                    bucket[key] = bucket.get(key, 0) + c * (sign * e)
+    return KForm._make(chart, min(a.degree + 1, chart.n_geom), polys_from_buckets(chart, buckets, den))
+
+
+@st.composite
+def charts_with_parameters(draw) -> Chart:
+    dim = draw(st.integers(2, 6))
+    return Chart(tuple(f"v{i}" for i in range(dim)), n_geom=draw(st.integers(1, dim - 1)))
+
+
+def chart_forms(chart: Chart) -> st.SearchStrategy[KForm]:
+    """Forms on any chart; the coefficients hold the parameters past n_geom too."""
+    coeffs = st.dictionaries(st.tuples(*[st.integers(0, 2)] * chart.dim), coefficients, max_size=3)
+
+    def of_degree(k: int):
+        keys = st.lists(st.integers(0, chart.n_geom - 1), min_size=k, max_size=k, unique=True).map(sorted).map(tuple)
+        terms = st.dictionaries(keys, coeffs.map(lambda t: Poly(chart, t)), max_size=3)
+        return terms.map(lambda t: KForm(chart, k, t))
+
+    return st.integers(0, chart.n_geom).flatmap(of_degree)
+
+
+@SETTINGS
+@given(st.one_of(st.sampled_from([CHART6, NS_CHART_EPS]), charts_with_parameters()).flatmap(chart_forms))
+def test_ext_d_matches_its_per_v_merge_oracle(a):
+    got, want = ext_d(a), oracle_ext_d_merge(a)
+    assert_same(got, want)
+    assert list(got.terms) == list(want.terms)  # the same terms in the same order
+
+
+@SETTINGS
+@given(polys(), forms, vector_fields, graded(KVector, 2), rationals, images)
+def test_operations_on_zero_operands_leave_the_shared_zero_empty(p, a, v, m, c, imgs):
+    zero = CHART6.zero()
+    no_form, no_vector = KForm(CHART6, a.degree, {}), KVector(CHART6, 1, {})
+    polys_out = [p + zero, zero + p, zero - p, p - zero, zero + zero, -zero, p * zero, zero * p, zero * zero]
+    polys_out += [zero**2, zero.scale(c), p.scale(0), zero.differentiate("x1"), zero.compose(imgs, CHART6)]
+    polys_out += [p.compose([zero] * CHART6.dim, CHART6), linalg.poly_det([[zero, p], [zero, p]])]
+    graded_out = [ext_d(no_form), ext_d(scalar_form(p)), wedge(a, no_form), wedge(no_form, a), -no_form]
+    graded_out += [no_form + a, a + no_form, a.scale(zero), no_form.scale(p), interior(no_vector, a)]
+    graded_out += [interior(v, no_form), schouten(m, m), schouten(m, KVector(CHART6, 2, {}))]
+    graded_out += [scalar_form(a.coeff((0, 0)) + p)]
+    for result in polys_out + graded_out:
+        assert_clean(result)
+    assert zero.terms == {} and zero is CHART6.zero()
 
 
 # -- the public constructors stay the boundary ------------------------------------------

@@ -19,9 +19,10 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .poly import Chart, ChartMismatch, Poly, Rational, _exact, add_product, add_term, numerators, polys_from_buckets
+from .poly import Chart, ChartMismatch, Poly, Rational, _exact, add_product, add_term, composer, lifted
+from .poly import polys_from_buckets
 
 Index = tuple[int, ...]
 #: an element's terms as (index, integer numerators over the denominator they were lifted to)
@@ -260,18 +261,16 @@ def wedge(a: _Graded, b: _Graded) -> _Graded:
     degree = a.degree + b.degree
     if degree > a.chart.n_geom:
         return a._make(a.chart, a.chart.n_geom, {})
-    (da, (la,)), (db, (lb,)) = _lift([a]), _lift([b])
+    (da, la), (db, lb) = _lift(a), _lift(b)
     buckets: dict[Index, dict] = {}
     _wedge_into(buckets, la, lb)
     return a._make(a.chart, degree, polys_from_buckets(a.chart, buckets, da * db))
 
 
-def _lift(elements: Sequence[_Graded]) -> tuple[int, list[Lifted]]:
-    """One denominator for the coefficients of all the elements, and each element's terms over it."""
-    den = math.lcm(*[c.denominator for x in elements for p in x.terms.values() for c in p.terms.values()])
-    if den == 1:
-        return 1, [[(i, {e: c.numerator for e, c in p.terms.items()}) for i, p in x.terms.items()] for x in elements]
-    return den, [[(i, numerators(p.terms, den)) for i, p in x.terms.items()] for x in elements]
+def _lift(x: _Graded) -> tuple[int, Lifted]:
+    """One denominator for the element's coefficients, and its terms over it."""
+    den, nums = lifted(x.terms.values())
+    return den, list(zip(x.terms, nums))
 
 
 def _bucket(buckets: dict[Index, dict], idx: Index) -> dict:
@@ -281,7 +280,7 @@ def _bucket(buckets: dict[Index, dict], idx: Index) -> dict:
     return bucket
 
 
-def _wedge_into(buckets: dict[Index, dict], a: Lifted, b: Lifted) -> None:
+def _wedge_into(buckets: dict[Index, dict], a: Iterable[tuple[Index, dict]], b: Lifted) -> None:
     """Add the terms of a ^ b into ``buckets``, one term dict per merged index."""
     for ia, ca in a:
         for ib, cb in b:
@@ -303,7 +302,7 @@ def wedge_power(a: _Graded, m: int) -> _Graded:
 def ext_d(a: KForm) -> KForm:
     """Exterior derivative in the geometric coordinates."""
     chart = a.chart
-    den, (terms,) = _lift([a])
+    den, terms = _lift(a)
     buckets: dict[Index, dict] = {}
     for idx, coeff in terms:
         for v in range(chart.n_geom):
@@ -346,20 +345,26 @@ def pullback(a: KForm, f: PolyMap) -> KForm:
     if a.chart != f.target:
         raise ChartMismatch("form does not live on the map's target chart")
     src = f.source
-    diffs = [ext_d(scalar_form(comp)) for comp in f.components]
-    pieces, last = [], []
-    for idx, coeff in a.terms.items():
-        piece = scalar_form(coeff.compose(f.components, src))
-        for j in idx[:-1]:
-            piece = wedge(piece, diffs[j])
-        pieces.append(piece)
-        last.append(idx[-1] if idx else -1)
-    # the last factor goes straight into the buckets; a 0-form's is the constant 1, at position -1
-    (dp, lp), (dd, ld) = _lift(pieces), _lift([*diffs, scalar_form(src.one())])
+    # one lift each: coefficients over dp, components over di; composed at the top degree, over dp * di^top
+    (dp, coeffs), (di, comps) = lifted(a.terms.values()), lifted(f.components)
+    top = max((sum(e) for p in coeffs for e in p), default=0)
+    compose = composer(comps, di, (0,) * src.dim)
+    diffs: list[Lifted] = [[] for _ in comps]  # each df_j as integer 1-form terms over di
+    for d, p in zip(diffs, comps):
+        for v in range(src.n_geom):
+            if dv := {e[:v] + (e[v] - 1,) + e[v + 1 :]: c * e[v] for e, c in p.items() if e[v]}:
+                d.append(((v,), dv))
     buckets: dict[Index, dict] = {}
-    for piece, j in zip(lp, last):
-        _wedge_into(buckets, piece, ld[j])
-    return KForm._make(src, min(a.degree, src.n_geom), polys_from_buckets(src, buckets, dp * dd))
+    for idx, p in zip(a.terms, coeffs):
+        piece = {(): compose(p, top)}
+        for j in idx[:-1]:
+            piece, prev = {}, piece
+            _wedge_into(piece, prev.items(), diffs[j])
+        if idx:  # the wedge with the last df_j goes straight into the buckets
+            _wedge_into(buckets, piece.items(), diffs[idx[-1]])
+        else:
+            buckets = piece
+    return KForm._make(src, min(a.degree, src.n_geom), polys_from_buckets(src, buckets, dp * di ** (top + a.degree)))
 
 
 def hodge_star(a: KForm) -> KForm:
@@ -384,7 +389,7 @@ def interior(v: _Graded, a: _Graded) -> _Graded:
         raise ChartMismatch("chart mismatch in interior product")
     if a.degree == 0:
         return a._make(a.chart, 0, {})
-    (dv, (lv,)), (da, (la,)) = _lift([v]), _lift([a])
+    (dv, lv), (da, la) = _lift(v), _lift(a)
     vs = {i: c for (i,), c in lv}
     buckets: dict[Index, dict] = {}
     for idx, coeff in la:
@@ -460,7 +465,7 @@ def poincare_homotopy(a: KForm, directions: Sequence[int] | None = None) -> KFor
             raise ValueError(f"direction {i} is given twice")
     radial_set = set(radial)
     # the term c / (m + r) is c * (w / (m + r)) over w, the lcm of the weights m + r
-    den, (terms,) = _lift([a])
+    den, terms = _lift(a)
     weighted = []
     for idx, coeff in terms:
         r = sum(1 for i in idx if i in radial_set)

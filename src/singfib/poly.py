@@ -9,8 +9,10 @@ decimal for a human.
 
 Products, determinants, compositions and the exterior operators
 accumulate integer numerators over one denominator per operation
-(``lifted``, ``add_product``) and build each nonzero coefficient's
-Fraction once, at the end (``polys_from_buckets``).
+(``lifted``, ``add_product``) and build the Fractions once, at the end:
+one per distinct numerator of the operation (``polys_from_buckets``).
+Compositions and pullbacks share one integer composition loop, with one
+cache of image powers per call (``composer``).
 
 A Chart fixes the ordered variable list.  The first ``n_geom`` names are
 geometric coordinates (they carry basis covectors/vectors and are the
@@ -32,7 +34,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 Exponent = tuple[int, ...]
 Rational = Union[int, Fraction]
@@ -88,21 +90,55 @@ def _power(p: dict[Exponent, int], e: int) -> dict[Exponent, int]:
     return out
 
 
+def composer(images: Sequence[dict[Exponent, int]], di: int, zero: Exponent) -> Callable[..., dict[Exponent, int]]:
+    """``compose(p, top)``: integer numerators p at the images (numerators over di), as numerators over di^top.
+
+    A term of degree d is c * prod images^e over di^d, padded to ``top`` >= d by
+    di^(top - d); each power of an image is built once per composer.  ``zero``
+    is the exponent of a constant on the images' chart.
+    """
+    power = cache(lambda i, e: _power(images[i], e))
+
+    def compose(p: dict[Exponent, int], top: int) -> dict[Exponent, int]:
+        out: dict[Exponent, int] = {}
+        for exp, c in p.items():
+            term = {zero: c * di ** (top - sum(exp))}
+            factors = [power(i, e) for i, e in enumerate(exp) if e] or [{zero: 1}]
+            for factor in factors[:-1]:
+                term, prev = {}, term
+                add_product(term, prev, factor)
+            add_product(out, term, factors[-1])
+        return out
+
+    return compose
+
+
+def _fractions(terms: dict[Exponent, int], den: int, made: dict[int, Fraction]) -> dict[Exponent, Fraction]:
+    """The nonzero numerators over ``den`` as Fractions, one per distinct numerator, kept in ``made``.
+
+    A Fraction is immutable, so the Polys of one operation may share them.
+    """
+    out = {}
+    for e, n in terms.items():
+        if n:
+            c = made.get(n)
+            if c is None:
+                c = made[n] = Fraction(n, den) if den != 1 else Fraction(n)  # Fraction(n) skips the gcd
+            out[e] = c
+    return out
+
+
 def poly_over(chart: "Chart", terms: dict[Exponent, int], den: int) -> "Poly":
-    """The Poly with the integer numerators ``terms`` over ``den``: one Fraction, in lowest terms, per nonzero one."""
-    if den == 1:
-        return Poly._make(chart, {e: Fraction(n) for e, n in terms.items() if n})
-    return Poly._make(chart, {e: Fraction(n, den) for e, n in terms.items() if n})
+    """The Poly with the integer numerators ``terms`` over ``den``, without zero terms."""
+    return Poly._make(chart, _fractions(terms, den, {}))
 
 
 def polys_from_buckets(chart: "Chart", buckets: Mapping[object, dict[Exponent, int]], den: int) -> dict:
     """``{index: integer numerators over den}`` as ``{index: Poly}``, without zero terms or zero polynomials."""
+    made: dict[int, Fraction] = {}
     out = {}
     for idx, terms in buckets.items():
-        if den == 1:
-            clean = {e: Fraction(n) for e, n in terms.items() if n}
-        else:
-            clean = {e: Fraction(n, den) for e, n in terms.items() if n}
+        clean = _fractions(terms, den, made)
         if clean:
             out[idx] = Poly._make(chart, clean)
     return out
@@ -362,20 +398,9 @@ class Poly:
             raise ValueError(f"{len(images)} images for a chart of dim {self.chart.dim}")
         if any(image.chart != chart for image in images):
             raise ChartMismatch(f"every image must live on chart {chart.names}")
-        # a term of degree d is c * prod images^e over dp * di^d, padded to the top degree by di
         (dp, (p,)), (di, nums) = lifted([self]), lifted(images)
         top = max(map(sum, p), default=0)
-        power = cache(lambda i, e: _power(nums[i], e))  # each power of an image once per call
-        zero = (0,) * chart.dim
-        out: dict[Exponent, int] = {}
-        for exp, c in p.items():
-            term = {zero: c * di ** (top - sum(exp))}
-            factors = [power(i, e) for i, e in enumerate(exp) if e] or [{zero: 1}]
-            for factor in factors[:-1]:
-                term, prev = {}, term
-                add_product(term, prev, factor)
-            add_product(out, term, factors[-1])
-        return poly_over(chart, out, dp * di**top)
+        return poly_over(chart, composer(nums, di, (0,) * chart.dim)(p, top), dp * di**top)
 
     # -- rendering ----------------------------------------------------------
 

@@ -19,6 +19,11 @@ coefficients with denominators up to about 10^6;
 ``_Graded.coeff`` and ``ext_d`` against their bodies from before a miss
 cost one lookup, and each chart's one zero against operations with zero
 operands, which must leave it empty;
+``pullback`` along maps of the two shapes the product pulls back along
+(CHART6 and NS_CHART_EPS to TARGET4) against an oracle that composes by
+term-loop products; the unlift (``poly_over``, ``polys_from_buckets``)
+against one ``Fraction(n, den)`` per term, with equal numerators of one
+call sharing one instance that stays safe under the ring operations;
 ``Poly.evaluate`` against a term-by-term sum and the ring axioms;
 ``poly.IntegerKernel`` against ``Poly.evaluate`` times its scale;
 ``linalg.primitive`` against division by the gcd of the entries and
@@ -74,8 +79,10 @@ from singfib.poly import (
     format_poly,
     integer_point,
     parse_poly,
+    poly_over,
     polys_from_buckets,
 )
+from singfib.nearsymp import TARGET4, ns_model
 from singfib.poisson import PoissonBivector, jacobi, self_bracket
 from singfib.reference import NS_CHART_EPS
 from test_poly import _term_loop_product
@@ -232,7 +239,7 @@ def oracle_pullback(a: KForm, f: PolyMap) -> KForm:
     diffs = [oracle_ext_d(scalar_form(comp)) for comp in f.components]
     out: dict = {}
     for idx, coeff in a.terms.items():
-        piece = scalar_form(coeff.compose(f.components, f.source))
+        piece = scalar_form(oracle_compose(coeff, f.components, f.source))
         for j in idx:
             piece = oracle_wedge(piece, diffs[j])
         for key, value in piece.terms.items():
@@ -401,7 +408,7 @@ def test_coeff_matches_its_oracle_on_every_index_tuple(x):
 def oracle_ext_d_merge(a: KForm) -> KForm:
     """``ext_d`` with the index of dv ^ dx_I merged for every geometric v, whether or not v occurs."""
     chart = a.chart
-    den, (terms,) = _lift([a])
+    den, terms = _lift(a)
     buckets: dict = {}
     for idx, coeff in terms:
         for v in range(chart.n_geom):
@@ -461,6 +468,83 @@ def test_operations_on_zero_operands_leave_the_shared_zero_empty(p, a, v, m, c, 
     for result in polys_out + graded_out:
         assert_clean(result)
     assert zero.terms == {} and zero is CHART6.zero()
+
+
+# -- pullback in one lift, and one Fraction per distinct numerator in the unlift -----------
+
+
+def chart_polys(chart: Chart, max_terms: int = 2, max_exp: int = 1) -> st.SearchStrategy[Poly]:
+    exponents = st.tuples(*[st.integers(0, max_exp)] * chart.dim)
+    return st.dictionaries(exponents, coefficients, max_size=max_terms).map(lambda t: Poly(chart, t))
+
+
+def maps_to_target4(source: Chart) -> st.SearchStrategy[PolyMap]:
+    return st.tuples(*[chart_polys(source)] * TARGET4.dim).map(lambda comps: PolyMap(source, TARGET4, comps))
+
+
+w1, w2, w3, w4 = (TARGET4.var(name) for name in TARGET4.names)
+BIG_MAP = PolyMap(
+    CHART6, TARGET4, (BIG, BIG.scale(Fraction(1, 65_537)) + CHART6.var("t2"), CHART6.var("x1"), BIG * BIG)
+)
+CUSP_MAP = ns_model("cusp").fibration()
+BIG_FORM = KForm(TARGET4, 2, {(0, 1): w1 * w3.scale(Fraction(1, 999_983)), (1, 3): w2 - Fraction(5, 1_000_003)})
+# coefficients of total degree 3, 1 and 0, composed over one denominator: padded to the top degree
+MIXED_DEGREES = KForm(
+    TARGET4, 1, {(0,): w1**2 * w2 + Fraction(1, 3), (2,): w4 - Fraction(2, 5), (3,): TARGET4.const(7)}
+)
+
+
+@SETTINGS
+# the calculus check pulls back from CHART6, build_omega0 from NS_CHART_EPS, whose eps the components may hold
+@given(st.tuples(chart_forms(TARGET4), st.sampled_from([CHART6, NS_CHART_EPS]).flatmap(maps_to_target4)))
+@example((BIG_FORM, BIG_MAP))
+@example((KForm(TARGET4, 2, {}), BIG_MAP))
+@example((scalar_form(w1 * w2 - w4.scale(Fraction(3, 7))), CUSP_MAP))
+@example((MIXED_DEGREES, CUSP_MAP))
+@example((KForm(TARGET4, 2, {(0, 1): TARGET4.one(), (2, 3): TARGET4.one()}), ns_model("butterfly").fibration()))
+def test_pullback_along_the_product_maps_matches_its_oracle(case):
+    a, f = case
+    got = pullback(a, f)
+    assert_same(got, oracle_pullback(a, f))
+    assert pullback(ext_d(a), f) == ext_d(got)
+
+
+# numerators from a small range, so that a call sees each value several times
+repeated_numerators = st.dictionaries(st.tuples(*[st.integers(0, 2)] * CHART6.dim), st.integers(-6, 6), max_size=8)
+
+
+@SETTINGS
+@given(st.lists(repeated_numerators, max_size=4), st.sampled_from([1, 4, 6, 999_983]) | st.integers(1, 10**6))
+def test_the_unlift_builds_one_fraction_per_distinct_numerator(buckets, den):
+    from_buckets = polys_from_buckets(CHART6, dict(enumerate(buckets)), den)
+    assert set(from_buckets) == {i for i, t in enumerate(buckets) if any(t.values())}
+    for i, terms in enumerate(buckets):
+        want = Poly(CHART6, {e: Fraction(n, den) for e, n in terms.items()})
+        for got in (poly_over(CHART6, terms, den), from_buckets.get(i, CHART6.zero())):
+            assert_clean(got)
+            assert got.terms == want.terms
+    # within one call, equal numerators share one Fraction instance
+    for polys_of_one_call in [list(from_buckets.values())] + [[poly_over(CHART6, t, den)] for t in buckets]:
+        seen: dict = {}
+        for p in polys_of_one_call:
+            for c in p.terms.values():
+                assert seen.setdefault(c, c) is c
+
+
+def test_polys_sharing_fractions_stay_independent():
+    x1, x2, x3 = (CHART6.var(name) for name in ("x1", "x2", "x3"))
+    e1, e2, e3 = (next(iter(v.terms)) for v in (x1, x2, x3))
+    p, q = polys_from_buckets(CHART6, {0: {e1: 3, e2: 3}, 1: {e1: 3, e3: -3}}, 6).values()
+    assert p.terms[e1] is q.terms[e1] is p.terms[e2]
+    half = Fraction(1, 2)
+    assert p - q == (x2 + x3).scale(half)
+    assert q - p == -(x2 + x3).scale(half)
+    assert p.scale(2) == x1 + x2 and q.scale(-4) == (x3 - x1).scale(2)
+    assert p + q == x1 + (x2 - x3).scale(half)
+    assert -p == -(x1 + x2).scale(half)
+    # neither operand changed, and each keeps its own terms dict
+    assert p == (x1 + x2).scale(half) and q == (x1 - x3).scale(half)
+    assert p.terms is not q.terms
 
 
 # -- the public constructors stay the boundary ------------------------------------------
